@@ -244,7 +244,6 @@ def descent_bound(spec: GroupSpec, weight: Weight) -> int:
     key = (_group_key(spec), weight.coeffs)
     if key in _DESCENT_MEMO:
         return _DESCENT_MEMO[key]
-    _DESCENT_MEMO[key] = 1  # guard against accidental cycles
     if is_steinberg(spec, weight):
         _DESCENT_MEMO[key] = 1
         return 1

@@ -8,17 +8,39 @@ are lower bounds for p'-parts of projective-module dimensions, so this module
 provides orbit computation, full orbit scans, and the fixed-space and
 irreducibility questions for the reduction of the reflection representation
 modulo a small prime l.
+
+Orbit sizes are not found by listing orbits.  With m = q-1, the stabilizer
+in W of a character x mod m is isomorphic to the stabilizer of a lift x in
+the extended affine Weyl group W ⋉ mP = W_a ⋊ Ω, where W_a = W ⋉ mQ is
+generated by the reflections in the hyperplanes <x, a^vee> = km and Ω ≅ P/Q
+is the subgroup preserving the closed fundamental alcove
+A = {x : 0 <= <x, a^vee> <= m for every positive root a}.  Simple and affine
+reflections move the lift into A.  There, the Kac coordinates
+(m - <x, theta^vee>, x_1, ..., x_n), with theta^vee the highest coroot, show
+the walls through x: the stabilizer in W_a is the parabolic subgroup W_J on
+the zero coordinates J, a proper subdiagram of the extended Dynkin diagram,
+and Ω acts by permuting the Kac coordinates.  So
+
+    |W . x mod m| = |W| / (|W_J| * |Ω_x|),
+
+and a full scan of the m^n characters only walks the points of A
+(Bourbaki, *Lie Groups and Lie Algebras*, ch. VI §2; Kac, *Infinite
+Dimensional Lie Algebras*, §8.6; Reeder, "Torsion automorphisms of simple
+Lie algebras", Enseign. Math. 2010).  The breadth-first enumeration in
+:func:`orbit` is kept for callers that need the orbit's elements.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .rootdata import (
     GroupSpec,
     RootDatum,
     UnsupportedGroupError,
+    _weyl_order,
     apply_reflection,
     reflection_matrices,
 )
@@ -62,9 +84,177 @@ def character_from_weight(spec: GroupSpec, weight) -> TorusCharacter:
     return TorusCharacter(coords, m)
 
 
-def orbit(spec: GroupSpec, beta) -> frozenset[tuple[int, ...]]:
-    """Weyl-group orbit of a torus character, as a set of coordinate tuples."""
-    char = beta if isinstance(beta, TorusCharacter) else character_from_weight(spec, beta)
+def _as_character(spec: GroupSpec, beta) -> TorusCharacter:
+    if isinstance(beta, TorusCharacter):
+        return beta
+    return character_from_weight(spec, beta)
+
+
+# ---------------------------------------------------------------------------
+# Alcove geometry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class _AlcovePlan:
+    """Per-datum data for orbit sizes from alcove stabilizers.
+
+    Node 0 of the extended diagram is the affine wall <x, theta^vee> = m;
+    node i >= 1 is the wall x_i = 0.
+    """
+
+    simple_roots: tuple[tuple[int, ...], ...]  # fundamental-weight coordinates
+    theta: tuple[int, ...]  # the root whose coroot is the highest coroot
+    theta_form: tuple[int, ...]  # the highest coroot on simple coroots
+    bonds: tuple[tuple[int, ...], ...]  # bond products between wall nodes
+    omega: tuple[tuple[int, ...], ...]  # Ω as permutations of Kac coordinates
+    wall_orders: dict = field(default_factory=dict)  # zero-set mask -> |W_J|
+
+
+def _roots_with_coroots(datum: RootDatum):
+    """Every root (fundamental-weight coordinates) with its coroot (on simple
+    coroots), as the Weyl orbit of the simple pairs."""
+    n = datum.rank
+    cartan = datum.cartan
+    simple = tuple(tuple(cartan[j][i] for j in range(n)) for i in range(n))
+    start = [(simple[i], tuple(int(k == i) for k in range(n))) for i in range(n)]
+    seen = set(start)
+    frontier = start
+    while frontier:
+        nxt = []
+        for root, coroot in frontier:
+            for i in range(n):
+                c = root[i]
+                d = sum(coroot[k] * cartan[k][i] for k in range(n))
+                image = (tuple(r - c * s for r, s in zip(root, simple[i])),
+                         tuple(v - d * (k == i) for k, v in enumerate(coroot)))
+                if image not in seen:
+                    seen.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return simple, seen
+
+
+def _to_alcove(plan: _AlcovePlan, x, m: int) -> tuple[int, ...]:
+    """The point of the closed alcove in the W_a-orbit of ``x``.
+
+    Reflects in a wall x_i = 0 while a coordinate is negative, then in the
+    affine wall while <x, theta^vee> > m.  Each step brings x closer to the
+    alcove's interior, so the walk ends.
+    """
+    x = list(x)
+    while True:
+        for i, c in enumerate(x):
+            if c < 0:
+                x = [a - c * r for a, r in zip(x, plan.simple_roots[i])]
+                break
+        else:
+            h = sum(d * c for d, c in zip(plan.theta_form, x))
+            if h <= m:
+                return tuple(x)
+            x = [a - (h - m) * t for a, t in zip(x, plan.theta)]
+
+
+def _kac(plan: _AlcovePlan, x, m: int) -> tuple[int, ...]:
+    return (m - sum(d * c for d, c in zip(plan.theta_form, x)), *x)
+
+
+@lru_cache(maxsize=None)
+def _alcove_plan(datum: RootDatum) -> _AlcovePlan:
+    simple, pairs = _roots_with_coroots(datum)
+    theta, theta_form = max(
+        ((root, coroot) for root, coroot in pairs if min(coroot) >= 0),
+        key=lambda pair: sum(pair[1]))
+    n = datum.rank
+    nodes = [(theta, theta_form)] + [
+        (simple[i], tuple(int(k == i) for k in range(n))) for i in range(n)]
+
+    def pairing(a, b):
+        return sum(r * c for r, c in zip(nodes[a][0], nodes[b][1]))
+
+    bonds = tuple(tuple(pairing(a, b) * pairing(b, a) if a != b else 0
+                        for b in range(n + 1)) for a in range(n + 1))
+    plan = _AlcovePlan(simple, theta, theta_form, bonds, omega=())
+    # Ω ≅ P/Q is represented by 0 and the minuscule fundamental weights, the
+    # nodes with coefficient 1 in the highest coroot.  Each permutes the Kac
+    # coordinates; read the permutation off a point whose coordinates differ.
+    probe = tuple(range(2, n + 2))
+    m = 1 + sum(d * c for d, c in zip(theta_form, probe))
+    before = _kac(plan, probe, m)
+    omega = [tuple(range(n + 1))]
+    for i, d in enumerate(theta_form):
+        if d == 1:
+            shifted = tuple(c + m * (k == i) for k, c in enumerate(probe))
+            after = _kac(plan, _to_alcove(plan, shifted, m), m)
+            omega.append(tuple(before.index(c) for c in after))
+    return replace(plan, omega=tuple(omega))
+
+
+def _component_order(bonds, comp: list[int]) -> int:
+    """|W| for one connected finite-type subdiagram of the extended diagram."""
+    k = len(comp)
+    degree = {a: sum(1 for b in comp if bonds[a][b]) for a in comp}
+    multiple = [(a, b) for a in comp for b in comp if a < b and bonds[a][b] > 1]
+    if multiple:
+        a, b = multiple[0]
+        if bonds[a][b] == 3:
+            return _weyl_order("G2", 2)
+        if k == 4 and degree[a] == degree[b] == 2:
+            return _weyl_order("F4", 4)
+        return _weyl_order("B", k)
+    branch = [a for a in comp if degree[a] == 3]
+    if not branch:
+        return _weyl_order("A", k)
+    leaves = sum(1 for b in comp if bonds[branch[0]][b] and degree[b] == 1)
+    return _weyl_order("D", k) if leaves >= 2 else _weyl_order(f"E{k}", k)
+
+
+def _wall_stabilizer_order(plan: _AlcovePlan, kac: tuple[int, ...]) -> int:
+    """|W_J| for J the walls through the alcove point, from its Kac coordinates."""
+    mask = sum(1 << j for j, s in enumerate(kac) if s == 0)
+    order = plan.wall_orders.get(mask)
+    if order is None:
+        order = 1
+        unseen = {j for j, s in enumerate(kac) if s == 0}
+        while unseen:
+            comp = [unseen.pop()]
+            for a in comp:
+                linked = {b for b in unseen if plan.bonds[a][b]}
+                unseen -= linked
+                comp.extend(linked)
+            order *= _component_order(plan.bonds, comp)
+        plan.wall_orders[mask] = order
+    return order
+
+
+def _omega_fixing(plan: _AlcovePlan, kac: tuple[int, ...]) -> int:
+    return sum(1 for perm in plan.omega
+               if all(kac[p] == s for p, s in zip(perm, kac)))
+
+
+def orbit_size(spec: GroupSpec, beta) -> int:
+    """Length of the Weyl orbit of a torus character, by orbit-stabilizer in
+    the extended affine Weyl group; nothing is enumerated."""
+    char = _as_character(spec, beta)
+    plan = _alcove_plan(spec.datum)
+    m = char.modulus
+    kac = _kac(plan, _to_alcove(plan, char.coords, m), m)
+    return spec.datum.weyl_order // (
+        _wall_stabilizer_order(plan, kac) * _omega_fixing(plan, kac))
+
+
+def orbit(spec: GroupSpec, beta,
+          budget: int = 10 ** 7) -> frozenset[tuple[int, ...]]:
+    """Weyl-group orbit of a torus character, as a set of coordinate tuples.
+
+    Raises :class:`BudgetExceededError`, before enumerating anything, when
+    the orbit has more than ``budget`` elements.
+    """
+    char = _as_character(spec, beta)
+    size = orbit_size(spec, char)
+    if size > budget:
+        raise BudgetExceededError(
+            f"an orbit of {size} torus characters exceeds the budget of {budget}")
     datum = spec.datum
     m = char.modulus
     start = char.coords
@@ -80,10 +270,6 @@ def orbit(spec: GroupSpec, beta) -> frozenset[tuple[int, ...]]:
                     nxt.append(w)
         frontier = nxt
     return frozenset(seen)
-
-
-def orbit_size(spec: GroupSpec, beta) -> int:
-    return len(orbit(spec, beta))
 
 
 @dataclass(frozen=True)
@@ -110,15 +296,42 @@ class OrbitScanReport:
         }
 
 
+def _alcove_points(theta_form, m: int):
+    """Kac coordinates of every weight in the closed alcove of level m."""
+    n = len(theta_form)
+
+    def extend(prefix, room):
+        if len(prefix) == n:
+            yield (room, *prefix)
+            return
+        d = theta_form[len(prefix)]
+        for c in range(room // d + 1):
+            yield from extend((*prefix, c), room - d * c)
+
+    return extend((), m)
+
+
+def check_scan_budget(spec: GroupSpec, budget: int) -> None:
+    """Raise :class:`BudgetExceededError` if a scan of ``spec`` would cover
+    more than ``budget`` torus characters (a vacuous scan never does)."""
+    _require_split(spec)
+    m = spec.q - 1
+    if m > 1 and m ** spec.datum.rank > budget:
+        raise BudgetExceededError(
+            f"{m ** spec.datum.rank} torus characters exceed the budget "
+            f"of {budget}")
+
+
 def orbit_scan(spec: GroupSpec, budget: int = 10 ** 7) -> OrbitScanReport:
     """Partition all torus characters into Weyl orbits.
 
     Reports the fixed characters, the smallest orbit of size larger than one,
-    and a histogram of orbit sizes.  For q = 2 the torus is trivial and the
+    and a histogram of orbit sizes.  Each orbit is one Ω-orbit of alcove
+    points, so only those are walked.  For q = 2 the torus is trivial and the
     scan is flagged vacuous.  Raises :class:`BudgetExceededError` if the
     character group has more than ``budget`` elements.
     """
-    _require_split(spec)
+    check_scan_budget(spec, budget)
     datum = spec.datum
     m = spec.q - 1
     if m <= 1:
@@ -127,37 +340,26 @@ def orbit_scan(spec: GroupSpec, budget: int = 10 ** 7) -> OrbitScanReport:
             vacuous=True, fixed_points=((0,) * datum.rank,),
             min_nontrivial_orbit=None, orbit_size_histogram=((1, 1),))
     total = m ** datum.rank
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} torus characters exceed the budget of {budget}")
-    unseen = set(itertools.product(range(m), repeat=datum.rank))
+    plan = _alcove_plan(datum)
     fixed = []
     histogram: dict[int, int] = {}
-    min_nontrivial = None
-    while unseen:
-        start = unseen.pop()
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(1, datum.rank + 1):
-                    w = tuple(c % m for c in apply_reflection(datum, i, v))
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        unseen.difference_update(seen)
-        size = len(seen)
+    seen: set[tuple[int, ...]] = set()
+    for kac in _alcove_points(plan.theta_form, m):
+        if kac in seen:
+            continue
+        images = {tuple(kac[p] for p in perm) for perm in plan.omega}
+        seen.update(images)
+        # |Ω_x| = |Ω| / len(images)
+        size = datum.weyl_order * len(images) // (
+            _wall_stabilizer_order(plan, kac) * len(plan.omega))
         histogram[size] = histogram.get(size, 0) + 1
         if size == 1:
-            fixed.append(start)
-        elif min_nontrivial is None or size < min_nontrivial:
-            min_nontrivial = size
+            fixed.append(tuple(c % m for c in kac[1:]))
+    nontrivial = [size for size in histogram if size > 1]
     return OrbitScanReport(
         group=spec.describe(), modulus=m, total_points=total, vacuous=False,
         fixed_points=tuple(sorted(fixed)),
-        min_nontrivial_orbit=min_nontrivial,
+        min_nontrivial_orbit=min(nontrivial, default=None),
         orbit_size_histogram=tuple(sorted(histogram.items())))
 
 

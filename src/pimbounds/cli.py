@@ -11,23 +11,35 @@ Subcommands::
     export-tables dump the embedded datasets as JSON
 
 Exit codes: 0 on success / verified, 1 when a verification finds a violation
-(a JSON counterexample is printed), 2 for usage errors.
+(a JSON counterexample is printed), 2 for usage errors, unsupported input and
+exceeded budgets, 3 for an unexpected internal error (a one-line message on
+stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
 
-from . import bounds, caseanalysis, charlattice, degrees, rootdata, weights
+from . import (
+    __version__,
+    bounds,
+    caseanalysis,
+    charlattice,
+    degrees,
+    rootdata,
+    weights,
+)
 from .rootdata import GroupSpec, UnsupportedGroupError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class VerificationFailure(Exception):
@@ -113,41 +125,57 @@ def _cmd_info(args) -> int:
 def _cmd_orbit(args) -> int:
     spec = _build_spec(args)
     beta = _parse_weight(args.beta, spec.datum.rank)
-    orb = charlattice.orbit(spec, beta.coeffs)
     payload = {
         "group": spec.describe(),
         "beta": list(beta.coeffs),
         "modulus": max(spec.q - 1, 1),
-        "orbit_size": len(orb),
+        "orbit_size": charlattice.orbit_size(spec, beta.coeffs),
     }
     if args.json:
+        orb = charlattice.orbit(spec, beta.coeffs)
         payload["orbit"] = sorted(list(v) for v in orb)
     _emit(payload, args.json)
     return EXIT_OK
 
 
+_SCAN_KEYS = frozenset(
+    f.name for f in dataclasses.fields(charlattice.OrbitScanReport))
+
+
 def _scan_cache_path(cache_dir: str, spec: GroupSpec) -> Path:
-    key = spec.describe()
+    key = f"{__version__} {spec.describe()}"
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return Path(cache_dir) / f"orbit-scan-{digest}.json"
 
 
+def _read_cached_scan(path: Path, spec: GroupSpec) -> dict | None:
+    """The cached scan report for ``spec``, or None when the file is missing,
+    unreadable, truncated or describes another scan."""
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    m = max(spec.q - 1, 1)
+    if (not isinstance(payload, dict) or set(payload) != _SCAN_KEYS
+            or payload["group"] != spec.describe()
+            or payload["modulus"] != m
+            or payload["total_points"] != m ** spec.datum.rank):
+        return None
+    return payload
+
+
 def _cmd_orbit_scan(args) -> int:
     spec = _build_spec(args)
-    cached = None
-    if args.cache_dir:
-        path = _scan_cache_path(args.cache_dir, spec)
-        if path.exists():
-            cached = json.loads(path.read_text())
-    if cached is not None:
-        payload = cached
-    else:
-        report = charlattice.orbit_scan(spec, budget=args.budget)
-        payload = report.to_json()
-        if args.cache_dir:
-            path = _scan_cache_path(args.cache_dir, spec)
+    charlattice.check_scan_budget(spec, args.budget)
+    path = _scan_cache_path(args.cache_dir, spec) if args.cache_dir else None
+    payload = _read_cached_scan(path, spec) if path else None
+    if payload is None:
+        payload = charlattice.orbit_scan(spec, budget=args.budget).to_json()
+        if path:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(payload, sort_keys=True))
+            partial = path.with_name(path.name + ".partial")
+            partial.write_text(json.dumps(payload, sort_keys=True))
+            partial.replace(path)
     _emit(payload, args.json)
     return EXIT_OK
 
@@ -457,6 +485,9 @@ def main(argv=None) -> int:
             charlattice.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault in the program, not in the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

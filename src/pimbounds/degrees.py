@@ -197,10 +197,6 @@ class DegreePolynomial:
             DegreePolynomial(int(f) for f in rem),
         )
 
-    def __floordiv__(self, divisor) -> "DegreePolynomial":
-        q, _ = self.divmod(_coerce(divisor))
-        return q
-
     def divexact(self, divisor) -> "DegreePolynomial":
         """Exact division; raises if a nonzero remainder appears."""
         divisor = _coerce(divisor)

@@ -205,9 +205,6 @@ class RootDatum:
         except KeyError:  # pragma: no cover - impossible for crystallographic data
             raise ValueError(f"invalid Cartan entry product {prod}")
 
-    def is_twisted(self) -> bool:
-        return self.twist_order > 1
-
 
 @lru_cache(maxsize=None)
 def build_root_datum(family: str, rank: int, twist_order: int = 1) -> RootDatum:
@@ -340,19 +337,6 @@ def weyl_order_by_bfs(datum: RootDatum, limit: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 # Field parameters and group specifications
 # ---------------------------------------------------------------------------
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:

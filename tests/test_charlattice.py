@@ -79,6 +79,27 @@ def test_orbit_requires_split_group():
         cl.orbit(rd.special_unitary(4, 3), (1, 0, 0))
 
 
+NON_SPLIT = (
+    rd.special_unitary(4, 3),
+    rd.group("D", 4, q=9, twist_order=3),
+    rd.group("E6", 6, q=4, twist_order=2),
+    rd.group("B", 2, suzuki_ree_e=1),
+    rd.group("G2", 2, suzuki_ree_e=1),
+    rd.group("F4", 4, suzuki_ree_e=1),
+)
+
+
+@pytest.mark.parametrize("spec", NON_SPLIT, ids=lambda s: s.describe())
+def test_twisted_and_suzuki_ree_orbits_are_unsupported(spec):
+    beta = (1,) + (0,) * (spec.datum.rank - 1)
+    with pytest.raises(rd.UnsupportedGroupError):
+        cl.orbit(spec, beta)
+    with pytest.raises(rd.UnsupportedGroupError):
+        cl.orbit_size(spec, beta)
+    with pytest.raises(rd.UnsupportedGroupError):
+        cl.orbit_scan(spec)
+
+
 def test_sl3_4_fixed_points_only_zero():
     scan = cl.orbit_scan(rd.special_linear(3, 4))
     assert scan.fixed_points == ((0, 0),)
@@ -109,6 +130,118 @@ def test_orbit_partition_covers_everything():
     scan = cl.orbit_scan(spec)
     total = sum(size * count for size, count in scan.orbit_size_histogram)
     assert total == scan.total_points == 16
+
+
+# ---------------------------------------------------------------------------
+# Closed-form orbit sizes against enumeration
+# ---------------------------------------------------------------------------
+
+# Every family at rank <= 6 whose orbits have at most |W| <= 10^5 points.
+ORACLE_DATA = (
+    [("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 7)]
+    + [("C", r) for r in range(2, 7)] + [("D", r) for r in range(3, 7)]
+    + [("E6", 6), ("F4", 4), ("G2", 2)]
+)
+ORACLE_Q = (2, 3, 4, 5, 8, 9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORACLE_DATA), st.sampled_from(ORACLE_Q), st.data())
+def test_orbit_size_equals_enumerated_orbit(datum, q, data):
+    family, rank = datum
+    spec = rd.group(family, rank, q=q)
+    m = q - 1
+    # Coordinates outside [0, m) are lifts of the same character.
+    beta = tuple(data.draw(st.lists(st.integers(-2 * m - 3, 3 * m + 3),
+                                    min_size=rank, max_size=rank)))
+    assert cl.orbit_size(spec, beta) == len(cl.orbit(spec, beta))
+
+
+@pytest.mark.parametrize("family, rank, q", [
+    ("A", 2, 5), ("C", 2, 5), ("B", 3, 4), ("G2", 2, 8), ("A", 3, 4)])
+def test_orbit_size_on_every_character(family, rank, q):
+    spec = rd.group(family, rank, q=q)
+    for beta in itertools.product(range(q - 1), repeat=rank):
+        assert cl.orbit_size(spec, beta) == len(cl.orbit(spec, beta)), beta
+
+
+def test_orbit_budget_is_checked_before_enumerating():
+    spec = rd.group("C", 2, q=4)
+    assert len(cl.orbit(spec, (1, 0), budget=4)) == 4
+    with pytest.raises(cl.BudgetExceededError):
+        cl.orbit(spec, (1, 0), budget=3)
+    # |W(E8)| / 16 points: the default budget of 10^7 refuses it at once.
+    e8 = rd.group("E8", 8, q=16)
+    assert cl.orbit_size(e8, (1, 0, 0, 1, 0, 1, 0, 1)) == 43545600
+    with pytest.raises(cl.BudgetExceededError):
+        cl.orbit(e8, (1, 0, 0, 1, 0, 1, 0, 1))
+
+
+def bfs_orbit_scan(spec):
+    """Oracle for orbit_scan: partition every character by breadth-first
+    closure; returns (fixed points, minimum nontrivial size, histogram)."""
+    datum = spec.datum
+    m = spec.q - 1
+    unseen = set(itertools.product(range(m), repeat=datum.rank))
+    fixed = []
+    histogram = {}
+    while unseen:
+        start = unseen.pop()
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for i in range(1, datum.rank + 1):
+                    w = tuple(c % m for c in rd.apply_reflection(datum, i, v))
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        unseen.difference_update(seen)
+        histogram[len(seen)] = histogram.get(len(seen), 0) + 1
+        if len(seen) == 1:
+            fixed.append(start)
+    nontrivial = [size for size in histogram if size > 1]
+    return (tuple(sorted(fixed)), min(nontrivial, default=None),
+            tuple(sorted(histogram.items())))
+
+
+# The scans of `pimbounds verify orbits`, plus larger E7, E8 and
+# non-simply-laced lattices; all have m^n <= 10^5.
+SCAN_GROUPS = (
+    [rd.group("C", rank, q=q) for rank in (2, 3, 4) for q in (4, 8)]
+    + [rd.group("D", 4, q=q) for q in (4, 8)]
+    + [rd.special_linear(n, q) for n in range(3, 7) for q in (3, 4, 5)]
+    + [rd.group("G2", 2, q=q) for q in (4, 5, 7, 49)]
+    + [rd.group("F4", 4, q=q) for q in (3, 5, 9)]
+    + [rd.group("E6", 6, q=4), rd.group("E7", 7, q=3), rd.group("E8", 8, q=3),
+       rd.group("E7", 7, q=4), rd.group("E8", 8, q=4),
+       rd.group("B", 4, q=5), rd.group("D", 5, q=4), rd.group("A", 7, q=3)]
+)
+
+
+@pytest.mark.parametrize("family, rank, q", [
+    ("E8", 8, 16), ("E8", 8, 32), ("E7", 7, 16), ("E7", 7, 27), ("E6", 6, 16),
+    ("F4", 4, 32), ("G2", 2, 64), ("B", 8, 16), ("C", 7, 16), ("D", 8, 16),
+    ("D", 7, 13), ("A", 6, 16)])
+def test_orbit_scan_sizes_add_up_beyond_enumeration(family, rank, q):
+    # Too large to enumerate: the orbit sizes must still partition all
+    # (q-1)^rank characters, which checks every wall stabilizer that occurs.
+    scan = cl.orbit_scan(rd.group(family, rank, q=q), budget=10 ** 30)
+    total = sum(size * count for size, count in scan.orbit_size_histogram)
+    assert total == scan.total_points == (q - 1) ** rank
+    assert scan.fixed_points == ((0,) * rank,)
+
+
+@pytest.mark.parametrize("spec", SCAN_GROUPS, ids=lambda s: s.describe())
+def test_orbit_scan_equals_bfs_partition(spec):
+    scan = cl.orbit_scan(spec)
+    fixed, minimum, histogram = bfs_orbit_scan(spec)
+    assert scan.fixed_points == fixed
+    assert scan.min_nontrivial_orbit == minimum
+    assert scan.orbit_size_histogram == histogram
+    assert scan.total_points == (spec.q - 1) ** spec.datum.rank
 
 
 # ---------------------------------------------------------------------------

@@ -131,3 +131,79 @@ def test_weight_parsing_variants(capsys):
                           "--weight", "1 1", "--json")
     assert code == 0
     assert blob["weight"] == [1, 1]
+
+
+def test_orbit_plain_mode_never_enumerates(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("plain mode must not enumerate the orbit")
+
+    monkeypatch.setattr(cli.charlattice, "orbit", refuse)
+    code, out, _ = run(capsys, "orbit", "E8", "8", "--q", "16",
+                       "--beta", "1,2,3,4,5,6,7,8")
+    assert code == 0
+    assert "orbit_size: 7257600" in out
+
+
+def test_orbit_json_refuses_an_orbit_over_budget(capsys):
+    # 43,545,600 points exceed the default budget of 10^7.
+    code, out, err = run(capsys, "orbit", "E8", "8", "--q", "16",
+                         "--beta", "1,0,0,1,0,1,0,1", "--json")
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
+def _scan(capsys, cache, *extra):
+    return run(capsys, "orbit-scan", "C", "2", "--q", "4",
+               "--cache-dir", str(cache), "--json", *extra)
+
+
+def test_orbit_scan_cache_hit_respects_budget(capsys, tmp_path):
+    code, _, _ = _scan(capsys, tmp_path)
+    assert code == 0
+    code, out, err = _scan(capsys, tmp_path, "--budget", "5")
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("damage", ["truncate", "garbage", "other-group"])
+def test_orbit_scan_recomputes_a_bad_cache_file(capsys, tmp_path, damage):
+    code, fresh, _ = _scan(capsys, tmp_path)
+    assert code == 0
+    [path] = tmp_path.iterdir()
+    good = path.read_text()
+    if damage == "truncate":
+        path.write_text(good[: len(good) // 2])
+    elif damage == "garbage":
+        path.write_bytes(b"\xff\xfe not json")
+    else:
+        code, _, _ = run(capsys, "orbit-scan", "C", "2", "--q", "8",
+                         "--cache-dir", str(tmp_path / "other"), "--json")
+        assert code == 0
+        [other] = (tmp_path / "other").iterdir()
+        path.write_text(other.read_text())
+    code, out, _ = _scan(capsys, tmp_path)
+    assert code == 0
+    assert out == fresh
+    assert path.read_text() == good
+
+
+def test_orbit_scan_cache_key_includes_version(capsys, tmp_path, monkeypatch):
+    code, _, _ = _scan(capsys, tmp_path)
+    assert code == 0
+    monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+    code, _, _ = _scan(capsys, tmp_path)
+    assert code == 0
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(cli, "_cmd_info", boom)
+    code, out, err = run(capsys, "info", "A", "2", "--q", "3")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: simulated fault\n"

@@ -1,0 +1,97 @@
+"""Byte-for-byte regression test of the CLI on a fixed list of invocations.
+
+The expected exit codes and standard outputs in ``data/golden_cli.json`` were
+recorded with the orbit-enumerating implementation, before torus-orbit sizes
+came from alcove stabilizers.  Refactors must keep every output identical.
+To record the file again, for a change that is meant to alter an output::
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from pimbounds import cli
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_cli.json"
+
+_BOUND_WEIGHTS = (
+    (("D", "4", "--q", "8"),
+     ("0,0,0,0", "1,2,3,4", "7,0,7,0", "6,5,4,3", "1,1,1,1")),
+    (("A", "4", "--q", "8"), ("0,0,0,0", "1,2,3,4", "7,7,0,7", "3,6,2,5")),
+    (("E6", "6", "--q", "8"),
+     ("0,0,0,0,0,0", "1,2,3,4,5,6", "7,0,7,0,7,0")),
+    (("E7", "7", "--q", "8"), ("1,2,3,4,5,6,7", "0,7,0,7,0,7,0")),
+    (("F4", "4", "--q", "9"), ("0,0,0,0", "1,2,3,4", "8,0,4,0", "5,6,7,8")),
+    (("G2", "2", "--q", "49"), ("0,0", "1,2", "24,12", "48,7", "30,41")),
+    # q - 1 = 1 and q - 1 = 2.
+    (("A", "2", "--q", "2"), ("0,0", "1,0", "0,1", "1,1")),
+    (("C", "3", "--q", "3"), ("0,0,0", "1,0,1", "2,1,0", "1,1,1")),
+)
+
+_ORBITS = (
+    (("C", "2", "--q", "4"), "1,0"),
+    (("A", "3", "--q", "5"), "1,2,3"),
+    (("B", "3", "--q", "5"), "2,0,1"),
+    (("D", "4", "--q", "4"), "1,0,2,1"),
+    (("G2", "2", "--q", "7"), "1,1"),
+    (("E6", "6", "--q", "3"), "1,0,0,0,0,1"),
+    (("A", "2", "--q", "2"), "1,1"),
+)
+
+# Every group of `pimbounds verify orbits`, each once.
+_SCAN_GROUPS = (
+    [("C", str(rank), "--q", str(q)) for rank in (2, 3, 4) for q in (4, 8)]
+    + [("D", "4", "--q", str(q)) for q in (4, 8)]
+    + [("A", str(n - 1), "--q", str(q)) for n in range(3, 7) for q in (3, 4, 5)]
+    + [("G2", "2", "--q", str(q)) for q in (4, 5, 7)]
+    + [("F4", "4", "--q", str(q)) for q in (3, 5)]
+    + [("E6", "6", "--q", "4"), ("E7", "7", "--q", "3"), ("E8", "8", "--q", "3")]
+)
+
+INVOCATIONS = tuple(
+    [("bound", *group, "--weight", w, "--json")
+     for group, ws in _BOUND_WEIGHTS for w in ws]
+    + [("orbit", *group, "--beta", beta, "--json") for group, beta in _ORBITS]
+    + [("orbit", *group, "--beta", beta) for group, beta in _ORBITS[:2]]
+    + [("orbit-scan", *group, "--json") for group in _SCAN_GROUPS]
+)
+
+
+def run_cli(argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    with open(GOLDEN_PATH) as fh:
+        return {" ".join(entry["argv"]): entry for entry in json.load(fh)}
+
+
+def test_golden_file_covers_every_invocation(golden):
+    assert set(golden) == {" ".join(argv) for argv in INVOCATIONS}
+
+
+@pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)
+def test_cli_output_is_byte_identical(golden, argv):
+    expected = golden[" ".join(argv)]
+    got = run_cli(argv)
+    assert got["exit"] == expected["exit"]
+    assert got["stdout"] == expected["stdout"]
+
+
+def record() -> None:
+    entries = [{"argv": list(argv), **run_cli(argv)} for argv in INVOCATIONS]
+    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(entries, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    record()
