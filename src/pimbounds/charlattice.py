@@ -191,7 +191,13 @@ def _alcove_plan(datum: RootDatum) -> _AlcovePlan:
 
 
 def _component_order(bonds, comp: list[int]) -> int:
-    """|W| for one connected finite-type subdiagram of the extended diagram."""
+    """|W| for one connected finite-type subdiagram of the extended diagram.
+
+    ``weights._classify_subdiagram`` cannot serve here: it works on the nodes
+    of a :class:`RootDatum`, which has no affine node 0, and it derives the
+    Bourbaki order of the nodes, which |W| does not need.  Only bond products
+    are available for node 0, and they fix the order of the Weyl group.
+    """
     k = len(comp)
     degree = {a: sum(1 for b in comp if bonds[a][b]) for a in comp}
     multiple = [(a, b) for a in comp for b in comp if a < b and bonds[a][b] > 1]
@@ -243,18 +249,22 @@ def orbit_size(spec: GroupSpec, beta) -> int:
         _wall_stabilizer_order(plan, kac) * _omega_fixing(plan, kac))
 
 
-def orbit(spec: GroupSpec, beta,
-          budget: int = 10 ** 7) -> frozenset[tuple[int, ...]]:
+# The largest orbit that :func:`orbit` lists.
+ORBIT_BUDGET = 10 ** 7
+
+
+def orbit(spec: GroupSpec, beta) -> frozenset[tuple[int, ...]]:
     """Weyl-group orbit of a torus character, as a set of coordinate tuples.
 
     Raises :class:`BudgetExceededError`, before enumerating anything, when
-    the orbit has more than ``budget`` elements.
+    the orbit has more than :data:`ORBIT_BUDGET` elements.
     """
     char = _as_character(spec, beta)
     size = orbit_size(spec, char)
-    if size > budget:
+    if size > ORBIT_BUDGET:
         raise BudgetExceededError(
-            f"an orbit of {size} torus characters exceeds the budget of {budget}")
+            f"an orbit of {size} torus characters exceeds the budget "
+            f"of {ORBIT_BUDGET}")
     datum = spec.datum
     m = char.modulus
     start = char.coords

@@ -173,9 +173,7 @@ def _cmd_orbit_scan(args) -> int:
         payload = charlattice.orbit_scan(spec, budget=args.budget).to_json()
         if path:
             path.parent.mkdir(parents=True, exist_ok=True)
-            partial = path.with_name(path.name + ".partial")
-            partial.write_text(json.dumps(payload, sort_keys=True))
-            partial.replace(path)
+            path.write_text(json.dumps(payload, sort_keys=True))
     _emit(payload, args.json)
     return EXIT_OK
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pimbounds import charlattice as cl, rootdata as rd
+from pimbounds import charlattice as cl, rootdata as rd, weights as wt
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +157,24 @@ def test_orbit_size_equals_enumerated_orbit(datum, q, data):
     assert cl.orbit_size(spec, beta) == len(cl.orbit(spec, beta))
 
 
+@pytest.mark.parametrize("family, ranks", [
+    ("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)),
+    ("D", range(4, 9)), ("E6", (6,)), ("E7", (7,)), ("E8", (8,)),
+    ("F4", (4,)), ("G2", (2,))])
+def test_wall_classifier_agrees_with_subdiagram_classifier(family, ranks):
+    # The alcove code classifies wall sets by bonds alone; on the ordinary
+    # nodes it must give the Weyl order of weights._classify_subdiagram.
+    for rank in ranks:
+        datum = rd.build_root_datum(family, rank)
+        bonds = cl._alcove_plan(datum).bonds
+        for size in range(1, rank + 1):
+            for nodes in itertools.combinations(range(1, rank + 1), size):
+                for comp in wt.ParabolicSubset(datum, nodes).components():
+                    sub_family, order = wt._classify_subdiagram(datum, comp)
+                    assert (cl._component_order(bonds, list(comp))
+                            == rd._weyl_order(sub_family, len(order))), comp
+
+
 @pytest.mark.parametrize("family, rank, q", [
     ("A", 2, 5), ("C", 2, 5), ("B", 3, 4), ("G2", 2, 8), ("A", 3, 4)])
 def test_orbit_size_on_every_character(family, rank, q):
@@ -165,11 +183,14 @@ def test_orbit_size_on_every_character(family, rank, q):
         assert cl.orbit_size(spec, beta) == len(cl.orbit(spec, beta)), beta
 
 
-def test_orbit_budget_is_checked_before_enumerating():
+def test_orbit_budget_is_checked_before_enumerating(monkeypatch):
     spec = rd.group("C", 2, q=4)
-    assert len(cl.orbit(spec, (1, 0), budget=4)) == 4
+    monkeypatch.setattr(cl, "ORBIT_BUDGET", 4)
+    assert len(cl.orbit(spec, (1, 0))) == 4
+    monkeypatch.setattr(cl, "ORBIT_BUDGET", 3)
     with pytest.raises(cl.BudgetExceededError):
-        cl.orbit(spec, (1, 0), budget=3)
+        cl.orbit(spec, (1, 0))
+    monkeypatch.undo()
     # |W(E8)| / 16 points: the default budget of 10^7 refuses it at once.
     e8 = rd.group("E8", 8, q=16)
     assert cl.orbit_size(e8, (1, 0, 0, 1, 0, 1, 0, 1)) == 43545600
