@@ -38,7 +38,7 @@ from .weights import (
     is_steinberg,
     socle_trivial_on_borel,
     steinberg_weight,
-    twist_stable_subsets,
+    proper_parabolics,
     twisted_bn_rank,
 )
 
@@ -264,7 +264,7 @@ def descent_bound(spec: GroupSpec, weight: Weight) -> int:
         best = max(best, value)
     if twisted_bn_rank(d) >= 2 and not (
             isinstance(spec.field, SuzukiReeField) and d.family == "F4"):
-        for parabolic in twist_stable_subsets(d):
+        for parabolic in proper_parabolics(d):
             try:
                 descendants = descend_weight(spec, parabolic, weight)
             except UnsupportedGroupError:

@@ -85,9 +85,15 @@ def character_from_weight(spec: GroupSpec, weight) -> TorusCharacter:
 
 
 def _as_character(spec: GroupSpec, beta) -> TorusCharacter:
-    if isinstance(beta, TorusCharacter):
-        return beta
-    return character_from_weight(spec, beta)
+    if not isinstance(beta, TorusCharacter):
+        return character_from_weight(spec, beta)
+    _require_split(spec)
+    if beta.modulus != max(spec.q - 1, 1):
+        raise ValueError(
+            f"character modulus {beta.modulus} is not q-1 for {spec.describe()}")
+    if len(beta.coords) != spec.datum.rank:
+        raise ValueError("character length does not match the rank")
+    return beta
 
 
 # ---------------------------------------------------------------------------

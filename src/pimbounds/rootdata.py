@@ -17,8 +17,10 @@ alpha_j).  The simple reflection s_i sends a weight lam to
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .degrees import DegreePolynomial, X
 
@@ -186,14 +188,17 @@ class RootDatum:
             cur = self.apply_perm(cur)
         return tuple(orbit)
 
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        """Neighbours of each 1-based node in the Dynkin diagram."""
-        out = {}
-        for i in range(1, self.rank + 1):
-            out[i] = frozenset(
-                j for j in range(1, self.rank + 1)
-                if j != i and self.cartan[i - 1][j - 1] != 0)
-        return out
+    @cached_property
+    def _adjacency(self) -> dict[int, frozenset[int]]:
+        # Built once, on first use: the weight sieves ask for the diagram on
+        # every weight.
+        return {i: frozenset(j for j in range(1, self.rank + 1)
+                             if j != i and self.cartan[i - 1][j - 1] != 0)
+                for i in range(1, self.rank + 1)}
+
+    def adjacency(self) -> Mapping[int, frozenset[int]]:
+        """Neighbours of each 1-based node in the Dynkin diagram (read-only)."""
+        return MappingProxyType(self._adjacency)
 
     def coxeter_order(self, i: int, j: int) -> int:
         """Order of s_i s_j, read off the Cartan matrix."""

@@ -8,12 +8,21 @@ the level of weights, together with the structural predicates (Steinberg /
 one-dimensional restrictions, trivial Borel socle) and the sieve that lists
 the weights whose projective cover could still have dimension equal to the
 order of a Sylow p-subgroup.
+
+Descent plans: the part of a descent that does not depend on the weight or
+on the field size (the components of the subdiagram, their Bourbaki order
+and induced twist, the Frobenius orbits of components, the descendant root
+data, and any reason the descent is unsupported) is built once per root
+datum, node set and kind of field, on first use, and cached.
+:func:`descend_weight` then only reads and sums coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .rootdata import (
     GroupSpec,
@@ -36,8 +45,9 @@ class Weight:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if any(c < 0 for c in self.coeffs):
+        coeffs = tuple(map(int, self.coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
+        if coeffs and min(coeffs) < 0:
             raise ValueError("weights handled here are dominant")
 
     def __getitem__(self, node: int) -> int:
@@ -160,6 +170,12 @@ def twist_stable_subsets(datum: RootDatum, *, proper: bool = True,
         if proper and len(nodes) == datum.rank:
             continue
         yield ParabolicSubset(datum, nodes)
+
+
+@lru_cache(maxsize=None)
+def proper_parabolics(datum: RootDatum) -> tuple[ParabolicSubset, ...]:
+    """The twist-stable nonempty proper node sets, built once per datum."""
+    return tuple(twist_stable_subsets(datum))
 
 
 def twisted_bn_rank(datum: RootDatum) -> int:
@@ -324,21 +340,123 @@ class Descendant:
     original_nodes: tuple[int, ...]
 
 
-def _validate_descent_input(spec: GroupSpec, parabolic: ParabolicSubset,
-                            weight: Weight) -> None:
-    if parabolic.datum is not spec.datum:
-        raise ValueError("parabolic subset belongs to a different root datum")
+def _check_parabolic(parabolic: ParabolicSubset) -> None:
     if not parabolic.nodes:
         raise ValueError("descent needs a nonempty node set")
-    if len(parabolic.nodes) == spec.datum.rank:
+    if len(parabolic.nodes) == parabolic.datum.rank:
         raise ValueError("descent needs a proper node set")
     if not parabolic.is_twist_stable():
         raise ValueError("descent needs a twist-stable node set")
+
+
+def _check_weight(spec: GroupSpec, weight: Weight) -> None:
     if len(weight.coeffs) != spec.datum.rank:
         raise ValueError("weight length does not match the rank")
-    ranges = coefficient_ranges(spec)
-    if any(weight.coeffs[i] >= ranges[i] for i in range(spec.datum.rank)):
+    if any(map(operator.ge, weight.coeffs, coefficient_ranges(spec))):
         raise ValueError("weight is not restricted for this group")
+
+
+def _check_datum(spec: GroupSpec, parabolic: ParabolicSubset) -> None:
+    # Equal data are the same datum: the per-datum caches below are keyed by
+    # equality, so they may hand back a parabolic built on an equal copy.
+    if parabolic.datum != spec.datum:
+        raise ValueError("parabolic subset belongs to a different root datum")
+
+
+def _validate_descent_input(spec: GroupSpec, parabolic: ParabolicSubset,
+                            weight: Weight) -> None:
+    _check_datum(spec, parabolic)
+    _check_parabolic(parabolic)
+    _check_weight(spec, weight)
+
+
+@dataclass(frozen=True, slots=True)
+class _LeviPiece:
+    """One Frobenius-fixed Levi component, or one orbit of components.
+
+    ``indices[k]`` lists the 0-based indices of the images of
+    ``original_nodes`` (in the Bourbaki order of the descendant) under the
+    k-th power of the Frobenius.  A ``"fixed"`` piece has only k = 0; an
+    ``"orbit"`` piece of a components has k = 0, ..., a-1.
+    """
+
+    kind: str
+    datum: RootDatum
+    original_nodes: tuple[int, ...]
+    indices: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class _DescentPlan:
+    """Field-independent part of the descent through one parabolic.
+
+    A failure found while planning is kept as a fact and raised afresh on
+    every use: ``invalid`` is the message of a rejected node set, raised
+    before the weight is checked; ``unsupported`` is the type and message of
+    an unsupported Levi component, raised after it.
+    """
+
+    pieces: tuple[_LeviPiece, ...] = ()
+    invalid: str | None = None
+    unsupported: tuple[type[UnsupportedGroupError], str] | None = None
+
+
+@lru_cache(maxsize=None)
+def _descent_plan(parabolic: ParabolicSubset, suzuki_ree: bool) -> _DescentPlan:
+    try:
+        _check_parabolic(parabolic)
+    except ValueError as exc:
+        return _DescentPlan(invalid=str(exc))
+    try:
+        return _DescentPlan(pieces=tuple(_plan_pieces(parabolic, suzuki_ree)))
+    except UnsupportedGroupError as exc:
+        return _DescentPlan(unsupported=(type(exc), str(exc)))
+
+
+def _plan_pieces(parabolic: ParabolicSubset, suzuki_ree: bool):
+    datum = parabolic.datum
+    comps = parabolic.components()
+    comp_of_node = {n: comp for comp in comps for n in comp}
+    unprocessed = set(comps)
+    for comp in comps:
+        if comp not in unprocessed:
+            continue
+        orbit = [comp]
+        cur = comp_of_node[datum.apply_perm(comp[0])]
+        while cur != comp:
+            orbit.append(cur)
+            cur = comp_of_node[datum.apply_perm(cur[0])]
+        unprocessed.difference_update(orbit)
+        family, order = _classify_subdiagram(datum, comp)
+        if len(orbit) == 1:
+            twist = _induced_twist(datum, order, family)
+            if suzuki_ree and twist != 1:
+                # Only type A carries an induced twist, and no Suzuki-Ree
+                # parabolic has a twisted type-A component.
+                raise UnsupportedSubdiagramError(
+                    "unexpected twisted component for a Suzuki-Ree group")
+            sub = build_root_datum(family, len(order), twist)
+            yield _LeviPiece("fixed", sub, order, (tuple(n - 1 for n in order),))
+            continue
+        if suzuki_ree:
+            if len(orbit) != 2:
+                raise UnsupportedSubdiagramError(
+                    "Suzuki-Ree symmetries have order 2 on components")
+            # Read the orbit starting from the long representative.
+            if not datum.long_nodes[order[0] - 1]:
+                order = tuple(datum.apply_perm(n) for n in order)
+        indices = []
+        images = order
+        for _ in orbit:
+            indices.append(tuple(n - 1 for n in images))
+            images = tuple(datum.apply_perm(n) for n in images)
+        sub = build_root_datum(family, len(order), 1)
+        yield _LeviPiece("orbit", sub, order, tuple(indices))
+
+
+@lru_cache(maxsize=64)
+def _extension_field(q: int) -> IntegerField:
+    return IntegerField(q)
 
 
 def descend_weight(spec: GroupSpec, parabolic: ParabolicSubset,
@@ -353,80 +471,39 @@ def descend_weight(spec: GroupSpec, parabolic: ParabolicSubset,
     ``a_j + q * a_{f(j)} (+ q^2 * a_{f(f(j))})`` read along the orbit; for the
     Suzuki and Ree groups the multiplier q is replaced by p^e and the
     descendant lives over p^(2e+1).
+
+    The components, their classification and the descendant root data come
+    from a plan cached per root datum and node set; only the coefficients
+    are computed here.
     """
-    _validate_descent_input(spec, parabolic, weight)
-    datum = spec.datum
-    comps = parabolic.components()
-    comp_of_node = {}
-    for comp in comps:
-        for n in comp:
-            comp_of_node[n] = comp
-    unprocessed = set(comps)
+    _check_datum(spec, parabolic)
+    field = spec.field
+    suzuki_ree = isinstance(field, SuzukiReeField)
+    plan = _descent_plan(parabolic, suzuki_ree)
+    if plan.invalid is not None:
+        raise ValueError(plan.invalid)
+    _check_weight(spec, weight)
+    if plan.unsupported is not None:
+        error, message = plan.unsupported
+        raise error(message)
+    coeffs = weight.coeffs
     out = []
-    suzuki_ree = isinstance(spec.field, SuzukiReeField)
-    for comp in comps:
-        if comp not in unprocessed:
-            continue
-        image = comp_of_node[datum.apply_perm(comp[0])]
-        if image == comp:
-            # Component fixed by the symmetry.
-            unprocessed.discard(comp)
-            family, order = _classify_subdiagram(datum, comp)
-            twist = _induced_twist(datum, order, family)
-            if suzuki_ree:
-                if twist == 1:
-                    sub = build_root_datum(family, len(order), 1)
-                    field = IntegerField(spec.field.p ** (2 * spec.field.e + 1))
-                else:
-                    # A symmetry-fixed pair inside the F4 diagram descends to
-                    # a Suzuki group of type B2 with the same parameter.
-                    if family != "C" or len(order) != 2:
-                        raise UnsupportedSubdiagramError(
-                            "unexpected twisted component for a Suzuki-Ree group")
-                    sub = build_root_datum("B", 2, 2)
-                    long_first = sorted(
-                        order, key=lambda n: not datum.long_nodes[n - 1])
-                    order = tuple(long_first)
-                    field = spec.field
-                dspec = GroupSpec(sub, field)
-            else:
-                sub = build_root_datum(family, len(order), twist)
-                dspec = GroupSpec(sub, IntegerField(spec.q))
-            dweight = Weight(tuple(weight[n] for n in order))
-            out.append(Descendant(dspec, dweight, order))
-            continue
-        # Orbit of length a >= 2: collect the component orbit.
-        orbit = [comp]
-        cur = image
-        while cur != comp:
-            orbit.append(cur)
-            cur = comp_of_node[datum.apply_perm(cur[0])]
-        for c in orbit:
-            unprocessed.discard(c)
-        a = len(orbit)
-        family, order = _classify_subdiagram(datum, comp)
-        if suzuki_ree:
-            if a != 2:
-                raise UnsupportedSubdiagramError(
-                    "Suzuki-Ree symmetries have order 2 on components")
-            multipliers = (1, spec.field.p ** spec.field.e)
-            field = IntegerField(spec.field.p ** (2 * spec.field.e + 1))
-            # Read the orbit starting from the long representative.
-            if not datum.long_nodes[order[0] - 1]:
-                order = tuple(datum.apply_perm(n) for n in order)
+    for piece in plan.pieces:
+        if piece.kind == "fixed":
+            dweight = tuple(coeffs[i] for i in piece.indices[0])
+            dfield = _extension_field(field.q_squared) if suzuki_ree else field
         else:
-            multipliers = tuple(spec.q ** k for k in range(a))
-            field = IntegerField(spec.q ** a)
-        coeffs = []
-        for n in order:
-            total = 0
-            node = n
-            for mult in multipliers:
-                total += mult * weight[node]
-                node = datum.apply_perm(node)
-            coeffs.append(total)
-        sub = build_root_datum(family, len(order), 1)
-        out.append(Descendant(GroupSpec(sub, field), Weight(tuple(coeffs)), order))
+            if suzuki_ree:
+                multipliers = (1, field.q1)
+                dfield = _extension_field(field.q_squared)
+            else:
+                a = len(piece.indices)
+                multipliers = tuple(field.q ** k for k in range(a))
+                dfield = _extension_field(field.q ** a)
+            dweight = tuple(sum(m * coeffs[i] for m, i in zip(multipliers, column))
+                            for column in zip(*piece.indices))
+        out.append(Descendant(GroupSpec(piece.datum, dfield), Weight(dweight),
+                              piece.original_nodes))
     return tuple(out)
 
 
@@ -492,8 +569,7 @@ def socle_trivial_on_borel(spec: GroupSpec, weight: Weight) -> bool:
 def _trivial_restriction_allowed(dspec: GroupSpec) -> bool:
     d = dspec.datum
     if d.family == "A" and d.rank == 1 and not dspec.is_suzuki_ree:
-        p, k = (dspec.field.p, dspec.field.exponent)
-        return k == 1
+        return dspec.field.exponent == 1
     if d.family == "A" and d.rank == 2 and not dspec.is_suzuki_ree:
         return dspec.q == 2  # both the split and the twisted form
     return False
@@ -514,14 +590,14 @@ def minimal_pim_candidates(spec: GroupSpec) -> list[Weight]:
         raise UnsupportedGroupError(
             f"{spec.describe()} has no proper parabolic above a Borel subgroup")
     st = steinberg_weight(spec)
-    parabolics = list(twist_stable_subsets(spec.datum))
+    ranges = coefficient_ranges(spec)
+    parabolics = proper_parabolics(spec.datum)
     survivors = []
     for weight in enumerate_restricted_weights(spec):
         if weight.is_zero() or weight == st:
             continue
         ok = True
         for parabolic in parabolics:
-            ranges = coefficient_ranges(spec)
             if all(weight[n] == ranges[n - 1] - 1 for n in parabolic.nodes):
                 continue  # Steinberg restriction on this Levi
             descendants = descend_weight(spec, parabolic, weight)

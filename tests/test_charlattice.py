@@ -100,6 +100,35 @@ def test_twisted_and_suzuki_ree_orbits_are_unsupported(spec):
         cl.orbit_scan(spec)
 
 
+@pytest.mark.parametrize("spec", NON_SPLIT, ids=lambda s: s.describe())
+def test_torus_character_of_a_non_split_group_is_unsupported(spec):
+    m = spec.q - 1 if not spec.is_suzuki_ree else 2
+    char = cl.TorusCharacter((1,) + (0,) * (spec.datum.rank - 1), m)
+    for compute in (cl.orbit, cl.orbit_size):
+        with pytest.raises(rd.UnsupportedGroupError):
+            compute(spec, char)
+
+
+@pytest.mark.parametrize("modulus", (1, 2, 7))
+def test_torus_character_modulus_must_be_q_minus_one(modulus):
+    spec = rd.group("A", 2, q=4)
+    char = cl.TorusCharacter((1, 0), modulus)
+    for compute in (cl.orbit, cl.orbit_size):
+        with pytest.raises(ValueError, match="modulus"):
+            compute(spec, char)
+    assert cl.orbit_size(spec, cl.TorusCharacter((1, 0), 3)) == 3
+    # For q = 2 the modulus is 1, as for a weight reduced mod q-1.
+    assert cl.orbit_size(rd.group("A", 2, q=2), cl.TorusCharacter((1, 0), 1)) == 1
+
+
+@pytest.mark.parametrize("coords", ((1,), (1, 0, 0)))
+def test_torus_character_length_must_be_the_rank(coords):
+    spec = rd.group("A", 2, q=4)
+    for compute in (cl.orbit, cl.orbit_size):
+        with pytest.raises(ValueError, match="rank"):
+            compute(spec, cl.TorusCharacter(coords, 3))
+
+
 def test_sl3_4_fixed_points_only_zero():
     scan = cl.orbit_scan(rd.special_linear(3, 4))
     assert scan.fixed_points == ((0, 0),)

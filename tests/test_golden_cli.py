@@ -2,7 +2,9 @@
 
 The expected exit codes and standard outputs in ``data/golden_cli.json`` were
 recorded with the orbit-enumerating implementation, before torus-orbit sizes
-came from alcove stabilizers.  Refactors must keep every output identical.
+came from alcove stabilizers.  The twisted, Suzuki-Ree and ``candidates``
+invocations were added later, recorded with the per-weight descent that
+preceded descent plans.  Refactors must keep every output identical.
 To record the file again, for a change that is meant to alter an output::
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -33,6 +35,29 @@ _BOUND_WEIGHTS = (
     (("C", "3", "--q", "3"), ("0,0,0", "1,0,1", "2,1,0", "1,1,1")),
 )
 
+# Twisted and Suzuki-Ree groups: the only ones whose parabolics have orbits
+# of Levi components.  Each list has the zero and the Steinberg weight.
+_TWISTED_BOUND_WEIGHTS = (
+    (("A", "4", "--q", "16", "--twist", "2"),
+     ("0,0,0,0", "15,15,15,15", "1,2,3,4", "15,0,0,15", "3,7,7,3")),
+    (("D", "4", "--q", "9", "--twist", "3"),
+     ("0,0,0,0", "8,8,8,8", "1,2,3,4", "8,0,8,8", "2,5,2,2")),
+    (("E6", "6", "--q", "4", "--twist", "2"),
+     ("0,0,0,0,0,0", "3,3,3,3,3,3", "1,2,3,0,1,2", "3,0,0,3,0,3")),
+    (("D", "5", "--q", "4", "--twist", "2"),
+     ("0,0,0,0,0", "3,3,3,3,3", "1,2,3,0,1", "3,0,3,1,2")),
+    (("B", "2", "--suzuki-ree-e", "2"), ("0,0", "3,7", "1,2", "3,0", "2,5")),
+    (("G2", "2", "--suzuki-ree-e", "1"), ("0,0", "8,2", "1,1", "4,2", "8,0")),
+    (("F4", "4", "--suzuki-ree-e", "1"),
+     ("0,0,0,0", "1,1,3,3", "1,0,2,1", "0,1,3,0")),
+)
+
+_CANDIDATE_GROUPS = (
+    ("A", "3", "--q", "3", "--twist", "2"),
+    ("D", "4", "--q", "2", "--twist", "3"),
+    ("A", "4", "--q", "2", "--twist", "2"),
+)
+
 _ORBITS = (
     (("C", "2", "--q", "4"), "1,0"),
     (("A", "3", "--q", "5"), "1,2,3"),
@@ -59,6 +84,9 @@ INVOCATIONS = tuple(
     + [("orbit", *group, "--beta", beta, "--json") for group, beta in _ORBITS]
     + [("orbit", *group, "--beta", beta) for group, beta in _ORBITS[:2]]
     + [("orbit-scan", *group, "--json") for group in _SCAN_GROUPS]
+    + [("bound", *group, "--weight", w, "--json")
+       for group, ws in _TWISTED_BOUND_WEIGHTS for w in ws]
+    + [("candidates", *group, "--json") for group in _CANDIDATE_GROUPS]
 )
 
 

@@ -1,9 +1,17 @@
 """Tests for restricted weights, descent, and the candidate sieve."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from pimbounds import rootdata as rd, weights as wt
-from pimbounds.weights import Weight
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import pimbounds
+from pimbounds import bounds as bd, rootdata as rd, weights as wt
+from pimbounds.rootdata import GroupSpec, IntegerField, build_root_datum
+from pimbounds.weights import Descendant, UnsupportedSubdiagramError, Weight
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +49,14 @@ def test_steinberg_dimension():
     # Ree group of type G2 with q^2 = 3^(2e+1): dimension 3^(3(2e+1)).
     assert wt.steinberg_dimension(rd.group("G2", 2, suzuki_ree_e=1)) == 3 ** 9
     assert wt.steinberg_dimension(rd.group("B", 2, suzuki_ree_e=0)) == 4
+
+
+def test_weight_coefficients_are_nonnegative_integers():
+    assert Weight([True, 2.0, 3]).coeffs == (1, 2, 3)
+    assert type(Weight([2.0]).coeffs[0]) is int
+    assert Weight(()).is_zero()
+    with pytest.raises(ValueError, match="dominant"):
+        Weight((1, -1))
 
 
 def test_enumeration_order_and_count():
@@ -162,6 +178,225 @@ def test_descent_transitivity_on_split_chain():
     (leaf2,) = wt.descend_weight(spec, direct, w)
     assert leaf.weight == leaf2.weight
     assert leaf.spec.q == leaf2.spec.q
+
+
+def reference_descend_weight(spec, parabolic, weight):
+    """Oracle for descend_weight: the per-weight descent that classified the
+    Levi components afresh on every call, before descent plans."""
+    if parabolic.datum is not spec.datum:
+        raise ValueError("parabolic subset belongs to a different root datum")
+    if not parabolic.nodes:
+        raise ValueError("descent needs a nonempty node set")
+    if len(parabolic.nodes) == spec.datum.rank:
+        raise ValueError("descent needs a proper node set")
+    if not parabolic.is_twist_stable():
+        raise ValueError("descent needs a twist-stable node set")
+    if len(weight.coeffs) != spec.datum.rank:
+        raise ValueError("weight length does not match the rank")
+    ranges = wt.coefficient_ranges(spec)
+    if any(weight.coeffs[i] >= ranges[i] for i in range(spec.datum.rank)):
+        raise ValueError("weight is not restricted for this group")
+    datum = spec.datum
+    comps = parabolic.components()
+    comp_of_node = {}
+    for comp in comps:
+        for n in comp:
+            comp_of_node[n] = comp
+    unprocessed = set(comps)
+    out = []
+    suzuki_ree = isinstance(spec.field, rd.SuzukiReeField)
+    for comp in comps:
+        if comp not in unprocessed:
+            continue
+        image = comp_of_node[datum.apply_perm(comp[0])]
+        if image == comp:
+            unprocessed.discard(comp)
+            family, order = wt._classify_subdiagram(datum, comp)
+            twist = wt._induced_twist(datum, order, family)
+            if suzuki_ree:
+                if twist == 1:
+                    sub = build_root_datum(family, len(order), 1)
+                    field = IntegerField(spec.field.p ** (2 * spec.field.e + 1))
+                else:
+                    if family != "C" or len(order) != 2:
+                        raise UnsupportedSubdiagramError(
+                            "unexpected twisted component for a Suzuki-Ree group")
+                    sub = build_root_datum("B", 2, 2)
+                    long_first = sorted(
+                        order, key=lambda n: not datum.long_nodes[n - 1])
+                    order = tuple(long_first)
+                    field = spec.field
+                dspec = GroupSpec(sub, field)
+            else:
+                sub = build_root_datum(family, len(order), twist)
+                dspec = GroupSpec(sub, IntegerField(spec.q))
+            dweight = Weight(tuple(weight[n] for n in order))
+            out.append(Descendant(dspec, dweight, order))
+            continue
+        orbit = [comp]
+        cur = image
+        while cur != comp:
+            orbit.append(cur)
+            cur = comp_of_node[datum.apply_perm(cur[0])]
+        for c in orbit:
+            unprocessed.discard(c)
+        a = len(orbit)
+        family, order = wt._classify_subdiagram(datum, comp)
+        if suzuki_ree:
+            if a != 2:
+                raise UnsupportedSubdiagramError(
+                    "Suzuki-Ree symmetries have order 2 on components")
+            multipliers = (1, spec.field.p ** spec.field.e)
+            field = IntegerField(spec.field.p ** (2 * spec.field.e + 1))
+            if not datum.long_nodes[order[0] - 1]:
+                order = tuple(datum.apply_perm(n) for n in order)
+        else:
+            multipliers = tuple(spec.q ** k for k in range(a))
+            field = IntegerField(spec.q ** a)
+        coeffs = []
+        for n in order:
+            total = 0
+            node = n
+            for mult in multipliers:
+                total += mult * weight[node]
+                node = datum.apply_perm(node)
+            coeffs.append(total)
+        sub = build_root_datum(family, len(order), 1)
+        out.append(Descendant(GroupSpec(sub, field), Weight(tuple(coeffs)), order))
+    return tuple(out)
+
+
+def _outcome(descend, spec, parabolic, weight):
+    try:
+        return descend(spec, parabolic, weight)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_ORACLE_DATA = (
+    [build_root_datum("A", n) for n in range(1, 7)]
+    + [build_root_datum(f, n) for f in "BC" for n in range(2, 6)]
+    + [build_root_datum("D", n) for n in range(4, 7)]
+    + [build_root_datum(f, n) for f, n in
+       (("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2))]
+    + [build_root_datum("A", n, 2) for n in range(2, 7)]
+    + [build_root_datum("D", 4, 2), build_root_datum("D", 5, 2),
+       build_root_datum("D", 4, 3), build_root_datum("E6", 6, 2)]
+)
+_ORACLE_SUZUKI_REE = (("B", 2), ("G2", 2), ("F4", 4))
+
+
+@st.composite
+def _group_and_weight(draw):
+    """A group, and a weight that is usually restricted: a coefficient may
+    reach its range, and rarely the length is off by one."""
+    if draw(st.integers(0, 4)) == 0:
+        family, rank = draw(st.sampled_from(_ORACLE_SUZUKI_REE))
+        spec = rd.group(family, rank, suzuki_ree_e=draw(st.integers(0, 2)))
+    else:
+        datum = draw(st.sampled_from(_ORACLE_DATA))
+        q = draw(st.sampled_from((2, 3, 4, 5, 8, 9)))
+        spec = GroupSpec(datum, IntegerField(q))
+    ranges = list(wt.coefficient_ranges(spec))
+    n = len(ranges)
+    length = draw(st.sampled_from((n,) * 8 + (n - 1, n + 1)))
+    ranges = (ranges + [2])[:length]
+    # Coefficient r (unrestricted) with probability 1/10.
+    coeffs = [draw(st.integers(0, r - (draw(st.integers(0, 9)) > 0)))
+              for r in ranges]
+    return spec, Weight(tuple(coeffs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_group_and_weight())
+def test_descend_weight_equals_reference(case):
+    spec, weight = case
+    for parabolic in wt.twist_stable_subsets(spec.datum, proper=False,
+                                             nonempty=False):
+        assert (_outcome(wt.descend_weight, spec, parabolic, weight)
+                == _outcome(reference_descend_weight, spec, parabolic, weight))
+
+
+def test_descend_weight_invalid_inputs_match_reference():
+    su4 = rd.special_unitary(4, 3)
+    d = su4.datum
+    f4 = rd.group("F4", 4, suzuki_ree_e=1)
+    cases = [
+        # Another root datum, checked before the node set.
+        (su4, wt.ParabolicSubset(rd.build_root_datum("A", 3), frozenset()),
+         Weight((9, 9))),
+        (su4, wt.ParabolicSubset(d, frozenset()), Weight((0, 0, 0))),
+        (su4, wt.ParabolicSubset(d, frozenset({1, 2, 3})), Weight((0, 0, 0))),
+        (su4, wt.ParabolicSubset(d, frozenset({1})), Weight((0, 0, 0))),
+        # Node-set checks come before the weight checks.
+        (su4, wt.ParabolicSubset(d, frozenset({1})), Weight((5, 0))),
+        (su4, wt.ParabolicSubset(d, frozenset({2})), Weight((5, 0, 0))),
+        (su4, wt.ParabolicSubset(d, frozenset({2})), Weight((0, 0))),
+        # The weight checks come before an unsupported Levi component.
+        (f4, wt.ParabolicSubset(f4.datum, frozenset({2, 3})), Weight((0, 0, 4, 0))),
+        (f4, wt.ParabolicSubset(f4.datum, frozenset({2, 3})), Weight((0, 0, 0))),
+        (f4, wt.ParabolicSubset(f4.datum, frozenset({2, 3})), Weight((0, 0, 0, 0))),
+    ]
+    expected = [ValueError] * 9 + [UnsupportedSubdiagramError]
+    for (spec, parabolic, weight), error in zip(cases, expected):
+        got = _outcome(wt.descend_weight, spec, parabolic, weight)
+        assert got == _outcome(reference_descend_weight, spec, parabolic, weight)
+        assert got[0] is error
+
+
+def test_unsupported_descent_raises_a_fresh_error_each_time():
+    spec = rd.group("E6", 6, q=4, twist_order=2)
+    # Nodes 2..5 of 2E6 form a D4 on which the twist acts with order 2.
+    parabolic = wt.ParabolicSubset(spec.datum, frozenset({2, 3, 4, 5}))
+    errors = []
+    for _ in range(3):
+        with pytest.raises(UnsupportedSubdiagramError) as info:
+            wt.descend_weight(spec, parabolic, Weight((0,) * 6))
+        errors.append(info.value)
+    # Distinct instances, and no traceback grows from one call to the next.
+    assert len({id(e) for e in errors}) == 3
+    assert len({_traceback_depth(e) for e in errors}) == 1
+    # descent_bound skips the parabolic and still answers.
+    assert bd.descent_bound(spec, Weight((1, 0, 0, 0, 0, 1))) >= 1
+
+
+def _traceback_depth(exc):
+    depth, tb = 0, exc.__traceback__
+    while tb is not None:
+        depth, tb = depth + 1, tb.tb_next
+    return depth
+
+
+def test_proper_parabolics_are_the_twist_stable_subsets():
+    for datum in _ORACLE_DATA:
+        assert wt.proper_parabolics(datum) == tuple(wt.twist_stable_subsets(datum))
+        assert wt.proper_parabolics(datum) is wt.proper_parabolics(datum)
+
+
+def test_descent_accepts_an_equal_copy_of_the_datum():
+    # build_root_datum("A", 2) and build_root_datum("A", 2, 1) are distinct
+    # objects; the cached parabolics of one serve a group built on the other.
+    copy = build_root_datum("A", 2)
+    spec = rd.group("A", 2, q=3)
+    assert copy == spec.datum and copy is not spec.datum
+    parabolic = wt.ParabolicSubset(copy, frozenset({1}))
+    same = wt.ParabolicSubset(spec.datum, frozenset({1}))
+    assert (wt.descend_weight(spec, parabolic, Weight((2, 1)))
+            == reference_descend_weight(spec, same, Weight((2, 1))))
+    wt.proper_parabolics(copy)
+    assert len(wt.minimal_pim_candidates(spec)) == 2
+
+
+def test_import_builds_no_descent_plan():
+    src = Path(pimbounds.__file__).resolve().parent.parent
+    code = ("import pimbounds, pimbounds.cli, pimbounds.bounds\n"
+            "from pimbounds import weights\n"
+            "print(weights._descent_plan.cache_info().currsize,"
+            " weights.proper_parabolics.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "0"]
 
 
 # ---------------------------------------------------------------------------
