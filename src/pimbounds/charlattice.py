@@ -27,12 +27,22 @@ and a full scan of the m^n characters only walks the points of A
 (Bourbaki, *Lie Groups and Lie Algebras*, ch. VI §2; Kac, *Infinite
 Dimensional Lie Algebras*, §8.6; Reeder, "Torsion automorphisms of simple
 Lie algebras", Enseign. Math. 2010).  The breadth-first enumeration in
-:func:`orbit` is kept for callers that need the orbit's elements.
+:func:`orbit` is kept for callers that need the orbit's elements; it runs on
+the orbit kernel :func:`rootdata.weyl_orbit`.
+
+Irreducibility of the reflection representation over F_l is decided in
+closed form, from the Cartan matrix mod l: for rank >= 2 it holds exactly
+when det(Cartan) is nonzero mod l and the digraph with an edge i -> j
+whenever the pairing of alpha_i with the coroot of alpha_j is nonzero mod l
+is strongly connected.  This is the argument for the irreducibility of the
+geometric representation of a Coxeter group (Bourbaki, *Lie Groups and Lie
+Algebras*, ch. V §4) run over F_l: every nonzero submodule contains a
+simple root, and the submodule that root generates is spanned by the simple
+roots reachable from it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -41,8 +51,9 @@ from .rootdata import (
     RootDatum,
     UnsupportedGroupError,
     _weyl_order,
-    apply_reflection,
+    factor_prime_power,
     reflection_matrices,
+    weyl_orbit,
 )
 
 
@@ -256,7 +267,7 @@ def orbit_size(spec: GroupSpec, beta) -> int:
 
 
 # The largest orbit that :func:`orbit` lists.
-ORBIT_BUDGET = 10 ** 7
+ORBIT_BUDGET = 10 ** 6
 
 
 def orbit(spec: GroupSpec, beta) -> frozenset[tuple[int, ...]]:
@@ -271,21 +282,7 @@ def orbit(spec: GroupSpec, beta) -> frozenset[tuple[int, ...]]:
         raise BudgetExceededError(
             f"an orbit of {size} torus characters exceeds the budget "
             f"of {ORBIT_BUDGET}")
-    datum = spec.datum
-    m = char.modulus
-    start = char.coords
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(1, datum.rank + 1):
-                w = tuple(c % m for c in apply_reflection(datum, i, v))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(weyl_orbit(spec.datum, char.coords, char.modulus))
 
 
 @dataclass(frozen=True)
@@ -418,13 +415,21 @@ def _kernel_mod(rows: list[list[int]], n: int, ell: int) -> list[tuple[int, ...]
     return basis
 
 
+def _require_prime(ell: int) -> None:
+    try:
+        prime = factor_prime_power(ell) == (ell, 1)
+    except ValueError:
+        prime = False
+    if not prime:
+        raise ValueError(f"the modulus must be a prime, not {ell}")
+
+
 def fixed_subspace_mod_ell(datum: RootDatum, ell: int) -> list[tuple[int, ...]]:
     """Basis of the common fixed space of all simple reflections over F_ell.
 
     Computed as the kernel of the stacked matrices M_i - I.
     """
-    if ell < 2:
-        raise ValueError("the modulus must be a prime >= 2")
+    _require_prime(ell)
     n = datum.rank
     rows: list[list[int]] = []
     for mat in reflection_matrices(datum):
@@ -437,157 +442,45 @@ def fixed_subspace_mod_ell(datum: RootDatum, ell: int) -> list[tuple[int, ...]]:
     return _kernel_mod(rows, n, ell)
 
 
-def _mat_vec(mat, v, ell):
-    return tuple(sum(r * c for r, c in zip(row, v)) % ell for row in mat)
-
-
-def _spin_dimension(vectors, gens, ell, n) -> int:
-    """Dimension of the submodule generated by ``vectors`` under ``gens``.
-
-    Maintains a reduced echelon basis; returns as soon as the span is full.
-    """
-    echelon: dict[int, tuple[int, ...]] = {}  # pivot column -> reduced vector
-
-    def insert(v):
-        v = list(v)
-        for c in range(n):
-            if v[c]:
-                if c in echelon:
-                    f = v[c]
-                    v = [(a - f * b) % ell for a, b in zip(v, echelon[c])]
-                else:
-                    inv = pow(v[c], -1, ell)
-                    vv = tuple((x * inv) % ell for x in v)
-                    echelon[c] = vv
-                    return vv
-        return None
-
-    work = []
-    for v in vectors:
-        nv = insert(v)
-        if nv is not None:
-            work.append(nv)
-    while work and len(echelon) < n:
-        v = work.pop()
-        for g in gens:
-            nv = insert(_mat_vec(g, v, ell))
-            if nv is not None:
-                work.append(nv)
-                if len(echelon) == n:
-                    return n
-    return len(echelon)
-
-
-def _projective_points(n, ell):
-    """One representative per projective point of F_ell^n (first nonzero = 1)."""
-    for lead in range(n):
-        for tail in itertools.product(range(ell), repeat=n - lead - 1):
-            yield (0,) * lead + (1,) + tail
-
-
-def _transpose(mat):
-    n = len(mat)
-    return tuple(tuple(mat[j][i] for j in range(n)) for i in range(n))
-
-
-# Exhaustive spinning is used when the projective space is at most this big.
+# Not read by this module: the benchmark's `verify` workload picks its
+# irreducibility cells by this projective-point count, a threshold from when
+# small cells were decided by spinning every point.
 _EXHAUSTIVE_POINT_LIMIT = 30_000
 
 
-def is_irreducible_mod_ell(datum: RootDatum, ell: int,
-                           point_limit: int = _EXHAUSTIVE_POINT_LIMIT) -> bool:
+def is_irreducible_mod_ell(datum: RootDatum, ell: int) -> bool:
     """Is the natural reflection representation irreducible over F_ell?
 
-    For small projective spaces every point is spun and the module is
-    irreducible exactly when every spin fills the space.  For larger spaces a
-    deterministic Norton-style test is used: find an algebra element with a
-    small nonzero nullity, spin every kernel point, and spin one cokernel
-    point under the transposed action; the module is irreducible exactly when
-    all of those spins fill the space.  Both paths are exact, not heuristic.
+    Rank 1 is one-dimensional.  For rank >= 2 the answer is yes exactly when
+    det(Cartan) is nonzero mod ell and the digraph with an edge i -> j
+    whenever ``cartan[j][i]`` is nonzero mod ell is strongly connected.
+
+    Proof: a nonzero submodule U holds some v with v_i != 0, so it holds
+    ``v - s_i v = v_i * alpha_i``; and with alpha_k it holds
+    ``alpha_k - s_j alpha_k = cartan[j][k] * alpha_j``, so it holds every
+    alpha_j reachable from i.  If the simple roots are a basis (det != 0)
+    and every node reaches every other, U is everything.  Conversely the
+    root span, when det = 0, or the span of the roots reachable from one
+    node, when that is not every node, is a proper nonzero W-stable subspace.
     """
+    _require_prime(ell)
     n = datum.rank
     if n == 1:
         return True
-    gens = [tuple(tuple(c % ell for c in row) for row in mat)
-            for mat in reflection_matrices(datum)]
-    points = (ell ** n - 1) // (ell - 1)
-    if points <= point_limit:
-        for v in _projective_points(n, ell):
-            if _spin_dimension([v], gens, ell, n) < n:
-                return False
-        return True
-    return _norton_irreducible(gens, ell, n)
-
-
-def _norton_irreducible(gens, ell, n) -> bool:
-    # Quick reducibility witnesses: a nonzero fixed vector, or a proper spin
-    # from any kernel vector of some algebra element.
-    fixed_rows = []
-    for g in gens:
-        for j in range(n):
-            fixed_rows.append([g[j][k] - (1 if j == k else 0) for k in range(n)])
-    for v in _kernel_mod(fixed_rows, n, ell):
-        if _spin_dimension([v], gens, ell, n) < n:
-            return False
-
-    # Deterministic search for an algebra element with small positive nullity.
-    rng_state = 0x5EED
-    def next_int(bound):
-        nonlocal rng_state
-        rng_state = (rng_state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        return (rng_state >> 20) % bound
-
-    def random_algebra_element():
-        # Short product-sum of generators with small random coefficients.
-        acc = [[0] * n for _ in range(n)]
-        for _ in range(3):
-            word = gens[next_int(len(gens))]
-            for _ in range(next_int(3)):
-                word = _mat_mul(word, gens[next_int(len(gens))], ell)
-            coeff = 1 + next_int(ell - 1) if ell > 2 else 1
-            for i in range(n):
-                for j in range(n):
-                    acc[i][j] = (acc[i][j] + coeff * word[i][j]) % ell
-        return tuple(tuple(row) for row in acc)
-
-    best = None  # (nullity, element, kernel basis)
-    for _ in range(400):
-        z = random_algebra_element()
-        rows = [list(row) for row in z]
-        ker = _kernel_mod(rows, n, ell)
-        if 0 < len(ker) < n:
-            if best is None or len(ker) < best[0]:
-                best = (len(ker), z, ker)
-            if best[0] == 1:
-                break
-    if best is None:  # pragma: no cover - the search space is tiny; never seen
-        raise BudgetExceededError(
-            "no singular algebra element found; cannot certify irreducibility")
-    nullity, z, ker = best
-    # Every kernel point of z must generate the full module ...
-    for coeffs in _projective_points(nullity, ell):
-        v = [0] * n
-        for c, b in zip(coeffs, ker):
-            if c:
-                for j in range(n):
-                    v[j] = (v[j] + c * b[j]) % ell
-        if _spin_dimension([tuple(v)], gens, ell, n) < n:
-            return False
-    # ... and one cokernel point must generate the full dual module.
-    zt_rows = [list(row) for row in _transpose(z)]
-    ker_t = _kernel_mod(zt_rows, n, ell)
-    gens_t = [_transpose(g) for g in gens]
-    if _spin_dimension([ker_t[0]], gens_t, ell, n) < n:
+    if _kernel_mod(datum.cartan, n, ell):
         return False
+    arcs = [[j for j in range(n) if datum.cartan[j][i] % ell] for i in range(n)]
+    for i in range(n):
+        reached = {i}
+        todo = [i]
+        while todo:
+            for j in arcs[todo.pop()]:
+                if j not in reached:
+                    reached.add(j)
+                    todo.append(j)
+        if len(reached) < n:
+            return False
     return True
-
-
-def _mat_mul(a, b, ell):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % ell for j in range(n))
-        for i in range(n)
-    )
 
 
 def natural_rep_irreducibility_table(datum: RootDatum, ell: int) -> bool:

@@ -196,6 +196,14 @@ class RootDatum:
                              if j != i and self.cartan[i - 1][j - 1] != 0)
                 for i in range(1, self.rank + 1)}
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # The nonzero entries (j, cartan[j][i]) of each simple root alpha_i,
+        # for the orbit kernel.
+        return tuple(tuple((j, row[i]) for j, row in enumerate(self.cartan)
+                           if row[i])
+                     for i in range(self.rank))
+
     def adjacency(self) -> Mapping[int, frozenset[int]]:
         """Neighbours of each 1-based node in the Dynkin diagram (read-only)."""
         return MappingProxyType(self._adjacency)
@@ -313,30 +321,49 @@ def apply_reflection(datum: RootDatum, i: int, v: tuple[int, ...]) -> tuple[int,
     return tuple(v[j] - a * col[j] for j in range(datum.rank))
 
 
-def weyl_order_by_bfs(datum: RootDatum, limit: int | None = None) -> int:
+def weyl_orbit(datum: RootDatum, start: tuple[int, ...],
+               modulus: int | None = None) -> set[tuple[int, ...]]:
+    """The orbit of a weight under the Weyl group, by breadth-first closure.
+
+    With ``modulus`` the weight is read modulo it, and ``start`` must already
+    be reduced.  Each simple reflection changes only the coordinates where
+    the simple root is nonzero, and fixes a weight with a zero coordinate at
+    its node.
+    """
+    columns = datum._columns
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i, col in enumerate(columns):
+                a = v[i]
+                if not a:
+                    continue
+                w = list(v)
+                if modulus is None:
+                    for j, c in col:
+                        w[j] -= a * c
+                else:
+                    for j, c in col:
+                        w[j] = (w[j] - a * c) % modulus
+                w = tuple(w)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def weyl_order_by_bfs(datum: RootDatum) -> int:
     """Weyl group order computed by breadth-first closure.
 
     The orbit of a strictly dominant weight is free, so the closure of
     ``(1, ..., 1)`` under the simple reflections has exactly ``|W|`` elements;
     enumerating weight vectors is equivalent to enumerating group elements but
-    far cheaper than multiplying matrices.  ``limit`` aborts runaway closures.
+    far cheaper than multiplying matrices.
     """
-    start = (1,) * datum.rank
-    seen = {start}
-    frontier = [start]
-    gens = range(1, datum.rank + 1)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in gens:
-                w = apply_reflection(datum, i, v)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if limit is not None and len(seen) > limit:
-            raise RuntimeError(f"closure exceeded limit {limit}")
-        frontier = nxt
-    return len(seen)
+    return len(weyl_orbit(datum, (1,) * datum.rank))
 
 
 # ---------------------------------------------------------------------------

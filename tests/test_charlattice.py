@@ -220,11 +220,27 @@ def test_orbit_budget_is_checked_before_enumerating(monkeypatch):
     with pytest.raises(cl.BudgetExceededError):
         cl.orbit(spec, (1, 0))
     monkeypatch.undo()
-    # |W(E8)| / 16 points: the default budget of 10^7 refuses it at once.
+    # |W(E8)| / 16 points: the default budget of 10^6 refuses it at once.
     e8 = rd.group("E8", 8, q=16)
     assert cl.orbit_size(e8, (1, 0, 0, 1, 0, 1, 0, 1)) == 43545600
     with pytest.raises(cl.BudgetExceededError):
         cl.orbit(e8, (1, 0, 0, 1, 0, 1, 0, 1))
+
+
+def bfs_orbit(datum, start, m):
+    """Oracle for orbit: breadth-first closure of a reduced character."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(1, datum.rank + 1):
+                w = tuple(c % m for c in rd.apply_reflection(datum, i, v))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
 
 
 def bfs_orbit_scan(spec):
@@ -237,17 +253,7 @@ def bfs_orbit_scan(spec):
     histogram = {}
     while unseen:
         start = unseen.pop()
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(1, datum.rank + 1):
-                    w = tuple(c % m for c in rd.apply_reflection(datum, i, v))
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
+        seen = bfs_orbit(datum, start, m)
         unseen.difference_update(seen)
         histogram[len(seen)] = histogram.get(len(seen), 0) + 1
         if len(seen) == 1:
@@ -255,6 +261,18 @@ def bfs_orbit_scan(spec):
     nontrivial = [size for size in histogram if size > 1]
     return (tuple(sorted(fixed)), min(nontrivial, default=None),
             tuple(sorted(histogram.items())))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORACLE_DATA), st.sampled_from(ORACLE_Q), st.data())
+def test_orbit_equals_reflection_closure(datum, q, data):
+    family, rank = datum
+    spec = rd.group(family, rank, q=q)
+    m = q - 1
+    beta = tuple(data.draw(st.lists(st.integers(-2 * m - 3, 3 * m + 3),
+                                    min_size=rank, max_size=rank)))
+    start = tuple(c % m for c in beta)
+    assert cl.orbit(spec, beta) == bfs_orbit(spec.datum, start, m)
 
 
 # The scans of `pimbounds verify orbits`, plus larger E7, E8 and
@@ -341,15 +359,123 @@ def test_small_irreducibility_cells():
     assert cl.is_irreducible_mod_ell(rd.build_root_datum("G2", 2), 5) is True
 
 
-def test_norton_path_agrees_with_exhaustive_path():
-    # Force the Norton path by shrinking the exhaustive threshold and compare
-    # with the exhaustive answer on mid-size cases.
-    for family, rank, ell in (("A", 5, 2), ("A", 5, 3), ("D", 5, 2),
-                              ("B", 5, 3), ("E6", 6, 3), ("E6", 6, 5)):
-        datum = rd.build_root_datum(family, rank)
-        exhaustive = cl.is_irreducible_mod_ell(datum, ell, point_limit=10 ** 9)
-        norton = cl.is_irreducible_mod_ell(datum, ell, point_limit=0)
-        assert exhaustive == norton
+def _spin_dimension(vectors, gens, ell, n) -> int:
+    """Dimension of the submodule generated by ``vectors`` under ``gens``.
+
+    Maintains a reduced echelon basis; returns as soon as the span is full.
+    """
+    echelon = {}  # pivot column -> reduced vector
+
+    def insert(v):
+        v = list(v)
+        for c in range(n):
+            if v[c]:
+                if c in echelon:
+                    f = v[c]
+                    v = [(a - f * b) % ell for a, b in zip(v, echelon[c])]
+                else:
+                    inv = pow(v[c], -1, ell)
+                    vv = tuple((x * inv) % ell for x in v)
+                    echelon[c] = vv
+                    return vv
+        return None
+
+    work = []
+    for v in vectors:
+        nv = insert(v)
+        if nv is not None:
+            work.append(nv)
+    while work and len(echelon) < n:
+        v = work.pop()
+        for g in gens:
+            nv = insert(tuple(sum(r * c for r, c in zip(row, v)) % ell
+                              for row in g))
+            if nv is not None:
+                work.append(nv)
+                if len(echelon) == n:
+                    return n
+    return len(echelon)
+
+
+def _projective_points(n, ell):
+    """One representative per projective point of F_ell^n (first nonzero = 1)."""
+    for lead in range(n):
+        for tail in itertools.product(range(ell), repeat=n - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+def _gens_mod(datum, ell):
+    return [tuple(tuple(c % ell for c in row) for row in mat)
+            for mat in rd.reflection_matrices(datum)]
+
+
+# The cells of tests/test_acceptance.py's irreducibility sweep.
+SWEEP_DATA = [rd.build_root_datum(family, rank)
+              for family, ranks in (("A", range(1, 9)), ("B", range(2, 9)),
+                                    ("C", range(2, 9)), ("D", range(3, 9)),
+                                    ("E6", (6,)), ("E7", (7,)), ("E8", (8,)),
+                                    ("F4", (4,)), ("G2", (2,)))
+              for rank in ranks]
+SWEEP_CELLS = [(datum, ell) for datum in SWEEP_DATA for ell in (2, 3, 5, 7)]
+
+
+def test_closed_form_equals_exhaustive_spin():
+    # Irreducible exactly when every projective point spins to everything.
+    cells = [(datum, ell) for datum, ell in SWEEP_CELLS
+             if (ell ** datum.rank - 1) // (ell - 1) <= 4000]
+    assert len(cells) == 107
+    for datum, ell in cells:
+        n = datum.rank
+        gens = _gens_mod(datum, ell)
+        spun = all(_spin_dimension([v], gens, ell, n) == n
+                   for v in _projective_points(n, ell))
+        assert cl.is_irreducible_mod_ell(datum, ell) == spun, (
+            datum.family, n, ell)
+
+
+def _reflection_witness(datum, ell):
+    """Simple roots mod ell spanning a proper submodule: all of them when
+    det(Cartan) = 0 mod ell, else those reachable from some node."""
+    n = datum.rank
+    roots = [tuple(datum.cartan[j][k] % ell for j in range(n))
+             for k in range(n)]
+    if _spin_dimension(roots, [], ell, n) < n:  # det(Cartan) = 0 mod ell
+        return roots
+    for i in range(n):
+        reached = {i}
+        todo = [i]
+        while todo:
+            k = todo.pop()
+            for j in range(n):
+                if datum.cartan[j][k] % ell and j not in reached:
+                    reached.add(j)
+                    todo.append(j)
+        if len(reached) < n:
+            return [roots[k] for k in sorted(reached)]
+    return None
+
+
+def test_reducible_cells_have_a_stable_witness():
+    reducible = [(datum, ell) for datum, ell in SWEEP_CELLS
+                 if not cl.is_irreducible_mod_ell(datum, ell)]
+    assert reducible
+    for datum, ell in reducible:
+        n = datum.rank
+        roots = _reflection_witness(datum, ell)
+        assert roots is not None, (datum.family, n, ell)
+        span = _spin_dimension(roots, [], ell, n)
+        assert 0 < span < n, (datum.family, n, ell)
+        assert _spin_dimension(roots, _gens_mod(datum, ell), ell, n) == span, (
+            datum.family, n, ell)
+
+
+@pytest.mark.parametrize("ell", (4, 6, 9, 1, 0, -3))
+def test_modulus_must_be_prime(ell):
+    datum = rd.build_root_datum("A", 2)
+    with pytest.raises(ValueError, match="prime"):
+        cl.is_irreducible_mod_ell(datum, ell)
+    with pytest.raises(ValueError, match="prime"):
+        cl.fixed_subspace_mod_ell(datum, ell)
 
 
 def test_rank_one_always_irreducible():

@@ -145,9 +145,18 @@ def test_orbit_plain_mode_never_enumerates(capsys, monkeypatch):
 
 
 def test_orbit_json_refuses_an_orbit_over_budget(capsys):
-    # 43,545,600 points exceed the default budget of 10^7.
+    # 43,545,600 points exceed the default budget of 10^6.
     code, out, err = run(capsys, "orbit", "E8", "8", "--q", "16",
                          "--beta", "1,0,0,1,0,1,0,1", "--json")
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
+def test_orbit_json_refuses_a_multi_million_orbit(capsys):
+    # 7,257,600 points: too many to list as JSON.
+    code, out, err = run(capsys, "orbit", "E8", "8", "--q", "16",
+                         "--beta", "1,2,3,4,5,6,7,8", "--json")
     assert code == 2
     assert out == ""
     assert "budget" in err
