@@ -17,6 +17,12 @@ Rules available:
 
 Every bound comes wrapped in a :class:`BoundCertificate` recording the chain
 of rules that produced it.
+
+Each rule's scope is one predicate and each small-group minimum one entry
+of :func:`known_minimum`.  Both bound cascades and the Sylow classification
+read them, so each "no" of the classification comes from the exact rank-1
+values, a case analysis of :mod:`pimbounds.caseanalysis`, the embedded minima
+or the scope of the restriction bound.
 """
 
 from __future__ import annotations
@@ -102,6 +108,40 @@ def rank_one_multiplier(q: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Rule scopes
+# ---------------------------------------------------------------------------
+
+
+def _is_sl2(spec: GroupSpec) -> bool:
+    """Scope of the exact rank-1 values: SL(2, q)."""
+    d = spec.datum
+    return d.family == "A" and d.rank == 1 and d.twist_order == 1
+
+
+def _is_split(spec: GroupSpec) -> bool:
+    """Scope of the torus-orbit and independent-set bounds."""
+    return (spec.datum.twist_order == 1
+            and not isinstance(spec.field, SuzukiReeField))
+
+
+def _hc_in_scope(spec: GroupSpec) -> bool:
+    """Scope of the restriction bound: split groups of type A with rank >= 4,
+    of type D with rank >= 4 and q even, and of types E6, E7 and E8."""
+    d = spec.datum
+    return _is_split(spec) and (
+        (d.family == "A" and d.rank >= 4)
+        or (d.family == "D" and d.rank >= 4 and spec.q % 2 == 0)
+        or d.family in ("E6", "E7", "E8"))
+
+
+def _descends(spec: GroupSpec) -> bool:
+    """Scope of parabolic descent: relative rank >= 2, except the Ree groups
+    of type F4."""
+    return twisted_bn_rank(spec.datum) >= 2 and not (
+        isinstance(spec.field, SuzukiReeField) and spec.datum.family == "F4")
+
+
+# ---------------------------------------------------------------------------
 # Embedded known minima for small groups
 # ---------------------------------------------------------------------------
 
@@ -112,7 +152,6 @@ class KnownMinimum:
 
     value: int
     rule: str
-    attained: bool  # some PIM is known to reach the value
     zero_weight_value: int | None = None  # exact multiplier of the 1-PIM, if known
 
 
@@ -123,10 +162,10 @@ def known_minimum(spec: GroupSpec) -> KnownMinimum | None:
     if isinstance(spec.field, SuzukiReeField):
         if fam == "B":
             if spec.field.q_squared > 2:
-                return KnownMinimum(4, "suzuki-minimum", attained=False)
+                return KnownMinimum(4, "suzuki-minimum")
             return None
         if fam == "F4" and spec.field.e == 0:
-            return KnownMinimum(14, "small-group-table", attained=False)
+            return KnownMinimum(14, "small-group-table")
         return None
     q = spec.q
     p, k = factor_prime_power(q)
@@ -135,28 +174,42 @@ def known_minimum(spec: GroupSpec) -> KnownMinimum | None:
         fam = "C"
     if fam == "C" and rank == 2 and twist == 1:
         if q == 2:
-            return KnownMinimum(3, "small-group-table", attained=False)
+            return KnownMinimum(3, "small-group-table")
         if q == 3:
-            return KnownMinimum(3, "small-group-table", attained=False,
-                                zero_weight_value=2)
+            return KnownMinimum(3, "small-group-table", zero_weight_value=2)
         if k == 1 and p > 3:
-            return KnownMinimum(3, "rank2-prime-field", attained=False)
+            return KnownMinimum(3, "rank2-prime-field")
     if fam == "A" and rank == 2 and twist == 1 and k == 1 and p > 2:
-        return KnownMinimum(2, "rank2-prime-field", attained=False)
+        return KnownMinimum(2, "rank2-prime-field")
     if fam == "G2" and twist == 1:
         if q == 2:
-            return KnownMinimum(5, "small-group-table", attained=True)
+            return KnownMinimum(5, "small-group-table")
         if k == 1 and p > 2:
-            return KnownMinimum(6, "rank2-prime-field", attained=False)
+            return KnownMinimum(6, "rank2-prime-field")
     if fam == "A" and rank == 2 and twist == 2 and k == 1 and p > 2:
-        return KnownMinimum(3, "unitary3-prime-field", attained=False)
+        return KnownMinimum(3, "unitary3-prime-field")
     if fam == "A" and rank == 3 and twist == 2 and q == 2:
-        return KnownMinimum(4, "small-group-table", attained=True)
+        return KnownMinimum(4, "small-group-table")
     if fam == "A" and rank == 4 and twist == 2 and q == 2:
-        return KnownMinimum(5, "small-group-table", attained=True)
+        return KnownMinimum(5, "small-group-table")
     if fam == "D" and rank == 4 and twist == 3 and q == 2:
-        return KnownMinimum(15, "small-group-table", attained=False)
+        return KnownMinimum(15, "small-group-table")
     return None
+
+
+_ONE_PIM_DETAIL = "embedded exact value for the 1-PIM"
+
+
+def _table_step(spec: GroupSpec, weight: Weight) -> ChainStep | None:
+    """The embedded value for one weight: the exact multiplier of the 1-PIM
+    when the table records it and the weight is zero, else the minimum."""
+    table = known_minimum(spec)
+    if table is None:
+        return None
+    if weight.is_zero() and table.zero_weight_value is not None:
+        return ChainStep(table.rule, table.zero_weight_value, _ONE_PIM_DETAIL)
+    return ChainStep(table.rule, table.value,
+                     "embedded minimum over non-Steinberg modules")
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +238,12 @@ def hc_bound(spec: GroupSpec, weight: Weight) -> tuple[int, str]:
     (rank+1, 2*rank, 27, 28, 120); when it is trivial the bound is the
     minimum dimension of a nonlinear Weyl-group character.
     """
-    d = spec.datum
-    if isinstance(spec.field, SuzukiReeField) or d.twist_order != 1:
+    if not _is_split(spec):
         raise UnsupportedGroupError("the restriction bound needs a split group")
-    in_scope = (
-        (d.family == "A" and d.rank >= 4)
-        or (d.family == "D" and d.rank >= 4 and spec.q % 2 == 0)
-        or d.family in ("E6", "E7", "E8")
-    )
-    if not in_scope:
+    if not _hc_in_scope(spec):
         raise UnsupportedGroupError(
             f"the restriction bound is not stated for {spec.describe()}")
+    d = spec.datum
     if is_steinberg(spec, weight):
         return 1, "Steinberg module: multiplier exactly 1"
     if socle_trivial_on_borel(spec, weight):
@@ -239,48 +287,45 @@ def descent_bound(spec: GroupSpec, weight: Weight) -> int:
     bound, plain descent (the multiplier of a group bounds below the
     multiplier of any ambient group restricting to it), and the factor-2
     strengthening along the designated type-A parabolic of the classical
-    groups.
+    groups.  Values are memoised per group and weight.
     """
     key = (_group_key(spec), weight.coeffs)
-    if key in _DESCENT_MEMO:
-        return _DESCENT_MEMO[key]
+    value = _DESCENT_MEMO.get(key)
+    if value is None:
+        value = _DESCENT_MEMO[key] = _descent_value(spec, weight)
+    return value
+
+
+def _descent_value(spec: GroupSpec, weight: Weight) -> int:
+    """The uncached body of :func:`descent_bound`.  It recurses through
+    ``descent_bound``, so every descendant is looked up in the memo."""
     if is_steinberg(spec, weight):
-        _DESCENT_MEMO[key] = 1
         return 1
+    if _is_sl2(spec):
+        return rank_one_multiplier(spec.q, weight[1])
+    table = _table_step(spec, weight)
+    best = 1 if table is None else table.value
     d = spec.datum
-    if d.family == "A" and d.rank == 1 and d.twist_order == 1:
-        value = rank_one_multiplier(spec.q, weight[1])
-        _DESCENT_MEMO[key] = value
-        return value
-    best = 1
-    table = known_minimum(spec)
-    if table is not None:
-        if weight.is_zero() and table.zero_weight_value is not None:
-            best = max(best, table.zero_weight_value)
-        else:
-            best = max(best, table.value)
-    if d.twist_order == 1 and not isinstance(spec.field, SuzukiReeField) and d.rank >= 2:
-        value, _size = independent_set_bound(spec, weight)
-        best = max(best, value)
-    if twisted_bn_rank(d) >= 2 and not (
-            isinstance(spec.field, SuzukiReeField) and d.family == "F4"):
-        for parabolic in proper_parabolics(d):
-            try:
-                descendants = descend_weight(spec, parabolic, weight)
-            except UnsupportedGroupError:
-                continue
-            for desc in descendants:
-                best = max(best, descent_bound(desc.spec, desc.weight))
+    if _is_split(spec) and d.rank >= 2:
+        best = max(best, independent_set_bound(spec, weight)[0])
+    if not _descends(spec):
+        return best
+    for parabolic in proper_parabolics(d):
         try:
-            rule = doubling_applicable(spec, weight)
+            descendants = descend_weight(spec, parabolic, weight)
         except UnsupportedGroupError:
-            rule = None
-        if rule is not None and rule.applicable:
-            descendants = descend_weight(spec, rule.parabolic, weight)
-            inner = max(descent_bound(desc.spec, desc.weight)
-                        for desc in descendants)
-            best = max(best, 2 * inner)
-    _DESCENT_MEMO[key] = best
+            continue
+        for desc in descendants:
+            best = max(best, descent_bound(desc.spec, desc.weight))
+    try:
+        rule = doubling_applicable(spec, weight)
+    except UnsupportedGroupError:
+        rule = None
+    if rule is not None and rule.applicable:
+        descendants = descend_weight(spec, rule.parabolic, weight)
+        inner = max(descent_bound(desc.spec, desc.weight)
+                    for desc in descendants)
+        best = max(best, 2 * inner)
     return best
 
 
@@ -293,53 +338,43 @@ def best_bound(spec: GroupSpec, weight: Weight) -> BoundCertificate:
     """Best certified lower bound for the multiplier of one restricted weight.
 
     Runs every applicable rule and returns a certificate whose chain records
-    each rule's contribution.  The bound is exact for the Steinberg weight and
-    for rank-1 groups of type A.
+    each rule's contribution.  The bound is exact for the Steinberg weight,
+    for rank-1 groups of type A and for a 1-PIM whose value is embedded.
     """
-    steps: list[ChainStep] = []
-    d = spec.datum
     if is_steinberg(spec, weight):
-        steps.append(ChainStep("steinberg", 1,
-                               "defect-zero module: multiplier exactly 1"))
+        step = ChainStep("steinberg", 1,
+                         "defect-zero module: multiplier exactly 1")
         return BoundCertificate(spec.describe(), weight.coeffs, 1, True,
-                                tuple(steps))
-    exact = False
-    if d.family == "A" and d.rank == 1 and d.twist_order == 1:
-        value = rank_one_multiplier(spec.q, weight[1])
-        steps.append(ChainStep("rank1-exact", value,
+                                (step,))
+    steps: list[ChainStep] = []
+    exact = _is_sl2(spec)
+    if exact:
+        steps.append(ChainStep("rank1-exact",
+                               rank_one_multiplier(spec.q, weight[1]),
                                "exact rank-1 multiplier from base-p digits"))
-        exact = True
-    table = known_minimum(spec)
+    table = _table_step(spec, weight)
     if table is not None:
-        if weight.is_zero() and table.zero_weight_value is not None:
-            steps.append(ChainStep(table.rule, table.zero_weight_value,
-                                   "embedded exact value for the 1-PIM"))
-            exact = True
-        else:
-            steps.append(ChainStep(table.rule, table.value,
-                                   "embedded minimum over non-Steinberg modules"))
-    if d.twist_order == 1 and not isinstance(spec.field, SuzukiReeField):
+        steps.append(table)
+        exact = exact or table.detail == _ONE_PIM_DETAIL
+    if _is_split(spec):
         steps.append(ChainStep(
             "torus-orbit", ballard_bound(spec, weight),
             "Weyl orbit length of the weight reduced modulo q-1"))
-        if d.rank >= 2:
+        if spec.datum.rank >= 2:
             value, size = independent_set_bound(spec, weight)
             if size:
                 steps.append(ChainStep(
                     "independent-set", value,
                     f"2^{size} from an independent set of A1 Levi factors"))
-    try:
+    if _hc_in_scope(spec):
         value, reason = hc_bound(spec, weight)
         steps.append(ChainStep("hc-restriction", value, reason))
-    except UnsupportedGroupError:
-        pass
-    if twisted_bn_rank(d) >= 2 and not (
-            isinstance(spec.field, SuzukiReeField) and d.family == "F4"):
+    if _descends(spec):
         steps.append(ChainStep("parabolic-descent", descent_bound(spec, weight),
                                "recursion through twist-stable parabolics"))
     bound = max((s.value for s in steps), default=1)
-    return BoundCertificate(spec.describe(), weight.coeffs, max(bound, 1),
-                            exact, tuple(steps))
+    return BoundCertificate(spec.describe(), weight.coeffs, bound, exact,
+                            tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +398,29 @@ class SylowDimensionVerdict:
                 "witnesses": [list(w) for w in self.witnesses]}
 
 
+def _case_analysis(spec: GroupSpec) -> str | None:
+    """The outcome of the exhaustive case analysis stated for ``spec``, if
+    any: the Ree groups of type G2 with e >= 1, and the special unitary
+    groups of degree 4 and the triality groups over F_p with p odd."""
+    from .caseanalysis import d4_verify, ree_verify, u4_verify
+
+    d = spec.datum
+    if isinstance(spec.field, SuzukiReeField):
+        if d.family != "G2" or spec.field.e < 1:
+            return None
+        outcome = ree_verify(spec.field.e)
+    else:
+        p, k = factor_prime_power(spec.q)
+        kind = (d.family, d.rank, d.twist_order)
+        if k != 1 or p == 2 or kind not in (("A", 3, 2), ("D", 4, 3)):
+            return None
+        if kind == ("D", 4, 3):
+            return f"cyclotomic divisibility analysis: {d4_verify(p).outcome}"
+        outcome = u4_verify(p)
+    return (f"exhaustive decomposition analysis: {outcome.outcome} "
+            f"({outcome.candidates_considered} candidates eliminated)")
+
+
 def classify_dim_equal_sylow(spec: GroupSpec) -> SylowDimensionVerdict:
     """Decide whether a non-Steinberg PIM of dimension |G|_p can exist.
 
@@ -371,109 +429,45 @@ def classify_dim_equal_sylow(spec: GroupSpec) -> SylowDimensionVerdict:
     exceptional isomorphism with the simple group of order 168, which also
     appears below as the linear group of degree 3 over F_2), SL(3, 2), and
     the smallest Ree group of type G2 (the automorphism group of SL(2, 8)).
-    "no" is returned only when embedded evidence or a verified exhaustive
-    analysis applies; otherwise "undecided".
+    "no" comes, in this order, from the exact rank-1 values over a proper
+    extension field, an exhaustive case analysis (:func:`_case_analysis`),
+    the embedded minimum of :func:`known_minimum` (the smaller of its two
+    values is the reason) or the scope of the restriction bound.  Otherwise
+    the answer is "undecided".
     """
     d = spec.datum
-    group_name = spec.describe()
+    suzuki_ree = isinstance(spec.field, SuzukiReeField)
 
-    def verdict(answer, reasons, witnesses=()):
-        return SylowDimensionVerdict(group_name, answer, tuple(reasons),
+    def verdict(answer, reason, witnesses=()):
+        return SylowDimensionVerdict(spec.describe(), answer, (reason,),
                                      tuple(witnesses))
 
-    if isinstance(spec.field, SuzukiReeField):
-        if d.family == "G2":
-            if spec.field.e == 0:
-                return verdict("yes", [
-                    "the smallest Ree group of type G2 is the automorphism "
-                    "group of SL(2, 8); its 1-PIM has dimension |G|_p",
-                ], witnesses=[(0, 0)])
-            from .caseanalysis import ree_verify
-            outcome = ree_verify(spec.field.e)
-            return verdict("no", [
-                f"exhaustive decomposition analysis: {outcome.outcome} "
-                f"({outcome.candidates_considered} candidates eliminated)",
-            ])
-        if d.family == "B":
-            if spec.field.q_squared > 2:
-                return verdict("no", ["every non-Steinberg multiplier is >= 4"])
-            return verdict("undecided",
-                           ["the smallest Suzuki group is solvable; "
-                            "no evidence embedded"])
-        if d.family == "F4":
-            if spec.field.e == 0:
-                return verdict("no", ["every non-Steinberg multiplier is >= 14"])
-            return verdict("undecided", ["no evidence embedded"])
-
-    q = spec.q
-    p, k = factor_prime_power(q)
-    fam, rank, twist = d.family, d.rank, d.twist_order
-
-    if fam == "A" and rank == 1 and twist == 1:
-        if k == 1:
-            return verdict("yes", [
-                "for SL(2, p) the projective cover of the trivial module has "
-                "multiplier 2^1 - 1 = 1",
-            ], witnesses=[(0,)])
-        return verdict("no", [
-            "exact rank-1 values: every non-Steinberg multiplier is >= 2 "
-            "once the field is a proper extension",
-        ])
-    if fam == "A" and rank == 2 and twist == 1:
-        if q == 2:
-            return verdict("yes", [
-                "for SL(3, 2) the projective cover of the trivial module has "
-                "dimension 8 = |G|_p (this group is also the projective "
-                "special linear group of degree 2 over F_7)",
-            ], witnesses=[(0, 0)])
-        if k == 1:
-            return verdict("no", ["every non-Steinberg multiplier is >= 2"])
-        return verdict("undecided", ["no evidence embedded"])
-    if fam == "A" and rank == 2 and twist == 2:
-        if k == 1 and p > 2:
-            return verdict("no", ["every non-Steinberg multiplier is >= 3"])
-        return verdict("undecided", ["no evidence embedded"])
-    if fam == "A" and rank == 3 and twist == 2:
-        if q == 2:
-            return verdict("no", ["every non-Steinberg multiplier is >= 4"])
-        if k == 1 and p > 2:
-            from .caseanalysis import u4_verify
-            outcome = u4_verify(p)
-            return verdict("no", [
-                f"exhaustive decomposition analysis: {outcome.outcome} "
-                f"({outcome.candidates_considered} candidates eliminated)",
-            ])
-        return verdict("undecided", ["no evidence embedded"])
-    if fam == "A" and rank == 4 and twist == 2 and q == 2:
-        return verdict("no", ["every non-Steinberg multiplier is >= 5"])
-    if fam == "D" and rank == 4 and twist == 3:
-        if q == 2:
-            return verdict("no", ["every non-Steinberg multiplier is >= 15"])
-        if k == 1 and p > 2:
-            from .caseanalysis import d4_verify
-            outcome = d4_verify(p)
-            return verdict("no", [
-                f"cyclotomic divisibility analysis: {outcome.outcome}",
-            ])
-        return verdict("undecided", ["no evidence embedded"])
-    if (fam == "C" or (fam == "B" and rank == 2)) and rank == 2 and twist == 1:
-        if q in (2, 3) or (k == 1 and p > 3):
-            return verdict("no", ["every non-Steinberg multiplier is >= 2"])
-        return verdict("undecided", ["no evidence embedded"])
-    if fam == "G2" and twist == 1:
-        if q == 2 or (k == 1 and p > 2):
-            return verdict("no", ["every non-Steinberg multiplier is >= 5"
-                                  if q == 2 else
-                                  "every non-Steinberg multiplier is >= 6"])
-        return verdict("undecided", ["no evidence embedded"])
-    hc_scope = (
-        (fam == "A" and rank >= 4 and twist == 1)
-        or (fam == "D" and rank >= 4 and twist == 1 and q % 2 == 0)
-        or (fam in ("E6", "E7", "E8") and twist == 1)
-    )
-    if hc_scope:
-        return verdict("no", [
-            "the restriction bound gives multiplier >= 2 for every "
-            "non-Steinberg restricted weight",
-        ])
-    return verdict("undecided", ["no evidence embedded"])
+    if _is_sl2(spec) and factor_prime_power(spec.q)[1] == 1:
+        return verdict("yes", "for SL(2, p) the projective cover of the trivial "
+                       "module has multiplier 2^1 - 1 = 1", [(0,)])
+    if _is_split(spec) and d.family == "A" and d.rank == 2 and spec.q == 2:
+        return verdict("yes", "for SL(3, 2) the projective cover of the trivial "
+                       "module has dimension 8 = |G|_p (this group is also the "
+                       "projective special linear group of degree 2 over F_7)",
+                       [(0, 0)])
+    if suzuki_ree and d.family == "G2" and spec.field.e == 0:
+        return verdict("yes", "the smallest Ree group of type G2 is the "
+                       "automorphism group of SL(2, 8); its 1-PIM has "
+                       "dimension |G|_p", [(0, 0)])
+    if _is_sl2(spec):
+        return verdict("no", "exact rank-1 values: every non-Steinberg "
+                       "multiplier is >= 2 once the field is a proper extension")
+    analysis = _case_analysis(spec)
+    if analysis is not None:
+        return verdict("no", analysis)
+    table = known_minimum(spec)
+    if table is not None:
+        least = min(table.value, table.zero_weight_value or table.value)
+        return verdict("no", f"every non-Steinberg multiplier is >= {least}")
+    if _hc_in_scope(spec):
+        return verdict("no", "the restriction bound gives multiplier >= 2 for "
+                       "every non-Steinberg restricted weight")
+    if suzuki_ree and d.family == "B":
+        return verdict("undecided", "the smallest Suzuki group is solvable; "
+                       "no evidence embedded")
+    return verdict("undecided", "no evidence embedded")

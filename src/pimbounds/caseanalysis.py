@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .degrees import DegreePolynomial, ONE, X, dataset
+from .degrees import DegreePolynomial, X, dataset
+from .rootdata import factor_prime_power
 
 
 class CaseAnalysisError(AssertionError):
@@ -30,24 +31,22 @@ class CaseAnalysisError(AssertionError):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_decompositions(target: int, part_sizes, *,
-                             cross_check: bool = False) -> list[tuple[int, ...]]:
+def enumerate_decompositions(target: int, part_sizes) -> list[tuple[int, ...]]:
     """All multiplicity vectors m with sum(m[i] * part_sizes[i]) == target.
 
     Multiplicities are nonnegative integers and the result is sorted
-    lexicographically.  With ``cross_check`` the iterative search is compared
-    against an independent recursive implementation.
+    lexicographically.  The iterative search is always compared against an
+    independent recursive implementation: the agreement is part of the
+    certified analysis.
     """
     sizes = tuple(int(s) for s in part_sizes)
     if target < 0 or any(s <= 0 for s in sizes):
         raise ValueError("target must be >= 0 and part sizes positive")
     result = _enumerate_iterative(target, sizes)
-    if cross_check:
-        oracle = _enumerate_recursive(target, sizes)
-        if result != oracle:
-            raise CaseAnalysisError(
-                f"decomposition implementations disagree for target={target}, "
-                f"sizes={sizes}")
+    if result != _enumerate_recursive(target, sizes):
+        raise CaseAnalysisError(
+            f"decomposition implementations disagree for target={target}, "
+            f"sizes={sizes}")
     return result
 
 
@@ -207,7 +206,16 @@ def _eliminate_candidates(candidates, x, probes, label) -> list[Elimination]:
 # ---------------------------------------------------------------------------
 
 
-def u4_verify(p: int, *, cross_check: bool = True) -> CaseVerdict:
+def _require_odd_prime(p: int) -> None:
+    try:
+        odd_prime = p > 2 and factor_prime_power(p) == (p, 1)
+    except ValueError:  # not a prime power
+        odd_prime = False
+    if not odd_prime:
+        raise ValueError("the analysis is stated for odd primes p")
+
+
+def u4_verify(p: int) -> CaseVerdict:
     """Exhaustive analysis for the special unitary group of degree 4 over F_p.
 
     Establishes that no sum of the Steinberg character and further ordinary
@@ -217,8 +225,7 @@ def u4_verify(p: int, *, cross_check: bool = True) -> CaseVerdict:
     elimination is performed under both sign conventions for the one character
     value on which the sources disagree.
     """
-    if p < 3 or p % 2 == 0:
-        raise ValueError("the analysis is stated for odd primes p")
+    _require_odd_prime(p)
     data = dataset("U4")
     tau = data.family("tau")
     chi16, chi17, chi19 = (data.family(n) for n in ("chi16", "chi17", "chi19"))
@@ -255,8 +262,7 @@ def u4_verify(p: int, *, cross_check: bool = True) -> CaseVerdict:
     cases = {}
     for gamma in (data.by_class("A12"), data.by_class("A14")):
         remainder = f_bound - gamma.degree.evaluate(p)
-        solutions = enumerate_decompositions(remainder, extra_sizes,
-                                             cross_check=cross_check)
+        solutions = enumerate_decompositions(remainder, extra_sizes)
         cases[gamma.class_label] = solutions
         for sol in solutions:
             fams = ((tau, 1), (gamma, 1)) + tuple(zip(extras, sol))
@@ -310,8 +316,7 @@ def d4_verify(p: int) -> CaseVerdict:
     quantities f1 and f2 that would have to be divisible by p^2 + p + 1; the
     recomputed residues are nonzero, so no decomposition exists.
     """
-    if p < 3 or p % 2 == 0:
-        raise ValueError("the analysis is stated for odd primes p")
+    _require_odd_prime(p)
     from .degrees import cyclotomic_residue_report
 
     data = dataset("D4")
@@ -412,7 +417,7 @@ def _ree_symbolic_replay() -> dict:
     return {"checks": checks, "residue_polys": residue_polys}
 
 
-def ree_verify(f: int, *, cross_check: bool = True) -> CaseVerdict:
+def ree_verify(f: int) -> CaseVerdict:
     """Exhaustive analysis for the rank-1 Ree groups of type G2, f >= 1.
 
     Enumerates every decomposition of the Steinberg degree minus the two
@@ -432,8 +437,7 @@ def ree_verify(f: int, *, cross_check: bool = True) -> CaseVerdict:
     d7 = data.family("xi7").degree_at(t)
     steinberg = data.family("St").degree_at(t)
     remainder = steinberg - d1 - d4
-    solutions = enumerate_decompositions(remainder, (d5, d7, d6),
-                                         cross_check=cross_check)
+    solutions = enumerate_decompositions(remainder, (d5, d7, d6))
     replay = _ree_symbolic_replay()
     eliminations = []
     if any(a > 2 for a, _, _ in solutions):

@@ -17,13 +17,13 @@ def test_enumerate_small_examples():
     assert ca.enumerate_decompositions(1, (2, 3)) == []
     assert ca.enumerate_decompositions(6, (2, 3)) == [(0, 2), (3, 0)]
     assert ca.enumerate_decompositions(5, (1,)) == [(5,)]
-    assert ca.enumerate_decompositions(7, (2, 3), cross_check=True) == [
+    assert ca.enumerate_decompositions(7, (2, 3)) == [
         (2, 1)]
 
 
 def test_enumerate_is_sorted_and_complete():
     sizes = (3, 5, 7)
-    sols = ca.enumerate_decompositions(35, sizes, cross_check=True)
+    sols = ca.enumerate_decompositions(35, sizes)
     assert sols == sorted(sols)
     for sol in sols:
         assert sum(m * s for m, s in zip(sol, sizes)) == 35
@@ -51,7 +51,7 @@ def test_enumerate_randomized_cross_check():
         nparts = rng.randint(1, 4)
         sizes = tuple(rng.randint(1, 30) for _ in range(nparts))
         target = rng.randint(0, 120)
-        ca.enumerate_decompositions(target, sizes, cross_check=True)
+        ca.enumerate_decompositions(target, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +120,15 @@ def test_d4_verify_structure():
 def test_d4_rejects_even_p():
     with pytest.raises(ValueError):
         ca.d4_verify(2)
+
+
+@pytest.mark.parametrize("p", [9, 15, 1, 2, 4])
+@pytest.mark.parametrize("verify", [ca.u4_verify, ca.d4_verify],
+                         ids=["u4", "d4"])
+def test_analyses_reject_everything_but_odd_primes(verify, p):
+    # Odd composites such as 9 and 15 name no group over F_p.
+    with pytest.raises(ValueError, match="odd primes"):
+        verify(p)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,13 @@ def test_verify_d4_ok(capsys):
     assert blob["report"]["d4"] == {"5": "NoSolution"}
 
 
+def test_verify_rejects_an_odd_composite(capsys):
+    code, out, err = run(capsys, "verify", "u4", "--primes", "15")
+    assert code == 2
+    assert "odd primes" in err
+    assert out == ""
+
+
 def test_export_tables(capsys):
     code, blob = run_json(capsys, "export-tables")
     assert code == 0

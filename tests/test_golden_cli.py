@@ -4,7 +4,9 @@ The expected exit codes and standard outputs in ``data/golden_cli.json`` were
 recorded with the orbit-enumerating implementation, before torus-orbit sizes
 came from alcove stabilizers.  The twisted, Suzuki-Ree and ``candidates``
 invocations were added later, recorded with the per-weight descent that
-preceded descent plans.  Refactors must keep every output identical.
+preceded descent plans; the embedded-value invocations were recorded before
+the bound cascades shared their scope predicates and table step.  Refactors
+must keep every output identical.
 To record the file again, for a change that is meant to alter an output::
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -52,6 +54,25 @@ _TWISTED_BOUND_WEIGHTS = (
      ("0,0,0,0", "1,1,3,3", "1,0,2,1", "0,1,3,0")),
 )
 
+# One invocation for each embedded value no other entry pins: the exact
+# rank-1 values, every rule name of ``bounds.known_minimum`` and the exact
+# value of a 1-PIM.
+_EMBEDDED_BOUND_WEIGHTS = (
+    (("A", "1", "--q", "8"), ("0",)),
+    (("A", "1", "--q", "9"), ("4",)),
+    (("C", "2", "--q", "3"), ("0,0", "1,0")),
+    (("C", "2", "--q", "2"), ("1,0",)),
+    (("B", "2", "--q", "5"), ("1,2",)),
+    (("A", "2", "--q", "5"), ("1,3",)),
+    (("G2", "2", "--q", "2"), ("1,0",)),
+    (("G2", "2", "--q", "7"), ("3,4",)),
+    (("A", "2", "--q", "5", "--twist", "2"), ("1,2",)),
+    (("A", "3", "--q", "2", "--twist", "2"), ("1,0,0",)),
+    (("A", "4", "--q", "2", "--twist", "2"), ("1,0,0,1",)),
+    (("D", "4", "--q", "2", "--twist", "3"), ("0,0,0,0",)),
+    (("F4", "4", "--suzuki-ree-e", "0"), ("0,0,0,0",)),
+)
+
 _CANDIDATE_GROUPS = (
     ("A", "3", "--q", "3", "--twist", "2"),
     ("D", "4", "--q", "2", "--twist", "3"),
@@ -86,6 +107,8 @@ INVOCATIONS = tuple(
     + [("orbit-scan", *group, "--json") for group in _SCAN_GROUPS]
     + [("bound", *group, "--weight", w, "--json")
        for group, ws in _TWISTED_BOUND_WEIGHTS for w in ws]
+    + [("bound", *group, "--weight", w, "--json")
+       for group, ws in _EMBEDDED_BOUND_WEIGHTS for w in ws]
     + [("candidates", *group, "--json") for group in _CANDIDATE_GROUPS]
 )
 
