@@ -28,6 +28,9 @@ or the scope of the restriction bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import mul
+from typing import NamedTuple
 
 from .charlattice import orbit_size
 from .rootdata import (
@@ -38,13 +41,15 @@ from .rootdata import (
 )
 from .weights import (
     Weight,
+    _check_weight,
+    _piece_field,
     descend_weight,
     doubling_applicable,
     independent_violating_set,
     is_steinberg,
+    levi_pieces,
     socle_trivial_on_borel,
     steinberg_weight,
-    proper_parabolics,
     twisted_bn_rank,
 )
 
@@ -270,7 +275,24 @@ def independent_set_bound(spec: GroupSpec, weight: Weight) -> tuple[int, int]:
 # Recursive descent bound
 # ---------------------------------------------------------------------------
 
-_DESCENT_MEMO: dict = {}
+class DescentMemo:
+    """Descent values per group and weight, with counts of the values asked
+    for (``lookups``) and of those computed (``misses``)."""
+
+    __slots__ = ("values", "lookups", "misses")
+
+    def __init__(self):
+        self.values: dict = {}
+        self.lookups = 0
+        self.misses = 0
+
+    def store(self, key, value: int) -> int:
+        self.misses += 1
+        self.values[key] = value
+        return value
+
+
+_DESCENT_MEMO = DescentMemo()
 
 
 def _group_key(spec: GroupSpec):
@@ -289,16 +311,46 @@ def descent_bound(spec: GroupSpec, weight: Weight) -> int:
     strengthening along the designated type-A parabolic of the classical
     groups.  Values are memoised per group and weight.
     """
+    memo = _DESCENT_MEMO
+    memo.lookups += 1
     key = (_group_key(spec), weight.coeffs)
-    value = _DESCENT_MEMO.get(key)
+    value = memo.values.get(key)
     if value is None:
-        value = _DESCENT_MEMO[key] = _descent_value(spec, weight)
+        value = memo.store(key, _descent_value(spec, weight))
     return value
 
 
+class _PieceEntry(NamedTuple):
+    """One Levi piece of a group: the memo key of its descendant group, the
+    original indices summed into each descendant coefficient, their
+    multipliers, and the descendant group."""
+
+    key: tuple
+    columns: tuple[tuple[int, ...], ...]
+    multipliers: tuple[int, ...]
+    spec: GroupSpec
+
+
+@lru_cache(maxsize=None)
+def _piece_table(spec: GroupSpec) -> tuple[_PieceEntry, ...]:
+    """The supported Levi pieces of a group, built on its first memo miss."""
+    suzuki_ree = isinstance(spec.field, SuzukiReeField)
+    table = []
+    for piece in levi_pieces(spec.datum, suzuki_ree):
+        multipliers, dfield = _piece_field(piece, spec.field, suzuki_ree)
+        dspec = GroupSpec(piece.datum, dfield)
+        table.append(_PieceEntry(_group_key(dspec), tuple(zip(*piece.indices)),
+                                 multipliers, dspec))
+    return tuple(table)
+
+
 def _descent_value(spec: GroupSpec, weight: Weight) -> int:
-    """The uncached body of :func:`descent_bound`.  It recurses through
-    ``descent_bound``, so every descendant is looked up in the memo."""
+    """The uncached body of :func:`descent_bound`.
+
+    Plain descent takes the best value over the Levi pieces of the group
+    (see :func:`weights.levi_pieces`), which equals the best value over every
+    descendant of every supported proper parabolic.  Each piece reads its
+    descendant in the memo, and computes it there on a miss."""
     if is_steinberg(spec, weight):
         return 1
     if _is_sl2(spec):
@@ -310,13 +362,21 @@ def _descent_value(spec: GroupSpec, weight: Weight) -> int:
         best = max(best, independent_set_bound(spec, weight)[0])
     if not _descends(spec):
         return best
-    for parabolic in proper_parabolics(d):
-        try:
-            descendants = descend_weight(spec, parabolic, weight)
-        except UnsupportedGroupError:
-            continue
-        for desc in descendants:
-            best = max(best, descent_bound(desc.spec, desc.weight))
+    _check_weight(spec, weight)
+    memo = _DESCENT_MEMO
+    values = memo.values
+    coeffs = weight.coeffs
+    pieces = _piece_table(spec)
+    memo.lookups += len(pieces)
+    for key, columns, multipliers, dspec in pieces:
+        dcoeffs = tuple([sum(map(mul, multipliers, map(coeffs.__getitem__, column)))
+                         for column in columns])
+        memo_key = (key, dcoeffs)
+        value = values.get(memo_key)
+        if value is None:
+            value = memo.store(memo_key, _descent_value(dspec, Weight(dcoeffs)))
+        if value > best:
+            best = value
     try:
         rule = doubling_applicable(spec, weight)
     except UnsupportedGroupError:

@@ -15,6 +15,16 @@ and induced twist, the Frobenius orbits of components, the descendant root
 data, and any reason the descent is unsupported) is built once per root
 datum, node set and kind of field, on first use, and cached.
 :func:`descend_weight` then only reads and sums coefficients.
+
+Levi pieces: one Frobenius orbit of components of a plan is a *piece*.  It
+depends on that orbit only, so it is also the single piece of its own node
+set, and :func:`levi_pieces` lists each supported piece of a datum once.
+The recursive bound in :mod:`pimbounds.bounds` runs over these pieces
+instead of over every proper parabolic.
+
+The candidate sieve reads each parabolic's verdict off the coefficients on
+its nodes (all maximal, or all zero); only whether a zero restriction is
+allowed depends on the Levi factor, and that is found once per parabolic.
 """
 
 from __future__ import annotations
@@ -178,8 +188,10 @@ def proper_parabolics(datum: RootDatum) -> tuple[ParabolicSubset, ...]:
     return tuple(twist_stable_subsets(datum))
 
 
+@lru_cache(maxsize=None)
 def twisted_bn_rank(datum: RootDatum) -> int:
-    """Number of diagram-symmetry orbits on the nodes (the relative rank)."""
+    """Number of diagram-symmetry orbits on the nodes (the relative rank),
+    counted once per datum."""
     seen = set()
     count = 0
     for i in range(1, datum.rank + 1):
@@ -363,13 +375,6 @@ def _check_datum(spec: GroupSpec, parabolic: ParabolicSubset) -> None:
         raise ValueError("parabolic subset belongs to a different root datum")
 
 
-def _validate_descent_input(spec: GroupSpec, parabolic: ParabolicSubset,
-                            weight: Weight) -> None:
-    _check_datum(spec, parabolic)
-    _check_parabolic(parabolic)
-    _check_weight(spec, weight)
-
-
 @dataclass(frozen=True, slots=True)
 class _LeviPiece:
     """One Frobenius-fixed Levi component, or one orbit of components.
@@ -459,6 +464,17 @@ def _extension_field(q: int) -> IntegerField:
     return IntegerField(q)
 
 
+def _piece_field(piece: _LeviPiece, field, suzuki_ree: bool):
+    """The multipliers read along a piece's Frobenius orbit (q^k, or
+    (1, p^e) for the Suzuki and Ree groups) and the field of its descendant."""
+    if piece.kind == "fixed":
+        return (1,), _extension_field(field.q_squared) if suzuki_ree else field
+    if suzuki_ree:
+        return (1, field.q1), _extension_field(field.q_squared)
+    a = len(piece.indices)
+    return tuple(field.q ** k for k in range(a)), _extension_field(field.q ** a)
+
+
 def descend_weight(spec: GroupSpec, parabolic: ParabolicSubset,
                    weight: Weight) -> tuple[Descendant, ...]:
     """Restrict a weight to the Levi factor of a twist-stable parabolic.
@@ -489,56 +505,33 @@ def descend_weight(spec: GroupSpec, parabolic: ParabolicSubset,
     coeffs = weight.coeffs
     out = []
     for piece in plan.pieces:
-        if piece.kind == "fixed":
-            dweight = tuple(coeffs[i] for i in piece.indices[0])
-            dfield = _extension_field(field.q_squared) if suzuki_ree else field
-        else:
-            if suzuki_ree:
-                multipliers = (1, field.q1)
-                dfield = _extension_field(field.q_squared)
-            else:
-                a = len(piece.indices)
-                multipliers = tuple(field.q ** k for k in range(a))
-                dfield = _extension_field(field.q ** a)
-            dweight = tuple(sum(m * coeffs[i] for m, i in zip(multipliers, column))
-                            for column in zip(*piece.indices))
+        multipliers, dfield = _piece_field(piece, field, suzuki_ree)
+        dweight = tuple(sum(m * coeffs[i] for m, i in zip(multipliers, column))
+                        for column in zip(*piece.indices))
         out.append(Descendant(GroupSpec(piece.datum, dfield), Weight(dweight),
                               piece.original_nodes))
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def levi_pieces(datum: RootDatum, suzuki_ree: bool) -> tuple[_LeviPiece, ...]:
+    """The supported pieces of a datum, one per twist-stable node set that is
+    a single Frobenius orbit of connected components, in the order of
+    :func:`proper_parabolics`.
+
+    A piece depends only on its orbit of components, so every piece of a
+    proper parabolic's plan is the piece of its own node set, and a plan is
+    unsupported exactly when one of its pieces is.  A maximum over the
+    pieces of every supported proper parabolic is therefore a maximum over
+    these pieces.  Built once per datum and kind of field.
+    """
+    plans = (_descent_plan(p, suzuki_ree) for p in proper_parabolics(datum))
+    return tuple(plan.pieces[0] for plan in plans if len(plan.pieces) == 1)
+
+
 # ---------------------------------------------------------------------------
 # Structural predicates
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DescentFlags:
-    """Structure of the restriction of a simple module to a parabolic."""
-
-    levi_restriction_is_linear: bool
-    levi_restriction_is_steinberg: bool
-
-
-def descent_flags(spec: GroupSpec, parabolic: ParabolicSubset,
-                  weight: Weight) -> DescentFlags:
-    """Linearity / Steinberg detection for the restriction to a Levi factor.
-
-    The restriction is one-dimensional exactly when every coefficient on the
-    parabolic nodes vanishes, and has full defect zero (Steinberg) exactly
-    when every coefficient on those nodes is maximal.  Not available for the
-    large Ree groups of type F4, whose parabolic structure is outside the
-    scope of these criteria.
-    """
-    if isinstance(spec.field, SuzukiReeField) and spec.datum.family == "F4":
-        raise UnsupportedGroupError(
-            "restriction flags are not defined for the large Ree groups here")
-    _validate_descent_input(spec, parabolic, weight)
-    ranges = coefficient_ranges(spec)
-    nodes = sorted(parabolic.nodes)
-    linear = all(weight[n] == 0 for n in nodes)
-    steinberg = all(weight[n] == ranges[n - 1] - 1 for n in nodes)
-    return DescentFlags(linear, steinberg)
 
 
 def socle_trivial_on_borel(spec: GroupSpec, weight: Weight) -> bool:
@@ -585,28 +578,40 @@ def minimal_pim_candidates(spec: GroupSpec) -> list[Weight]:
     there.  The zero weight and the Steinberg weight are excluded from the
     output.  Requires relative rank >= 2 (otherwise there is no proper
     parabolic above the Borel) and a concrete field parameter.
+
+    Both conditions are read off the coefficients on J: the restriction is
+    Steinberg when they are all maximal, and every descendant weight is zero
+    when they all vanish.  Whether every descendant is one of the small
+    groups depends on J only; it is found once per J, through the descent
+    of the zero weight, the first time a weight needs it.
     """
     if twisted_bn_rank(spec.datum) < 2:
         raise UnsupportedGroupError(
             f"{spec.describe()} has no proper parabolic above a Borel subgroup")
-    st = steinberg_weight(spec)
-    ranges = coefficient_ranges(spec)
+    top = steinberg_weight(spec).coeffs
+    zero = Weight((0,) * spec.datum.rank)
     parabolics = proper_parabolics(spec.datum)
+    node_sets = [tuple(n - 1 for n in sorted(p.nodes)) for p in parabolics]
+    trivial_allowed: dict[int, bool] = {}
+
+    def allows_trivial(k: int) -> bool:
+        if k not in trivial_allowed:
+            trivial_allowed[k] = all(
+                _trivial_restriction_allowed(d.spec)
+                for d in descend_weight(spec, parabolics[k], zero))
+        return trivial_allowed[k]
+
     survivors = []
-    for weight in enumerate_restricted_weights(spec):
-        if weight.is_zero() or weight == st:
+    for coeffs in itertools.product(*(range(r) for r in coefficient_ranges(spec))):
+        if coeffs == top or not any(coeffs):
             continue
-        ok = True
-        for parabolic in parabolics:
-            if all(weight[n] == ranges[n - 1] - 1 for n in parabolic.nodes):
+        for k, nodes in enumerate(node_sets):
+            if all(coeffs[i] == top[i] for i in nodes):
                 continue  # Steinberg restriction on this Levi
-            descendants = descend_weight(spec, parabolic, weight)
-            if not all(d.weight.is_zero() and _trivial_restriction_allowed(d.spec)
-                       for d in descendants):
-                ok = False
+            if not (allows_trivial(k) and not any(coeffs[i] for i in nodes)):
                 break
-        if ok:
-            survivors.append(weight)
+        else:
+            survivors.append(Weight(coeffs))
     return survivors
 
 

@@ -1,10 +1,13 @@
 """Tests for the bound rules, certificates and the final classification."""
 
+import random
+
 import pytest
 
 from pimbounds import (
     bounds as bd,
     caseanalysis as ca,
+    cli,
     rootdata as rd,
     weights as wt,
 )
@@ -136,6 +139,143 @@ def test_descent_bound_twisted_groups():
     # Triality D4 over F_2.
     spec = rd.group("D", 4, q=2, twist_order=3)
     assert bd.descent_bound(spec, Weight((0, 0, 0, 0))) >= 15
+
+
+def reference_descent_bound(spec, weight, memo):
+    """The descent bound as it stood before the Levi piece tables: every
+    proper parabolic through ``descend_weight``, with a memo of its own."""
+    key = (spec.describe(), weight.coeffs)
+    if key not in memo:
+        memo[key] = _reference_descent_value(spec, weight, memo)
+    return memo[key]
+
+
+def _reference_descent_value(spec, weight, memo):
+    if wt.is_steinberg(spec, weight):
+        return 1
+    if bd._is_sl2(spec):
+        return bd.rank_one_multiplier(spec.q, weight[1])
+    table = bd._table_step(spec, weight)
+    best = 1 if table is None else table.value
+    if bd._is_split(spec) and spec.datum.rank >= 2:
+        best = max(best, bd.independent_set_bound(spec, weight)[0])
+    if not bd._descends(spec):
+        return best
+    for parabolic in wt.proper_parabolics(spec.datum):
+        try:
+            descendants = wt.descend_weight(spec, parabolic, weight)
+        except rd.UnsupportedGroupError:
+            continue
+        for desc in descendants:
+            best = max(best, reference_descent_bound(desc.spec, desc.weight, memo))
+    try:
+        rule = wt.doubling_applicable(spec, weight)
+    except rd.UnsupportedGroupError:
+        rule = None
+    if rule is not None and rule.applicable:
+        inner = max(reference_descent_bound(desc.spec, desc.weight, memo)
+                    for desc in wt.descend_weight(spec, rule.parabolic, weight))
+        best = max(best, 2 * inner)
+    return best
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except ValueError as exc:  # UnsupportedGroupError included
+        return (type(exc), str(exc))
+
+
+def test_descent_bound_equals_reference_loop():
+    memo = {}
+    for spec in SWEEP:
+        for w in wt.enumerate_restricted_weights(spec):
+            assert (bd.descent_bound(spec, w)
+                    == reference_descent_bound(spec, w, memo)), (spec.describe(), w)
+    rng = random.Random(20240607)
+    for spec in (rd.group("D", 4, q=8), rd.group("E6", 6, q=4)):
+        ranges = wt.coefficient_ranges(spec)
+        for _ in range(300):
+            w = Weight(tuple(rng.randrange(r) for r in ranges))
+            assert (bd.descent_bound(spec, w)
+                    == reference_descent_bound(spec, w, memo)), (spec.describe(), w)
+
+
+def test_descent_bound_rejects_bad_weights_as_before():
+    cases = [
+        (rd.group("D", 4, q=8), Weight((8, 0, 0, 0))),
+        (rd.group("D", 4, q=8), Weight((0, 0, 0, 0, 0))),
+        (rd.special_unitary(5, 2), Weight((0, 2, 0, 0))),
+        (rd.group("D", 4, q=3, twist_order=3), Weight((0, 0, 0, 3))),
+    ]
+    for spec, weight in cases:
+        got = _outcome(bd.descent_bound, spec, weight)
+        assert got == _outcome(reference_descent_bound, spec, weight, {})
+        assert got[0] is ValueError
+
+
+def _structure_cases():
+    """Every datum of ``verify tables``, every twisted form of it, and the
+    Suzuki-Ree forms, each with its kind of field."""
+    for datum in cli._iter_small_data():
+        yield datum, False
+        for twist in (2, 3):
+            try:
+                twisted = rd.build_root_datum(datum.family, datum.rank, twist)
+            except rd.UnsupportedGroupError:
+                continue
+            suzuki_ree = (datum.family, datum.rank) in (
+                ("B", 2), ("G2", 2), ("F4", 4))
+            yield twisted, suzuki_ree
+
+
+def _component_orbits(parabolic):
+    """The node sets of the Frobenius orbits of the connected components,
+    in the order of their smallest component."""
+    datum = parabolic.datum
+    out = []
+    for comp in parabolic.components():
+        if any(comp[0] in nodes for nodes in out):
+            continue
+        nodes = set(comp)
+        while {datum.apply_perm(n) for n in nodes} - nodes:
+            nodes |= {datum.apply_perm(n) for n in nodes}
+        out.append(frozenset(nodes))
+    return out
+
+
+def test_every_levi_piece_is_the_piece_of_its_own_node_set():
+    for datum, suzuki_ree in _structure_cases():
+        used = set()
+        for parabolic in wt.proper_parabolics(datum):
+            plan = wt._descent_plan(parabolic, suzuki_ree)
+            singles = [wt._descent_plan(wt.ParabolicSubset(datum, nodes),
+                                        suzuki_ree)
+                       for nodes in _component_orbits(parabolic)]
+            assert all(len(s.pieces) == (s.unsupported is None)
+                       for s in singles)
+            unsupported = [s.unsupported for s in singles if s.unsupported]
+            if plan.unsupported is None:
+                assert not unsupported
+                assert plan.pieces == tuple(s.pieces[0] for s in singles)
+                used.update(plan.pieces)
+            else:
+                assert plan.unsupported == unsupported[0]
+        pieces = wt.levi_pieces(datum, suzuki_ree)
+        assert len(set(pieces)) == len(pieces)
+        assert set(pieces) == used, (datum.family, datum.rank, suzuki_ree)
+
+
+def test_descent_memo_counts_a_fresh_sweep(monkeypatch):
+    # The set of descent values computed for the D4(8)-then-A4(8) sweep is
+    # the one computed when descent ran through every proper parabolic.
+    memo = bd.DescentMemo()
+    monkeypatch.setattr(bd, "_DESCENT_MEMO", memo)
+    for spec in (rd.group("D", 4, q=8), rd.group("A", 4, q=8)):
+        for w in wt.enumerate_restricted_weights(spec):
+            bd.best_bound(spec, w)
+    assert memo.misses == len(memo.values) == 8774
+    assert memo.lookups > memo.misses
 
 
 # ---------------------------------------------------------------------------

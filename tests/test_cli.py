@@ -81,6 +81,16 @@ def test_candidates_command(capsys):
     assert blob["candidates"] == [[0, 2], [2, 0]]
 
 
+def test_candidates_large_ree_reports_its_unsupported_levi(capsys):
+    # The symmetry-fixed pair {2, 3} of the large Ree groups is a C2 on
+    # which the symmetry acts with order 2; the sieve stops there.
+    code, out, err = run(capsys, "candidates", "F4", "4", "--suzuki-ree-e", "1")
+    assert code == 2
+    assert out == ""
+    assert ("induced symmetry of order 2 on a component of type C is outside "
+            "the toolkit") in err
+
+
 def test_verify_u4_ok(capsys):
     code, blob = run_json(capsys, "verify", "u4", "--primes", "3", "--json")
     assert code == 0
