@@ -23,6 +23,15 @@ of :func:`known_minimum`.  Both bound cascades and the Sylow classification
 read them, so each "no" of the classification comes from the exact rank-1
 values, a case analysis of :mod:`pimbounds.caseanalysis`, the embedded minima
 or the scope of the restriction bound.
+
+Group plans: what the rules need to know about a group that does not depend
+on the weight (its name and memo key, the Steinberg coefficients and the
+coefficient ranges, the four rule scopes, the embedded minimum, whether a
+doubling parabolic exists, and for split groups of rank >= 2 the size of a
+largest independent node set inside every node set) is built once per group,
+on first use, and cached.  A weight then costs a tuple comparison for
+Steinberg, one bitmask and one table index for the independent set, and the
+rules that really depend on it.
 """
 
 from __future__ import annotations
@@ -42,11 +51,12 @@ from .rootdata import (
 from .weights import (
     Weight,
     _check_weight,
+    _doubling_parabolic,
+    _independent_set_sizes,
     _piece_field,
+    coefficient_ranges,
     descend_weight,
     doubling_applicable,
-    independent_violating_set,
-    is_steinberg,
     levi_pieces,
     socle_trivial_on_borel,
     steinberg_weight,
@@ -205,16 +215,89 @@ def known_minimum(spec: GroupSpec) -> KnownMinimum | None:
 _ONE_PIM_DETAIL = "embedded exact value for the 1-PIM"
 
 
-def _table_step(spec: GroupSpec, weight: Weight) -> ChainStep | None:
-    """The embedded value for one weight: the exact multiplier of the 1-PIM
-    when the table records it and the weight is zero, else the minimum."""
+# ---------------------------------------------------------------------------
+# Group plans
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class _GroupPlan:
+    """The weight-independent facts that every rule reads about one group."""
+
+    group: str  # spec.describe(), the certificate's group name
+    key: tuple  # the group's part of a descent-memo key
+    q: int | None  # integer field size; None for the Suzuki and Ree groups
+    steinberg: tuple[int, ...]
+    ranges: tuple[int, ...]  # coefficient range sizes
+    sl2: bool  # the scopes of the four rules, from the predicates above
+    split: bool
+    hc: bool
+    descends: bool
+    # The embedded table steps, for the zero weight and for the others.
+    table_steps: tuple[ChainStep, ChainStep] | None
+    doubling: bool  # a designated doubling parabolic exists
+    # Split groups of rank >= 2: the independent-set size per node bitmask.
+    independent: tuple[int, ...] | None
+
+    def table_step(self, coeffs: tuple[int, ...]) -> ChainStep | None:
+        """The embedded value for one weight: the exact multiplier of the
+        1-PIM when the table records it and the weight is zero, else the
+        minimum."""
+        if self.table_steps is None:
+            return None
+        return self.table_steps[1] if any(coeffs) else self.table_steps[0]
+
+    def independent_size(self, coeffs: tuple[int, ...]) -> int:
+        """Size of a largest independent set of nodes whose coefficient is
+        outside {0, q-1}; ``coeffs`` must have the group's rank."""
+        top = self.q - 1
+        mask = 0
+        bit = 1
+        for c in coeffs:
+            if c and c != top:
+                mask |= bit
+            bit <<= 1
+        return self.independent[mask]
+
+
+def _table_steps(spec: GroupSpec) -> tuple[ChainStep, ChainStep] | None:
     table = known_minimum(spec)
     if table is None:
         return None
-    if weight.is_zero() and table.zero_weight_value is not None:
-        return ChainStep(table.rule, table.zero_weight_value, _ONE_PIM_DETAIL)
-    return ChainStep(table.rule, table.value,
-                     "embedded minimum over non-Steinberg modules")
+    minimum = ChainStep(table.rule, table.value,
+                        "embedded minimum over non-Steinberg modules")
+    if table.zero_weight_value is None:
+        return minimum, minimum
+    return ChainStep(table.rule, table.zero_weight_value, _ONE_PIM_DETAIL), minimum
+
+
+def _has_doubling_parabolic(spec: GroupSpec) -> bool:
+    try:
+        _doubling_parabolic(spec)
+    except UnsupportedGroupError:
+        return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _group_plan(spec: GroupSpec) -> _GroupPlan:
+    """The plan of a group, built on first use."""
+    split = _is_split(spec)
+    return _GroupPlan(
+        group=spec.describe(),
+        key=_group_key(spec),
+        q=None if spec.is_suzuki_ree else spec.q,
+        steinberg=steinberg_weight(spec).coeffs,
+        ranges=coefficient_ranges(spec),
+        sl2=_is_sl2(spec),
+        split=split,
+        hc=_hc_in_scope(spec),
+        descends=_descends(spec),
+        table_steps=_table_steps(spec),
+        doubling=_has_doubling_parabolic(spec),
+        independent=(_independent_set_sizes(spec.datum)
+                     if split and spec.datum.rank >= 2 else None),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +326,14 @@ def hc_bound(spec: GroupSpec, weight: Weight) -> tuple[int, str]:
     (rank+1, 2*rank, 27, 28, 120); when it is trivial the bound is the
     minimum dimension of a nonlinear Weyl-group character.
     """
-    if not _is_split(spec):
+    plan = _group_plan(spec)
+    if not plan.split:
         raise UnsupportedGroupError("the restriction bound needs a split group")
-    if not _hc_in_scope(spec):
+    if not plan.hc:
         raise UnsupportedGroupError(
-            f"the restriction bound is not stated for {spec.describe()}")
+            f"the restriction bound is not stated for {plan.group}")
     d = spec.datum
-    if is_steinberg(spec, weight):
+    if weight.coeffs == plan.steinberg:
         return 1, "Steinberg module: multiplier exactly 1"
     if socle_trivial_on_borel(spec, weight):
         return (d.min_nonlinear_degree,
@@ -262,13 +346,19 @@ def independent_set_bound(spec: GroupSpec, weight: Weight) -> tuple[int, int]:
     """The 2^|J| bound from an independent set of A1 Levi factors.
 
     Returns ``(bound, set_size)``.  Split groups of rank >= 2 only; nodes
-    must carry a coefficient outside {0, q-1}.
+    must carry a coefficient outside {0, q-1}.  The size is read off the
+    group plan's table, filled by the search of
+    :func:`weights.independent_violating_set`.
     """
     if spec.datum.rank < 2:
         raise UnsupportedGroupError("the independent-set bound needs rank >= 2")
-    parabolic = independent_violating_set(spec, weight)
-    size = len(parabolic.nodes)
-    return (2 ** size if size else 1), size
+    plan = _group_plan(spec)
+    if plan.independent is None:
+        raise UnsupportedGroupError(
+            "the independent-set criterion is stated for split groups")
+    _check_weight(weight, plan.ranges)
+    size = plan.independent_size(weight.coeffs)
+    return 2 ** size, size
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +403,11 @@ def descent_bound(spec: GroupSpec, weight: Weight) -> int:
     """
     memo = _DESCENT_MEMO
     memo.lookups += 1
-    key = (_group_key(spec), weight.coeffs)
+    plan = _group_plan(spec)
+    key = (plan.key, weight.coeffs)
     value = memo.values.get(key)
     if value is None:
-        value = memo.store(key, _descent_value(spec, weight))
+        value = memo.store(key, _descent_value(spec, weight, plan))
     return value
 
 
@@ -344,28 +435,27 @@ def _piece_table(spec: GroupSpec) -> tuple[_PieceEntry, ...]:
     return tuple(table)
 
 
-def _descent_value(spec: GroupSpec, weight: Weight) -> int:
+def _descent_value(spec: GroupSpec, weight: Weight, plan: _GroupPlan) -> int:
     """The uncached body of :func:`descent_bound`.
 
     Plain descent takes the best value over the Levi pieces of the group
     (see :func:`weights.levi_pieces`), which equals the best value over every
     descendant of every supported proper parabolic.  Each piece reads its
     descendant in the memo, and computes it there on a miss."""
-    if is_steinberg(spec, weight):
+    coeffs = weight.coeffs
+    if coeffs == plan.steinberg:
         return 1
-    if _is_sl2(spec):
-        return rank_one_multiplier(spec.q, weight[1])
-    table = _table_step(spec, weight)
+    if plan.sl2:
+        return rank_one_multiplier(plan.q, coeffs[0])
+    table = plan.table_step(coeffs)
     best = 1 if table is None else table.value
-    d = spec.datum
-    if _is_split(spec) and d.rank >= 2:
-        best = max(best, independent_set_bound(spec, weight)[0])
-    if not _descends(spec):
-        return best
-    _check_weight(spec, weight)
+    if not plan.descends:
+        return best  # every split group of rank >= 2 descends
+    _check_weight(weight, plan.ranges)
+    if plan.independent is not None:
+        best = max(best, 2 ** plan.independent_size(coeffs))
     memo = _DESCENT_MEMO
     values = memo.values
-    coeffs = weight.coeffs
     pieces = _piece_table(spec)
     memo.lookups += len(pieces)
     for key, columns, multipliers, dspec in pieces:
@@ -374,24 +464,27 @@ def _descent_value(spec: GroupSpec, weight: Weight) -> int:
         memo_key = (key, dcoeffs)
         value = values.get(memo_key)
         if value is None:
-            value = memo.store(memo_key, _descent_value(dspec, Weight(dcoeffs)))
+            value = memo.store(memo_key, _descent_value(
+                dspec, Weight(dcoeffs), _group_plan(dspec)))
         if value > best:
             best = value
-    try:
+    if plan.doubling:
         rule = doubling_applicable(spec, weight)
-    except UnsupportedGroupError:
-        rule = None
-    if rule is not None and rule.applicable:
-        descendants = descend_weight(spec, rule.parabolic, weight)
-        inner = max(descent_bound(desc.spec, desc.weight)
-                    for desc in descendants)
-        best = max(best, 2 * inner)
+        if rule.applicable:
+            descendants = descend_weight(spec, rule.parabolic, weight)
+            inner = max(descent_bound(desc.spec, desc.weight)
+                        for desc in descendants)
+            best = max(best, 2 * inner)
     return best
 
 
 # ---------------------------------------------------------------------------
 # Combined certificate
 # ---------------------------------------------------------------------------
+
+
+_STEINBERG_STEP = ChainStep("steinberg", 1,
+                            "defect-zero module: multiplier exactly 1")
 
 
 def best_bound(spec: GroupSpec, weight: Weight) -> BoundCertificate:
@@ -401,40 +494,38 @@ def best_bound(spec: GroupSpec, weight: Weight) -> BoundCertificate:
     each rule's contribution.  The bound is exact for the Steinberg weight,
     for rank-1 groups of type A and for a 1-PIM whose value is embedded.
     """
-    if is_steinberg(spec, weight):
-        step = ChainStep("steinberg", 1,
-                         "defect-zero module: multiplier exactly 1")
-        return BoundCertificate(spec.describe(), weight.coeffs, 1, True,
-                                (step,))
+    plan = _group_plan(spec)
+    coeffs = weight.coeffs
+    if coeffs == plan.steinberg:
+        return BoundCertificate(plan.group, coeffs, 1, True, (_STEINBERG_STEP,))
     steps: list[ChainStep] = []
-    exact = _is_sl2(spec)
+    exact = plan.sl2
     if exact:
         steps.append(ChainStep("rank1-exact",
-                               rank_one_multiplier(spec.q, weight[1]),
+                               rank_one_multiplier(plan.q, coeffs[0]),
                                "exact rank-1 multiplier from base-p digits"))
-    table = _table_step(spec, weight)
+    table = plan.table_step(coeffs)
     if table is not None:
         steps.append(table)
         exact = exact or table.detail == _ONE_PIM_DETAIL
-    if _is_split(spec):
+    if plan.split:
         steps.append(ChainStep(
             "torus-orbit", ballard_bound(spec, weight),
             "Weyl orbit length of the weight reduced modulo q-1"))
-        if spec.datum.rank >= 2:
-            value, size = independent_set_bound(spec, weight)
+        if plan.independent is not None:
+            size = plan.independent_size(coeffs)
             if size:
                 steps.append(ChainStep(
-                    "independent-set", value,
+                    "independent-set", 2 ** size,
                     f"2^{size} from an independent set of A1 Levi factors"))
-    if _hc_in_scope(spec):
+    if plan.hc:
         value, reason = hc_bound(spec, weight)
         steps.append(ChainStep("hc-restriction", value, reason))
-    if _descends(spec):
+    if plan.descends:
         steps.append(ChainStep("parabolic-descent", descent_bound(spec, weight),
                                "recursion through twist-stable parabolics"))
     bound = max((s.value for s in steps), default=1)
-    return BoundCertificate(spec.describe(), weight.coeffs, bound, exact,
-                            tuple(steps))
+    return BoundCertificate(plan.group, coeffs, bound, exact, tuple(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import (
@@ -426,14 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_info = sub.add_parser("info", help="basic data for one group")
     _add_group_arguments(p_info)
     p_info.add_argument("--json", action="store_true")
-    p_info.set_defaults(func=_cmd_info)
 
     p_orbit = sub.add_parser("orbit", help="Weyl orbit of one torus character")
     _add_group_arguments(p_orbit)
     p_orbit.add_argument("--beta", required=True,
                          help="comma-separated character coordinates")
     p_orbit.add_argument("--json", action="store_true")
-    p_orbit.set_defaults(func=_cmd_orbit)
 
     p_scan = sub.add_parser("orbit-scan", help="scan all torus characters")
     _add_group_arguments(p_scan)
@@ -441,20 +440,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--cache-dir", default=None,
                         help="directory for cached scan results")
     p_scan.add_argument("--json", action="store_true")
-    p_scan.set_defaults(func=_cmd_orbit_scan)
 
     p_bound = sub.add_parser("bound", help="certified lower bound for a weight")
     _add_group_arguments(p_bound)
     p_bound.add_argument("--weight", required=True,
                          help="comma-separated restricted weight coefficients")
     p_bound.add_argument("--json", action="store_true")
-    p_bound.set_defaults(func=_cmd_bound)
 
     p_cand = sub.add_parser("candidates",
                             help="weights surviving the projectivity sieve")
     _add_group_arguments(p_cand)
     p_cand.add_argument("--json", action="store_true")
-    p_cand.set_defaults(func=_cmd_candidates)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=_SUITES)
@@ -462,23 +458,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--f", type=int, nargs="+", default=None,
                           help="Ree exponents f (with t = 3^f)")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=_cmd_verify)
 
-    p_export = sub.add_parser("export-tables",
-                              help="dump the embedded datasets as JSON")
-    p_export.set_defaults(func=_cmd_export_tables)
+    sub.add_parser("export-tables", help="dump the embedded datasets as JSON")
 
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else EXIT_OK
+    # The handler is looked up at call time, so a reused parser holds none.
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (UnsupportedGroupError, ValueError,
             charlattice.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

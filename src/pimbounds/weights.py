@@ -96,8 +96,10 @@ def restricted_weight_count(spec: GroupSpec) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
 def steinberg_weight(spec: GroupSpec) -> Weight:
-    """The weight of the Steinberg module: maximal in every coordinate."""
+    """The weight of the Steinberg module: maximal in every coordinate.
+    Built once per group."""
     return Weight(tuple(r - 1 for r in coefficient_ranges(spec)))
 
 
@@ -361,10 +363,12 @@ def _check_parabolic(parabolic: ParabolicSubset) -> None:
         raise ValueError("descent needs a twist-stable node set")
 
 
-def _check_weight(spec: GroupSpec, weight: Weight) -> None:
-    if len(weight.coeffs) != spec.datum.rank:
+def _check_weight(weight: Weight, ranges: tuple[int, ...]) -> None:
+    """Reject a weight whose length is not the rank or that is not restricted
+    for the coefficient ranges of its group."""
+    if len(weight.coeffs) != len(ranges):
         raise ValueError("weight length does not match the rank")
-    if any(map(operator.ge, weight.coeffs, coefficient_ranges(spec))):
+    if any(map(operator.ge, weight.coeffs, ranges)):
         raise ValueError("weight is not restricted for this group")
 
 
@@ -498,7 +502,7 @@ def descend_weight(spec: GroupSpec, parabolic: ParabolicSubset,
     plan = _descent_plan(parabolic, suzuki_ree)
     if plan.invalid is not None:
         raise ValueError(plan.invalid)
-    _check_weight(spec, weight)
+    _check_weight(weight, coefficient_ranges(spec))
     if plan.unsupported is not None:
         error, message = plan.unsupported
         raise error(message)
@@ -687,6 +691,32 @@ def doubling_applicable(spec: GroupSpec, weight: Weight) -> DoublingRule:
     return DoublingRule(parabolic, True, None)
 
 
+def _largest_independent_set(datum: RootDatum,
+                             candidates: list[int]) -> tuple[int, ...]:
+    """A largest set of pairwise non-adjacent nodes among ``candidates`` (in
+    increasing order), found exhaustively (rank <= 8).  Ties are broken by
+    the lexicographically smallest node tuple."""
+    adjacency = datum.adjacency()
+    for r in range(len(candidates), 0, -1):
+        for combo in itertools.combinations(candidates, r):
+            if all(b not in adjacency[a]
+                   for a, b in itertools.combinations(combo, 2)):
+                return combo
+    return ()
+
+
+@lru_cache(maxsize=None)
+def _independent_set_sizes(datum: RootDatum) -> tuple[int, ...]:
+    """The size of a largest independent node set inside each node set,
+    indexed by the bitmask of the set (bit i-1 for node i): 2^rank entries,
+    built once per datum."""
+    nodes = range(1, datum.rank + 1)
+    return tuple(
+        len(_largest_independent_set(
+            datum, [n for n in nodes if mask >> (n - 1) & 1]))
+        for mask in range(1 << datum.rank))
+
+
 def independent_violating_set(spec: GroupSpec, weight: Weight) -> ParabolicSubset:
     """Largest independent node set where the weight avoids {0, q-1}.
 
@@ -701,16 +731,5 @@ def independent_violating_set(spec: GroupSpec, weight: Weight) -> ParabolicSubse
     q = spec.q
     candidates = [i for i in range(1, spec.datum.rank + 1)
                   if weight[i] not in (0, q - 1)]
-    adjacency = spec.datum.adjacency()
-    best: tuple[int, ...] = ()
-    for r in range(len(candidates), 0, -1):
-        found = None
-        for combo in itertools.combinations(candidates, r):
-            if all(b not in adjacency[a]
-                   for a, b in itertools.combinations(combo, 2)):
-                found = combo
-                break
-        if found is not None:
-            best = found
-            break
+    best = _largest_independent_set(spec.datum, candidates)
     return ParabolicSubset(spec.datum, frozenset(best))

@@ -1,5 +1,6 @@
 """Tests for the bound rules, certificates and the final classification."""
 
+import json
 import random
 
 import pytest
@@ -155,10 +156,10 @@ def _reference_descent_value(spec, weight, memo):
         return 1
     if bd._is_sl2(spec):
         return bd.rank_one_multiplier(spec.q, weight[1])
-    table = bd._table_step(spec, weight)
+    table = _reference_table_step(spec, weight)
     best = 1 if table is None else table.value
     if bd._is_split(spec) and spec.datum.rank >= 2:
-        best = max(best, bd.independent_set_bound(spec, weight)[0])
+        best = max(best, 2 ** _searched_independent_set_size(spec, weight))
     if not bd._descends(spec):
         return best
     for parabolic in wt.proper_parabolics(spec.datum):
@@ -177,6 +178,24 @@ def _reference_descent_value(spec, weight, memo):
                     for desc in wt.descend_weight(spec, rule.parabolic, weight))
         best = max(best, 2 * inner)
     return best
+
+
+def _reference_table_step(spec, weight):
+    """The embedded value for one weight, read from ``known_minimum``: the
+    exact multiplier of the 1-PIM when the table records it and the weight
+    is zero, else the minimum."""
+    table = bd.known_minimum(spec)
+    if table is None:
+        return None
+    if weight.is_zero() and table.zero_weight_value is not None:
+        return bd.ChainStep(table.rule, table.zero_weight_value,
+                            "embedded exact value for the 1-PIM")
+    return bd.ChainStep(table.rule, table.value,
+                        "embedded minimum over non-Steinberg modules")
+
+
+def _searched_independent_set_size(spec, weight):
+    return len(wt.independent_violating_set(spec, weight).nodes)
 
 
 def _outcome(fn, *args):
@@ -278,9 +297,97 @@ def test_descent_memo_counts_a_fresh_sweep(monkeypatch):
     assert memo.lookups > memo.misses
 
 
+def test_short_weight_raises_value_error():
+    # Each rule checks the weight before it indexes the independent-set table.
+    spec, short = rd.group("D", 4, q=8), Weight((1, 2, 3))
+    for rule in (bd.descent_bound, bd.independent_set_bound, bd.best_bound):
+        assert _outcome(rule, spec, short) == (
+            ValueError, "weight length does not match the rank")
+
+
+def test_independent_set_table_matches_search():
+    # Every split datum of ranks 2-8 of ``verify tables``; each reachable
+    # mask gets one weight, with random coefficients outside {0, q-1} on its
+    # nodes and in {0, q-1} elsewhere.
+    rng = random.Random(20260607)
+    for datum in cli._iter_small_data():
+        if datum.rank < 2:
+            continue
+        for q in (2, 3, 4, 5):
+            spec = rd.GroupSpec(datum, rd.IntegerField(q))
+            table = bd._group_plan(spec).independent
+            assert len(table) == 2 ** datum.rank
+            inside, outside = (0, q - 1), range(1, q - 1)
+            for mask in range(1 << datum.rank) if outside else (0,):
+                w = Weight(tuple(
+                    rng.choice(outside) if mask >> i & 1 else rng.choice(inside)
+                    for i in range(datum.rank)))
+                assert table[mask] == _searched_independent_set_size(spec, w), (
+                    spec.describe(), w)
+                assert bd.independent_set_bound(spec, w) == (
+                    2 ** table[mask], table[mask])
+
+
 # ---------------------------------------------------------------------------
 # Certificates
 # ---------------------------------------------------------------------------
+
+
+def reference_best_bound(spec, weight, memo):
+    """``best_bound`` as it stood before group plans: every fact about the
+    group read again for each weight, the independent set searched, and
+    descent through every proper parabolic (``reference_descent_bound``
+    with the memo ``memo``)."""
+    if wt.is_steinberg(spec, weight):
+        step = bd.ChainStep("steinberg", 1,
+                            "defect-zero module: multiplier exactly 1")
+        return bd.BoundCertificate(spec.describe(), weight.coeffs, 1, True,
+                                   (step,))
+    steps = []
+    exact = bd._is_sl2(spec)
+    if exact:
+        steps.append(bd.ChainStep("rank1-exact",
+                                  bd.rank_one_multiplier(spec.q, weight[1]),
+                                  "exact rank-1 multiplier from base-p digits"))
+    table = _reference_table_step(spec, weight)
+    if table is not None:
+        steps.append(table)
+        exact = exact or table.detail == "embedded exact value for the 1-PIM"
+    if bd._is_split(spec):
+        steps.append(bd.ChainStep(
+            "torus-orbit", bd.ballard_bound(spec, weight),
+            "Weyl orbit length of the weight reduced modulo q-1"))
+        if spec.datum.rank >= 2:
+            size = _searched_independent_set_size(spec, weight)
+            if size:
+                steps.append(bd.ChainStep(
+                    "independent-set", 2 ** size,
+                    f"2^{size} from an independent set of A1 Levi factors"))
+    if bd._hc_in_scope(spec):
+        value, reason = bd.hc_bound(spec, weight)
+        steps.append(bd.ChainStep("hc-restriction", value, reason))
+    if bd._descends(spec):
+        steps.append(bd.ChainStep(
+            "parabolic-descent", reference_descent_bound(spec, weight, memo),
+            "recursion through twist-stable parabolics"))
+    bound = max((s.value for s in steps), default=1)
+    return bd.BoundCertificate(spec.describe(), weight.coeffs, bound, exact,
+                               tuple(steps))
+
+
+def test_best_bound_equals_reference(monkeypatch):
+    specs = SWEEP + [rd.group("D", 4, q=8), rd.group("A", 4, q=8)]
+    memo = {}
+    expected = [
+        [json.dumps(reference_best_bound(spec, w, memo).to_json())
+         for w in wt.enumerate_restricted_weights(spec)]
+        for spec in specs]
+    monkeypatch.setattr(bd, "_DESCENT_MEMO", bd.DescentMemo())
+    for memo_state in ("fresh", "warm"):
+        for spec, want in zip(specs, expected):
+            got = [json.dumps(bd.best_bound(spec, w).to_json())
+                   for w in wt.enumerate_restricted_weights(spec)]
+            assert got == want, (memo_state, spec.describe())
 
 
 def test_certificate_steinberg():

@@ -224,6 +224,36 @@ def test_orbit_scan_cache_key_includes_version(capsys, tmp_path, monkeypatch):
     assert len(list(tmp_path.iterdir())) == 2
 
 
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for argv in (("info", "A", "2", "--q", "3"),
+                     ("bound", "A", "2", "--q", "3", "--weight", "1,0"),
+                     ("bound", "A", "2", "--q", "3"),
+                     ("info", "A", "2", "--q", "0")):
+            run(capsys, *argv)
+        assert len(built) == 1
+
+        def patched(args):
+            print("patched", args.family, args.rank)
+            return cli.EXIT_OK
+
+        monkeypatch.setattr(cli, "_cmd_info", patched)
+        assert run(capsys, "info", "C", "3", "--q", "4") == (
+            cli.EXIT_OK, "patched C 3\n", "")
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_unexpected_exception_exits_3(capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("simulated fault")

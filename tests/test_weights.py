@@ -391,15 +391,16 @@ def test_descent_accepts_an_equal_copy_of_the_datum():
 def test_import_builds_no_descent_plan():
     src = Path(pimbounds.__file__).resolve().parent.parent
     code = ("import pimbounds, pimbounds.cli, pimbounds.bounds\n"
-            "from pimbounds import bounds, weights\n"
+            "from pimbounds import bounds, cli, weights\n"
             "print(*(f.cache_info().currsize for f in (\n"
             "    weights._descent_plan, weights.proper_parabolics,\n"
             "    weights.twisted_bn_rank, weights.levi_pieces,\n"
-            "    bounds._piece_table)))")
+            "    weights.steinberg_weight, weights._independent_set_sizes,\n"
+            "    bounds._piece_table, bounds._group_plan, cli._parser)))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["0"] * 5
+    assert out.split() == ["0"] * 9
 
 
 # ---------------------------------------------------------------------------
