@@ -5,9 +5,9 @@ For a split group over F_q the character group of a maximally split torus is
 the weight lattice modulo q-1, a free (Z/(q-1))-module of rank n on which the
 Weyl group acts through the simple reflections.  Orbit sizes of this action
 are lower bounds for p'-parts of projective-module dimensions, so this module
-provides orbit computation, full orbit scans, and the fixed-space and
-irreducibility questions for the reduction of the reflection representation
-modulo a small prime l.
+provides orbit computation, full orbit scans, and the irreducibility
+question for the reduction of the reflection representation modulo a small
+prime l.
 
 Orbit sizes are not found by listing orbits.  With m = q-1, the stabilizer
 in W of a character x mod m is isomorphic to the stabilizer of a lift x in
@@ -52,7 +52,6 @@ from .rootdata import (
     UnsupportedGroupError,
     _weyl_order,
     factor_prime_power,
-    reflection_matrices,
     weyl_orbit,
 )
 
@@ -422,24 +421,6 @@ def _require_prime(ell: int) -> None:
         prime = False
     if not prime:
         raise ValueError(f"the modulus must be a prime, not {ell}")
-
-
-def fixed_subspace_mod_ell(datum: RootDatum, ell: int) -> list[tuple[int, ...]]:
-    """Basis of the common fixed space of all simple reflections over F_ell.
-
-    Computed as the kernel of the stacked matrices M_i - I.
-    """
-    _require_prime(ell)
-    n = datum.rank
-    rows: list[list[int]] = []
-    for mat in reflection_matrices(datum):
-        for j in range(n):
-            row = [mat[j][k] - (1 if j == k else 0) for k in range(n)]
-            if any(c % ell for c in row):
-                rows.append(row)
-    if not rows:
-        return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    return _kernel_mod(rows, n, ell)
 
 
 # Not read by this module: the benchmark's `verify` workload picks its

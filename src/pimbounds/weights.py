@@ -638,8 +638,10 @@ class DoublingRule:
     escape_reason: str | None
 
 
+@lru_cache(maxsize=None)
 def _doubling_parabolic(spec: GroupSpec) -> tuple[ParabolicSubset, str]:
-    """The designated type-A parabolic of the doubling criterion."""
+    """The designated type-A parabolic of the doubling criterion, built once
+    per group."""
     d = spec.datum
     if d.family == "A" and d.twist_order == 2:
         rank = d.rank

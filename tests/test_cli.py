@@ -1,10 +1,11 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
-from pimbounds import cli
+from pimbounds import cli, rootdata
 
 
 def run(capsys, *argv):
@@ -115,6 +116,19 @@ def test_verify_rejects_an_odd_composite(capsys):
     assert code == 2
     assert "odd primes" in err
     assert out == ""
+
+
+def test_verify_tables_reports_a_wrong_stored_weyl_order(capsys, monkeypatch):
+    e8 = rootdata.build_root_datum("E8", 8)
+    wrong = dataclasses.replace(e8, weyl_order=e8.weyl_order // 2)
+    monkeypatch.setattr(cli, "_iter_small_data", lambda: iter([wrong]))
+    code, blob = run_json(capsys, "verify", "tables", "--json")
+    assert code == cli.EXIT_VIOLATION
+    assert not blob["verified"]
+    assert blob["counterexample"] == {
+        "failed": "closure cardinality differs from the stored Weyl order",
+        "family": "E8", "rank": 8,
+        "closure": e8.weyl_order, "stored": wrong.weyl_order}
 
 
 def test_export_tables(capsys):

@@ -1,6 +1,8 @@
 """Tests for root data, reflection matrices and order polynomials."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -98,11 +100,55 @@ def test_weyl_orders_against_formulas():
     assert rd.build_root_datum("G2", 2).weyl_order == 12
 
 
+def datum_name(datum):
+    return datum.family if datum.family[0] in "EFG" else f"{datum.family}{datum.rank}"
+
+
 def test_weyl_order_by_bfs_small_groups():
-    for family, rank in (("A", 3), ("B", 3), ("C", 4), ("D", 4),
-                         ("F4", 4), ("G2", 2)):
-        datum = rd.build_root_datum(family, rank)
-        assert rd.weyl_order_by_bfs(datum) == datum.weyl_order
+    # Every datum that `verify tables` checks, the five with |W| > 10^6
+    # included, against the order formulas.
+    data = list(all_small_data())
+    assert len(data) == 33
+    names = {datum_name(d) for d in data if d.weyl_order > 10 ** 6}
+    assert names == {"B8", "C8", "D8", "E7", "E8"}
+    for datum in data:
+        assert rd.weyl_order_by_bfs(datum) == rd._weyl_order(
+            datum.family, datum.rank), datum_name(datum)
+
+
+@pytest.mark.parametrize(
+    "datum", [d for d in all_small_data() if d.weyl_order <= 10 ** 6],
+    ids=datum_name)
+def test_parabolic_chain_equals_full_closure(datum):
+    # The oracle: the orbit of the strictly dominant (1, ..., 1) is free.
+    assert rd.weyl_order_by_bfs(datum) == len(
+        rd.weyl_orbit(datum, (1,) * datum.rank))
+
+
+def test_weyl_orbit_under_every_node_is_the_full_orbit():
+    for datum in all_small_data():
+        n = datum.rank
+        nodes = range(1, n + 1)
+        omega_1 = (1,) + (0,) * (n - 1)
+        assert (rd.weyl_orbit(datum, omega_1, nodes=nodes)
+                == rd.weyl_orbit(datum, omega_1))
+        start = tuple(i % 3 for i in range(1, n + 1))
+        assert (rd.weyl_orbit(datum, start, 3, nodes=nodes)
+                == rd.weyl_orbit(datum, start, 3))
+
+
+def test_equal_data_hash_equal_and_survive_pickling_as_keys():
+    datum = rd.build_root_datum("E6", 6, 2)
+    copy = dataclasses.replace(datum)
+    assert copy is not datum
+    assert copy == datum and hash(copy) == hash(datum)
+    spec = rd.GroupSpec(datum, rd.IntegerField(4))
+    table = pickle.loads(pickle.dumps({datum: "datum", spec: "spec"}))
+    assert table[copy] == "datum"
+    assert table[rd.GroupSpec(copy, rd.IntegerField(4))] == "spec"
+    # The hash reads fewer fields than equality: a datum that differs
+    # elsewhere is still a different key.
+    assert dataclasses.replace(datum, weyl_order=1) not in table
 
 
 def test_positive_root_counts():

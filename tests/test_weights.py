@@ -396,11 +396,12 @@ def test_import_builds_no_descent_plan():
             "    weights._descent_plan, weights.proper_parabolics,\n"
             "    weights.twisted_bn_rank, weights.levi_pieces,\n"
             "    weights.steinberg_weight, weights._independent_set_sizes,\n"
-            "    bounds._piece_table, bounds._group_plan, cli._parser)))")
+            "    weights._doubling_parabolic, bounds._piece_table,\n"
+            "    bounds._group_plan, cli._parser)))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["0"] * 9
+    assert out.split() == ["0"] * 10
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +553,13 @@ def test_doubling_twisted_d():
     assert sorted(rule.parabolic.nodes) == [1, 2, 3]
     assert not rule.applicable  # (1, 0, 1) is palindromic
     assert wt.doubling_applicable(spec, Weight((1, 1, 0, 0, 0))).applicable
+
+
+def test_doubling_parabolic_is_built_once_per_group():
+    spec = rd.group("C", 3, q=3)
+    first = wt.doubling_applicable(spec, Weight((1, 1, 0)))
+    second = wt.doubling_applicable(rd.group("C", 3, q=3), Weight((1, 2, 0)))
+    assert first.parabolic is second.parabolic
 
 
 def test_doubling_out_of_scope():
