@@ -326,7 +326,12 @@ def hc_bound(spec: GroupSpec, weight: Weight) -> tuple[int, str]:
     (rank+1, 2*rank, 27, 28, 120); when it is trivial the bound is the
     minimum dimension of a nonlinear Weyl-group character.
     """
-    plan = _group_plan(spec)
+    return _hc_value(spec, weight, _group_plan(spec))
+
+
+def _hc_value(spec: GroupSpec, weight: Weight,
+              plan: _GroupPlan) -> tuple[int, str]:
+    """The body of :func:`hc_bound`, given the group's plan."""
     if not plan.split:
         raise UnsupportedGroupError("the restriction bound needs a split group")
     if not plan.hc:
@@ -347,8 +352,8 @@ def independent_set_bound(spec: GroupSpec, weight: Weight) -> tuple[int, int]:
 
     Returns ``(bound, set_size)``.  Split groups of rank >= 2 only; nodes
     must carry a coefficient outside {0, q-1}.  The size is read off the
-    group plan's table, filled by the search of
-    :func:`weights.independent_violating_set`.
+    group plan's table, filled by the subset recursion of
+    :func:`weights._independent_set_sizes`.
     """
     if spec.datum.rank < 2:
         raise UnsupportedGroupError("the independent-set bound needs rank >= 2")
@@ -401,9 +406,13 @@ def descent_bound(spec: GroupSpec, weight: Weight) -> int:
     strengthening along the designated type-A parabolic of the classical
     groups.  Values are memoised per group and weight.
     """
+    return _memo_descent(spec, weight, _group_plan(spec))
+
+
+def _memo_descent(spec: GroupSpec, weight: Weight, plan: _GroupPlan) -> int:
+    """The body of :func:`descent_bound`, given the group's plan."""
     memo = _DESCENT_MEMO
     memo.lookups += 1
-    plan = _group_plan(spec)
     key = (plan.key, weight.coeffs)
     value = memo.values.get(key)
     if value is None:
@@ -519,10 +528,11 @@ def best_bound(spec: GroupSpec, weight: Weight) -> BoundCertificate:
                     "independent-set", 2 ** size,
                     f"2^{size} from an independent set of A1 Levi factors"))
     if plan.hc:
-        value, reason = hc_bound(spec, weight)
+        value, reason = _hc_value(spec, weight, plan)
         steps.append(ChainStep("hc-restriction", value, reason))
     if plan.descends:
-        steps.append(ChainStep("parabolic-descent", descent_bound(spec, weight),
+        steps.append(ChainStep("parabolic-descent",
+                               _memo_descent(spec, weight, plan),
                                "recursion through twist-stable parabolics"))
     bound = max((s.value for s in steps), default=1)
     return BoundCertificate(plan.group, coeffs, bound, exact, tuple(steps))

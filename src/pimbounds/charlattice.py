@@ -127,28 +127,26 @@ class _AlcovePlan:
     wall_orders: dict = field(default_factory=dict)  # zero-set mask -> |W_J|
 
 
-def _roots_with_coroots(datum: RootDatum):
-    """Every root (fundamental-weight coordinates) with its coroot (on simple
-    coroots), as the Weyl orbit of the simple pairs."""
+def _highest_coroot(datum: RootDatum, simple):
+    """The root theta whose coroot is the highest coroot, and that coroot,
+    by the dominant walk described in :func:`_alcove_plan`."""
     n = datum.rank
     cartan = datum.cartan
-    simple = tuple(tuple(cartan[j][i] for j in range(n)) for i in range(n))
-    start = [(simple[i], tuple(int(k == i) for k in range(n))) for i in range(n)]
-    seen = set(start)
-    frontier = start
-    while frontier:
-        nxt = []
-        for root, coroot in frontier:
-            for i in range(n):
-                c = root[i]
-                d = sum(coroot[k] * cartan[k][i] for k in range(n))
-                image = (tuple(r - c * s for r, s in zip(root, simple[i])),
-                         tuple(v - d * (k == i) for k, v in enumerate(coroot)))
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return simple, seen
+    best = None
+    for i in range(n):
+        root = simple[i]
+        coroot = tuple(int(k == i) for k in range(n))
+        while True:
+            j = next((k for k, c in enumerate(root) if c < 0), None)
+            if j is None:
+                break
+            c = root[j]
+            d = sum(coroot[k] * cartan[k][j] for k in range(n))
+            root = tuple(r - c * s for r, s in zip(root, simple[j]))
+            coroot = tuple(v - d * (k == j) for k, v in enumerate(coroot))
+        if best is None or sum(coroot) > sum(best[1]):
+            best = (root, coroot)
+    return best
 
 
 def _to_alcove(plan: _AlcovePlan, x, m: int) -> tuple[int, ...]:
@@ -177,11 +175,23 @@ def _kac(plan: _AlcovePlan, x, m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _alcove_plan(datum: RootDatum) -> _AlcovePlan:
-    simple, pairs = _roots_with_coroots(datum)
-    theta, theta_form = max(
-        ((root, coroot) for root, coroot in pairs if min(coroot) >= 0),
-        key=lambda pair: sum(pair[1]))
+    """The alcove data of a datum, built once per datum.
+
+    The affine wall needs theta^vee, the highest coroot, and the root theta
+    it belongs to.  A root is dominant exactly when its coroot is, each
+    W-orbit of roots holds one dominant root, and every root is conjugate
+    to a simple root; so theta is the dominant root reached from some
+    simple root, the highest short root (the highest root when all roots
+    have one length; Bourbaki, *Lie Groups and Lie Algebras*, ch. VI §1.8).
+    The walk from alpha_i reflects its (root, coroot) pair in s_j while
+    coordinate j of the root is negative.  Every step raises the height, so
+    a walk takes fewer than h steps, h the Coxeter number, and of the
+    dominant pairs reached the one with the highest coroot wins.
+    """
     n = datum.rank
+    cartan = datum.cartan
+    simple = tuple(tuple(cartan[j][i] for j in range(n)) for i in range(n))
+    theta, theta_form = _highest_coroot(datum, simple)
     nodes = [(theta, theta_form)] + [
         (simple[i], tuple(int(k == i) for k in range(n))) for i in range(n)]
 
@@ -323,17 +333,6 @@ def _alcove_points(theta_form, m: int):
     return extend((), m)
 
 
-def check_scan_budget(spec: GroupSpec, budget: int) -> None:
-    """Raise :class:`BudgetExceededError` if a scan of ``spec`` would cover
-    more than ``budget`` torus characters (a vacuous scan never does)."""
-    _require_split(spec)
-    m = spec.q - 1
-    if m > 1 and m ** spec.datum.rank > budget:
-        raise BudgetExceededError(
-            f"{m ** spec.datum.rank} torus characters exceed the budget "
-            f"of {budget}")
-
-
 def orbit_scan(spec: GroupSpec, budget: int = 10 ** 7) -> OrbitScanReport:
     """Partition all torus characters into Weyl orbits.
 
@@ -341,11 +340,16 @@ def orbit_scan(spec: GroupSpec, budget: int = 10 ** 7) -> OrbitScanReport:
     and a histogram of orbit sizes.  Each orbit is one Ω-orbit of alcove
     points, so only those are walked.  For q = 2 the torus is trivial and the
     scan is flagged vacuous.  Raises :class:`BudgetExceededError` if the
-    character group has more than ``budget`` elements.
+    character group has more than ``budget`` elements (a vacuous scan
+    never does).
     """
-    check_scan_budget(spec, budget)
+    _require_split(spec)
     datum = spec.datum
     m = spec.q - 1
+    if m > 1 and m ** datum.rank > budget:
+        raise BudgetExceededError(
+            f"{m ** datum.rank} torus characters exceed the budget "
+            f"of {budget}")
     if m <= 1:
         return OrbitScanReport(
             group=spec.describe(), modulus=max(m, 1), total_points=1,

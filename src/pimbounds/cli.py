@@ -19,15 +19,11 @@ stderr).
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
 import json
 import sys
 from functools import lru_cache
-from pathlib import Path
 
 from . import (
-    __version__,
     bounds,
     caseanalysis,
     charlattice,
@@ -139,42 +135,9 @@ def _cmd_orbit(args) -> int:
     return EXIT_OK
 
 
-_SCAN_KEYS = frozenset(
-    f.name for f in dataclasses.fields(charlattice.OrbitScanReport))
-
-
-def _scan_cache_path(cache_dir: str, spec: GroupSpec) -> Path:
-    key = f"{__version__} {spec.describe()}"
-    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return Path(cache_dir) / f"orbit-scan-{digest}.json"
-
-
-def _read_cached_scan(path: Path, spec: GroupSpec) -> dict | None:
-    """The cached scan report for ``spec``, or None when the file is missing,
-    unreadable, truncated or describes another scan."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    m = max(spec.q - 1, 1)
-    if (not isinstance(payload, dict) or set(payload) != _SCAN_KEYS
-            or payload["group"] != spec.describe()
-            or payload["modulus"] != m
-            or payload["total_points"] != m ** spec.datum.rank):
-        return None
-    return payload
-
-
 def _cmd_orbit_scan(args) -> int:
     spec = _build_spec(args)
-    charlattice.check_scan_budget(spec, args.budget)
-    path = _scan_cache_path(args.cache_dir, spec) if args.cache_dir else None
-    payload = _read_cached_scan(path, spec) if path else None
-    if payload is None:
-        payload = charlattice.orbit_scan(spec, budget=args.budget).to_json()
-        if path:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(payload, sort_keys=True))
+    payload = charlattice.orbit_scan(spec, budget=args.budget).to_json()
     _emit(payload, args.json)
     return EXIT_OK
 
@@ -436,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("orbit-scan", help="scan all torus characters")
     _add_group_arguments(p_scan)
     p_scan.add_argument("--budget", type=int, default=10 ** 7)
-    p_scan.add_argument("--cache-dir", default=None,
-                        help="directory for cached scan results")
     p_scan.add_argument("--json", action="store_true")
 
     p_bound = sub.add_parser("bound", help="certified lower bound for a weight")

@@ -25,6 +25,9 @@ instead of over every proper parabolic.
 The candidate sieve reads each parabolic's verdict off the coefficients on
 its nodes (all maximal, or all zero); only whether a zero restriction is
 allowed depends on the Levi factor, and that is found once per parabolic.
+Since every orbit of the diagram symmetry on the nodes is such a parabolic,
+the sieve only examines the weights that are all maximal or all zero on
+each orbit.
 """
 
 from __future__ import annotations
@@ -517,6 +520,36 @@ def descend_weight(spec: GroupSpec, parabolic: ParabolicSubset,
     return tuple(out)
 
 
+def _neighbour_masks(datum: RootDatum) -> tuple[int, ...]:
+    """The neighbours of each node as a bitmask (bit i-1 for node i),
+    indexed by node - 1."""
+    adjacency = datum.adjacency()
+    return tuple(sum(1 << (j - 1) for j in adjacency[i])
+                 for i in range(1, datum.rank + 1))
+
+
+def _is_one_orbit(datum: RootDatum, neighbours: tuple[int, ...],
+                  mask: int) -> bool:
+    """Is the twist-stable node set ``mask`` a single Frobenius orbit of
+    connected components?  Grows the component of its lowest node inside
+    the set, then closes it under the diagram symmetry; the set is one
+    orbit exactly when that closure is all of it."""
+    grown, frontier = 0, mask & -mask
+    while frontier:
+        grown |= frontier
+        reach = 0
+        for i, nb in enumerate(neighbours):
+            if frontier >> i & 1:
+                reach |= nb
+        frontier = reach & mask & ~grown
+    while True:
+        image = sum(1 << (datum.apply_perm(i + 1) - 1)
+                    for i in range(datum.rank) if grown >> i & 1)
+        if image | grown == grown:
+            return grown == mask
+        grown |= image
+
+
 @lru_cache(maxsize=None)
 def levi_pieces(datum: RootDatum, suzuki_ree: bool) -> tuple[_LeviPiece, ...]:
     """The supported pieces of a datum, one per twist-stable node set that is
@@ -527,10 +560,16 @@ def levi_pieces(datum: RootDatum, suzuki_ree: bool) -> tuple[_LeviPiece, ...]:
     proper parabolic's plan is the piece of its own node set, and a plan is
     unsupported exactly when one of its pieces is.  A maximum over the
     pieces of every supported proper parabolic is therefore a maximum over
-    these pieces.  Built once per datum and kind of field.
+    these pieces.  Whether a node set is one orbit is read off bitmasks of
+    the diagram, so only those node sets get a descent plan: 43 of the 254
+    proper parabolics of E8, 33 of 126 on E7 and 10 of 14 on D4.  Built once
+    per datum and kind of field.
     """
-    plans = (_descent_plan(p, suzuki_ree) for p in proper_parabolics(datum))
-    return tuple(plan.pieces[0] for plan in plans if len(plan.pieces) == 1)
+    neighbours = _neighbour_masks(datum)
+    plans = (_descent_plan(p, suzuki_ree) for p in proper_parabolics(datum)
+             if _is_one_orbit(datum, neighbours,
+                              sum(1 << (n - 1) for n in p.nodes)))
+    return tuple(plan.pieces[0] for plan in plans if plan.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -586,15 +625,26 @@ def minimal_pim_candidates(spec: GroupSpec) -> list[Weight]:
     Both conditions are read off the coefficients on J: the restriction is
     Steinberg when they are all maximal, and every descendant weight is zero
     when they all vanish.  Whether every descendant is one of the small
-    groups depends on J only; it is found once per J, through the descent
-    of the zero weight, the first time a weight needs it.
+    groups depends on J only, and is found once per J, through the descent
+    of the zero weight.
+
+    Each orbit O of the diagram symmetry on the nodes is itself such a J,
+    proper because the relative rank is at least 2.  So the sieve on O alone
+    is a necessary condition: a survivor is all maximal on every O, or all
+    zero on an O whose Levi allows a trivial restriction.  Only those
+    patterns, at most 2^(relative rank) of them, are run through the other
+    node sets, in lexicographic order: 256 weights instead of 6,561 on
+    E8(3).  The verdicts of the orbits are found first, in the order of
+    :func:`proper_parabolics`, so an unsupported orbit Levi raises its
+    :class:`UnsupportedSubdiagramError` even when no weight survives.
     """
-    if twisted_bn_rank(spec.datum) < 2:
+    datum = spec.datum
+    if twisted_bn_rank(datum) < 2:
         raise UnsupportedGroupError(
             f"{spec.describe()} has no proper parabolic above a Borel subgroup")
     top = steinberg_weight(spec).coeffs
-    zero = Weight((0,) * spec.datum.rank)
-    parabolics = proper_parabolics(spec.datum)
+    zero = Weight((0,) * datum.rank)
+    parabolics = proper_parabolics(datum)
     node_sets = [tuple(n - 1 for n in sorted(p.nodes)) for p in parabolics]
     trivial_allowed: dict[int, bool] = {}
 
@@ -605,11 +655,22 @@ def minimal_pim_candidates(spec: GroupSpec) -> list[Weight]:
                 for d in descend_weight(spec, parabolics[k], zero))
         return trivial_allowed[k]
 
+    node_orbits = {frozenset(datum.perm_orbit(i))
+                   for i in range(1, datum.rank + 1)}
+    orbits = [k for k, p in enumerate(parabolics) if p.nodes in node_orbits]
+    patterns = [top]
+    for k in orbits:
+        if allows_trivial(k):
+            patterns += [tuple(0 if i in node_sets[k] else c
+                               for i, c in enumerate(coeffs))
+                         for coeffs in patterns]
+    others = [k for k in range(len(parabolics)) if k not in orbits]
     survivors = []
-    for coeffs in itertools.product(*(range(r) for r in coefficient_ranges(spec))):
+    for coeffs in sorted(patterns):
         if coeffs == top or not any(coeffs):
             continue
-        for k, nodes in enumerate(node_sets):
+        for k in others:
+            nodes = node_sets[k]
             if all(coeffs[i] == top[i] for i in nodes):
                 continue  # Steinberg restriction on this Levi
             if not (allows_trivial(k) and not any(coeffs[i] for i in nodes)):
@@ -711,12 +772,23 @@ def _largest_independent_set(datum: RootDatum,
 def _independent_set_sizes(datum: RootDatum) -> tuple[int, ...]:
     """The size of a largest independent node set inside each node set,
     indexed by the bitmask of the set (bit i-1 for node i): 2^rank entries,
-    built once per datum."""
-    nodes = range(1, datum.rank + 1)
-    return tuple(
-        len(_largest_independent_set(
-            datum, [n for n in nodes if mask >> (n - 1) & 1]))
-        for mask in range(1 << datum.rank))
+    built once per datum.
+
+    A largest independent set inside m either leaves out the lowest node v
+    of m, or holds v and none of its neighbours, so with closed(v) the mask
+    of v and its neighbours
+
+        size[m] = max(size[m - v], 1 + size[m & ~closed(v)]),
+
+    and each entry reads two entries of smaller masks.
+    """
+    closed = [(1 << i) | nb for i, nb in enumerate(_neighbour_masks(datum))]
+    size = [0]
+    for mask in range(1, 1 << datum.rank):
+        low = mask & -mask
+        size.append(max(size[mask ^ low],
+                        1 + size[mask & ~closed[low.bit_length() - 1]]))
+    return tuple(size)
 
 
 def independent_violating_set(spec: GroupSpec, weight: Weight) -> ParabolicSubset:

@@ -285,6 +285,21 @@ def test_every_levi_piece_is_the_piece_of_its_own_node_set():
         assert set(pieces) == used, (datum.family, datum.rank, suzuki_ree)
 
 
+def reference_levi_pieces(datum, suzuki_ree):
+    """The pieces as found before the one-orbit test: a descent plan for
+    every proper parabolic, keeping each plan of exactly one piece."""
+    plans = (wt._descent_plan(p, suzuki_ree) for p in wt.proper_parabolics(datum))
+    return tuple(plan.pieces[0] for plan in plans if len(plan.pieces) == 1)
+
+
+def test_levi_pieces_equal_the_search_over_every_parabolic():
+    cases = list(_structure_cases())
+    assert len(cases) == 50
+    for datum, suzuki_ree in cases:
+        assert (wt.levi_pieces(datum, suzuki_ree)
+                == reference_levi_pieces(datum, suzuki_ree)), (datum, suzuki_ree)
+
+
 def test_descent_memo_counts_a_fresh_sweep(monkeypatch):
     # The set of descent values computed for the D4(8)-then-A4(8) sweep is
     # the one computed when descent ran through every proper parabolic.
@@ -306,9 +321,11 @@ def test_short_weight_raises_value_error():
 
 
 def test_independent_set_table_matches_search():
-    # Every split datum of ranks 2-8 of ``verify tables``; each reachable
-    # mask gets one weight, with random coefficients outside {0, q-1} on its
-    # nodes and in {0, q-1} elsewhere.
+    # The subset recursion of the table against the exhaustive search of
+    # ``weights._largest_independent_set``, on every split datum of ranks
+    # 2-8 of ``verify tables``; each reachable mask gets one weight, with
+    # random coefficients outside {0, q-1} on its nodes and in {0, q-1}
+    # elsewhere.
     rng = random.Random(20260607)
     for datum in cli._iter_small_data():
         if datum.rank < 2:

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pimbounds import charlattice as cl, rootdata as rd, weights as wt
+from pimbounds import charlattice as cl, cli, rootdata as rd, weights as wt
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +202,44 @@ def test_wall_classifier_agrees_with_subdiagram_classifier(family, ranks):
                     sub_family, order = wt._classify_subdiagram(datum, comp)
                     assert (cl._component_order(bonds, list(comp))
                             == rd._weyl_order(sub_family, len(order))), comp
+
+
+def roots_with_coroots(datum):
+    """Every root (fundamental-weight coordinates) with its coroot (on simple
+    coroots), as the Weyl orbit of the simple pairs: the search that found
+    the highest coroot before the dominant walk of ``cl._alcove_plan``."""
+    n = datum.rank
+    cartan = datum.cartan
+    simple = tuple(tuple(cartan[j][i] for j in range(n)) for i in range(n))
+    start = [(simple[i], tuple(int(k == i) for k in range(n))) for i in range(n)]
+    seen = set(start)
+    frontier = start
+    while frontier:
+        nxt = []
+        for root, coroot in frontier:
+            for i in range(n):
+                c = root[i]
+                d = sum(coroot[k] * cartan[k][i] for k in range(n))
+                image = (tuple(r - c * s for r, s in zip(root, simple[i])),
+                         tuple(v - d * (k == i) for k, v in enumerate(coroot)))
+                if image not in seen:
+                    seen.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return simple, seen
+
+
+@pytest.mark.parametrize("datum", list(cli._iter_small_data()),
+                         ids=lambda d: f"{d.family}{d.rank}")
+def test_dominant_walk_finds_the_highest_coroot(datum):
+    simple, pairs = roots_with_coroots(datum)
+    assert len(pairs) == 2 * datum.positive_root_count
+    positive = [pair for pair in pairs if min(pair[1]) >= 0]
+    height = max(sum(coroot) for _, coroot in positive)
+    [highest] = [pair for pair in positive if sum(pair[1]) == height]
+    plan = cl._alcove_plan(datum)
+    assert plan.simple_roots == simple
+    assert (plan.theta, plan.theta_form) == highest
 
 
 @pytest.mark.parametrize("family, rank, q", [

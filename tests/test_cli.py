@@ -3,8 +3,6 @@
 import dataclasses
 import json
 
-import pytest
-
 from pimbounds import cli, rootdata
 
 
@@ -47,20 +45,19 @@ def test_orbit_command(capsys):
     assert blob["modulus"] == 3
 
 
-def test_orbit_scan_with_cache(capsys, tmp_path):
-    cache = str(tmp_path / "scans")
-    code, blob = run_json(capsys, "orbit-scan", "C", "2", "--q", "4",
-                          "--cache-dir", cache, "--json")
+def test_orbit_scan_command(capsys):
+    code, blob = run_json(capsys, "orbit-scan", "C", "2", "--q", "4", "--json")
     assert code == 0
     assert blob["min_nontrivial_orbit"] == 4
-    files = list((tmp_path / "scans").iterdir())
-    assert len(files) == 1
-    # Second run must be served from the cache file (unchanged content).
-    code2, blob2 = run_json(capsys, "orbit-scan", "C", "2", "--q", "4",
-                            "--cache-dir", cache, "--json")
-    assert code2 == 0
-    assert blob2 == blob
-    assert list((tmp_path / "scans").iterdir()) == files
+    assert blob["total_points"] == 9
+
+
+def test_orbit_scan_has_no_cache_dir(capsys):
+    code, out, err = run(capsys, "orbit-scan", "C", "2", "--q", "4",
+                         "--cache-dir", "scans", "--json")
+    assert code == 2
+    assert out == ""
+    assert "--cache-dir" in err
 
 
 def test_bound_command(capsys):
@@ -191,51 +188,6 @@ def test_orbit_json_refuses_a_multi_million_orbit(capsys):
     assert code == 2
     assert out == ""
     assert "budget" in err
-
-
-def _scan(capsys, cache, *extra):
-    return run(capsys, "orbit-scan", "C", "2", "--q", "4",
-               "--cache-dir", str(cache), "--json", *extra)
-
-
-def test_orbit_scan_cache_hit_respects_budget(capsys, tmp_path):
-    code, _, _ = _scan(capsys, tmp_path)
-    assert code == 0
-    code, out, err = _scan(capsys, tmp_path, "--budget", "5")
-    assert code == 2
-    assert out == ""
-    assert "budget" in err
-
-
-@pytest.mark.parametrize("damage", ["truncate", "garbage", "other-group"])
-def test_orbit_scan_recomputes_a_bad_cache_file(capsys, tmp_path, damage):
-    code, fresh, _ = _scan(capsys, tmp_path)
-    assert code == 0
-    [path] = tmp_path.iterdir()
-    good = path.read_text()
-    if damage == "truncate":
-        path.write_text(good[: len(good) // 2])
-    elif damage == "garbage":
-        path.write_bytes(b"\xff\xfe not json")
-    else:
-        code, _, _ = run(capsys, "orbit-scan", "C", "2", "--q", "8",
-                         "--cache-dir", str(tmp_path / "other"), "--json")
-        assert code == 0
-        [other] = (tmp_path / "other").iterdir()
-        path.write_text(other.read_text())
-    code, out, _ = _scan(capsys, tmp_path)
-    assert code == 0
-    assert out == fresh
-    assert path.read_text() == good
-
-
-def test_orbit_scan_cache_key_includes_version(capsys, tmp_path, monkeypatch):
-    code, _, _ = _scan(capsys, tmp_path)
-    assert code == 0
-    monkeypatch.setattr(cli, "__version__", "0.0.0-other")
-    code, _, _ = _scan(capsys, tmp_path)
-    assert code == 0
-    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):

@@ -388,8 +388,15 @@ def test_descent_accepts_an_equal_copy_of_the_datum():
     assert len(wt.minimal_pim_candidates(spec)) == 2
 
 
-def test_import_builds_no_descent_plan():
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter."""
     src = Path(pimbounds.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_builds_no_descent_plan():
     code = ("import pimbounds, pimbounds.cli, pimbounds.bounds\n"
             "from pimbounds import bounds, cli, weights\n"
             "print(*(f.cache_info().currsize for f in (\n"
@@ -398,10 +405,23 @@ def test_import_builds_no_descent_plan():
             "    weights.steinberg_weight, weights._independent_set_sizes,\n"
             "    weights._doubling_parabolic, bounds._piece_table,\n"
             "    bounds._group_plan, cli._parser)))")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["0"] * 10
+    assert _fresh_python(code).split() == ["0"] * 10
+
+
+@pytest.mark.parametrize("family, rank, pieces, parabolics", [
+    ("E8", 8, 43, 254), ("E7", 7, 33, 126), ("D", 4, 10, 14)])
+def test_levi_pieces_plan_only_one_orbit_node_sets(family, rank, pieces,
+                                                   parabolics):
+    # Counts that do not depend on the machine: every connected node set of
+    # these diagrams is supported, so each one-orbit set is planned once and
+    # no other proper parabolic is.
+    code = ("from pimbounds import rootdata, weights\n"
+            f"datum = rootdata.build_root_datum({family!r}, {rank})\n"
+            "print(len(weights.levi_pieces(datum, False)),\n"
+            "      weights._descent_plan.cache_info().currsize,\n"
+            "      len(weights.proper_parabolics(datum)))")
+    assert _fresh_python(code).split() == [str(pieces), str(pieces),
+                                           str(parabolics)]
 
 
 # ---------------------------------------------------------------------------
@@ -495,18 +515,25 @@ def _sieve_outcome(sieve, spec):
 
 
 def test_candidates_equal_reference_sieve():
+    # The reference examines 6,561, 16,384 and 4,096 weights of the last
+    # three groups; the sieve examines their orbit patterns: 256, 1 and 1.
+    large = [rd.group("E8", 8, q=3), rd.group("E7", 7, q=4),
+             rd.group("E6", 6, q=4, twist_order=2)]
     checked = 0
-    for spec in SWEEP:
+    for spec in SWEEP + large:
         if wt.twisted_bn_rank(spec.datum) < 2:
             continue
         got = _sieve_outcome(wt.minimal_pim_candidates, spec)
         assert got == _sieve_outcome(reference_candidates, spec), spec.describe()
         checked += 1
-    assert checked == 62  # the 81 groups less 19 of relative rank 1
-    # The large Ree group over 2^3 meets its unsupported {2, 3} Levi.
-    got = _sieve_outcome(wt.minimal_pim_candidates,
-                         rd.group("F4", 4, suzuki_ree_e=1))
-    assert got[0] is UnsupportedSubdiagramError
+    assert checked == 65  # the 81 groups less 19 of relative rank 1, and 3
+    # Both large Ree groups meet their unsupported {2, 3} Levi.
+    for e in (0, 1):
+        got = _sieve_outcome(wt.minimal_pim_candidates,
+                             rd.group("F4", 4, suzuki_ree_e=e))
+        assert got == (UnsupportedSubdiagramError,
+                       "induced symmetry of order 2 on a component of type C "
+                       "is outside the toolkit")
 
 
 def test_candidates_need_relative_rank_two():
