@@ -26,20 +26,24 @@ or the scope of the restriction bound.
 
 Group plans: what the rules need to know about a group that does not depend
 on the weight (its name and memo key, the Steinberg coefficients and the
-coefficient ranges, the four rule scopes, the embedded minimum, whether a
-doubling parabolic exists, and for split groups of rank >= 2 the size of a
-largest independent node set inside every node set) is built once per group,
-on first use, and cached.  A weight then costs a tuple comparison for
-Steinberg, one bitmask and one table index for the independent set, and the
-rules that really depend on it.
+coefficient ranges, the four rule scopes, the embedded minimum, the escape
+pairs and Levi pieces of the doubling step, and for split groups of rank
+>= 2 the size of a largest independent node set inside every node set) is
+built once per group, on first use, and cached.  Each Levi piece holds a
+precomputed projection from the group's coefficients to its descendant's,
+an ``itemgetter`` for a Frobenius-fixed piece.  A weight then costs a tuple
+comparison for Steinberg, one bitmask and one table index for the
+independent set, one projection and one memo read per piece, and the rules
+that really depend on it; the torus-orbit length is read from a cache per
+alcove point in :mod:`pimbounds.charlattice`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
-from typing import NamedTuple
+from operator import itemgetter, mul
+from typing import Callable, NamedTuple
 
 from .charlattice import orbit_size
 from .rootdata import (
@@ -51,12 +55,11 @@ from .rootdata import (
 from .weights import (
     Weight,
     _check_weight,
+    _descent_plan,
     _doubling_parabolic,
     _independent_set_sizes,
     _piece_field,
     coefficient_ranges,
-    descend_weight,
-    doubling_applicable,
     levi_pieces,
     socle_trivial_on_borel,
     steinberg_weight,
@@ -235,7 +238,10 @@ class _GroupPlan:
     descends: bool
     # The embedded table steps, for the zero weight and for the others.
     table_steps: tuple[ChainStep, ChainStep] | None
-    doubling: bool  # a designated doubling parabolic exists
+    # The doubling step, when a designated parabolic exists: the 0-based
+    # index pairs whose equality is the escape pattern, and its Levi pieces.
+    escape_pairs: tuple[tuple[int, int], ...] | None
+    doubling_pieces: tuple[_PieceEntry, ...] | None
     # Split groups of rank >= 2: the independent-set size per node bitmask.
     independent: tuple[int, ...] | None
 
@@ -271,18 +277,24 @@ def _table_steps(spec: GroupSpec) -> tuple[ChainStep, ChainStep] | None:
     return ChainStep(table.rule, table.zero_weight_value, _ONE_PIM_DETAIL), minimum
 
 
-def _has_doubling_parabolic(spec: GroupSpec) -> bool:
+def _doubling_step(spec: GroupSpec):
+    """The escape pairs and the Levi pieces of the designated doubling
+    parabolic, or ``(None, None)`` when the group has none.  That parabolic
+    is of type A, so its descent plan is supported."""
     try:
-        _doubling_parabolic(spec)
+        parabolic, _, pairs = _doubling_parabolic(spec)
     except UnsupportedGroupError:
-        return False
-    return True
+        return None, None
+    suzuki_ree = isinstance(spec.field, SuzukiReeField)
+    pieces = _descent_plan(parabolic, suzuki_ree).pieces
+    return pairs, _piece_entries(pieces, spec.field, suzuki_ree)
 
 
 @lru_cache(maxsize=None)
 def _group_plan(spec: GroupSpec) -> _GroupPlan:
     """The plan of a group, built on first use."""
     split = _is_split(spec)
+    escape_pairs, doubling_pieces = _doubling_step(spec)
     return _GroupPlan(
         group=spec.describe(),
         key=_group_key(spec),
@@ -294,7 +306,8 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
         hc=_hc_in_scope(spec),
         descends=_descends(spec),
         table_steps=_table_steps(spec),
-        doubling=_has_doubling_parabolic(spec),
+        escape_pairs=escape_pairs,
+        doubling_pieces=doubling_pieces,
         independent=(_independent_set_sizes(spec.datum)
                      if split and spec.datum.rank >= 2 else None),
     )
@@ -422,26 +435,71 @@ def _memo_descent(spec: GroupSpec, weight: Weight, plan: _GroupPlan) -> int:
 
 class _PieceEntry(NamedTuple):
     """One Levi piece of a group: the memo key of its descendant group, the
-    original indices summed into each descendant coefficient, their
-    multipliers, and the descendant group."""
+    projection of a weight's coefficients to the descendant's, and the
+    descendant group."""
 
     key: tuple
-    columns: tuple[tuple[int, ...], ...]
-    multipliers: tuple[int, ...]
+    project: Callable[[tuple[int, ...]], tuple[int, ...]]
     spec: GroupSpec
+
+
+def _projection(piece, multipliers: tuple[int, ...]):
+    """The coefficients of a piece's descendant as a function of the
+    group's: an ``itemgetter`` for a fixed piece, whose multiplier is 1, and
+    the q^k-weighted sums along the Frobenius orbit for an orbit piece."""
+    if piece.kind == "fixed":
+        (indices,) = piece.indices
+        if len(indices) == 1:  # an itemgetter of one index gives a scalar
+            index = indices[0]
+            return lambda coeffs: (coeffs[index],)
+        return itemgetter(*indices)
+    columns = tuple(zip(*piece.indices))
+
+    def project(coeffs):
+        return tuple([sum(map(mul, multipliers, map(coeffs.__getitem__, column)))
+                      for column in columns])
+
+    return project
+
+
+def _piece_entries(pieces, field, suzuki_ree: bool) -> tuple[_PieceEntry, ...]:
+    """The table entries of some Levi pieces of a group over ``field``."""
+    table = []
+    for piece in pieces:
+        multipliers, dfield = _piece_field(piece, field, suzuki_ree)
+        dspec = GroupSpec(piece.datum, dfield)
+        table.append(_PieceEntry(_group_key(dspec),
+                                 _projection(piece, multipliers), dspec))
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
 def _piece_table(spec: GroupSpec) -> tuple[_PieceEntry, ...]:
     """The supported Levi pieces of a group, built on its first memo miss."""
     suzuki_ree = isinstance(spec.field, SuzukiReeField)
-    table = []
-    for piece in levi_pieces(spec.datum, suzuki_ree):
-        multipliers, dfield = _piece_field(piece, spec.field, suzuki_ree)
-        dspec = GroupSpec(piece.datum, dfield)
-        table.append(_PieceEntry(_group_key(dspec), tuple(zip(*piece.indices)),
-                                 multipliers, dspec))
-    return tuple(table)
+    return _piece_entries(levi_pieces(spec.datum, suzuki_ree), spec.field,
+                          suzuki_ree)
+
+
+def _best_piece_value(pieces: tuple[_PieceEntry, ...],
+                      coeffs: tuple[int, ...]) -> int:
+    """The largest descent value over some pieces of a group at one weight.
+    Each piece reads its descendant in the memo, and computes it there on a
+    miss."""
+    memo = _DESCENT_MEMO
+    values = memo.values
+    memo.lookups += len(pieces)
+    best = 0
+    for key, project, dspec in pieces:
+        dcoeffs = project(coeffs)
+        memo_key = (key, dcoeffs)
+        value = values.get(memo_key)
+        if value is None:
+            value = memo.store(memo_key, _descent_value(
+                dspec, Weight(dcoeffs), _group_plan(dspec)))
+        if value > best:
+            best = value
+    return best
 
 
 def _descent_value(spec: GroupSpec, weight: Weight, plan: _GroupPlan) -> int:
@@ -449,8 +507,10 @@ def _descent_value(spec: GroupSpec, weight: Weight, plan: _GroupPlan) -> int:
 
     Plain descent takes the best value over the Levi pieces of the group
     (see :func:`weights.levi_pieces`), which equals the best value over every
-    descendant of every supported proper parabolic.  Each piece reads its
-    descendant in the memo, and computes it there on a miss."""
+    descendant of every supported proper parabolic.  The doubling step takes
+    twice the best value over the pieces of the designated parabolic, unless
+    the weight is equal on every escape pair (see
+    :func:`weights.doubling_applicable`)."""
     coeffs = weight.coeffs
     if coeffs == plan.steinberg:
         return 1
@@ -463,27 +523,10 @@ def _descent_value(spec: GroupSpec, weight: Weight, plan: _GroupPlan) -> int:
     _check_weight(weight, plan.ranges)
     if plan.independent is not None:
         best = max(best, 2 ** plan.independent_size(coeffs))
-    memo = _DESCENT_MEMO
-    values = memo.values
-    pieces = _piece_table(spec)
-    memo.lookups += len(pieces)
-    for key, columns, multipliers, dspec in pieces:
-        dcoeffs = tuple([sum(map(mul, multipliers, map(coeffs.__getitem__, column)))
-                         for column in columns])
-        memo_key = (key, dcoeffs)
-        value = values.get(memo_key)
-        if value is None:
-            value = memo.store(memo_key, _descent_value(
-                dspec, Weight(dcoeffs), _group_plan(dspec)))
-        if value > best:
-            best = value
-    if plan.doubling:
-        rule = doubling_applicable(spec, weight)
-        if rule.applicable:
-            descendants = descend_weight(spec, rule.parabolic, weight)
-            inner = max(descent_bound(desc.spec, desc.weight)
-                        for desc in descendants)
-            best = max(best, 2 * inner)
+    best = max(best, _best_piece_value(_piece_table(spec), coeffs))
+    pairs = plan.escape_pairs
+    if pairs is not None and any(coeffs[i] != coeffs[j] for i, j in pairs):
+        best = max(best, 2 * _best_piece_value(plan.doubling_pieces, coeffs))
     return best
 
 

@@ -26,9 +26,10 @@ and Ω acts by permuting the Kac coordinates.  So
 and a full scan of the m^n characters only walks the points of A
 (Bourbaki, *Lie Groups and Lie Algebras*, ch. VI §2; Kac, *Infinite
 Dimensional Lie Algebras*, §8.6; Reeder, "Torsion automorphisms of simple
-Lie algebras", Enseign. Math. 2010).  The breadth-first enumeration in
-:func:`orbit` is kept for callers that need the orbit's elements; it runs on
-the orbit kernel :func:`rootdata.weyl_orbit`.
+Lie algebras", Enseign. Math. 2010).  The Kac coordinates fix x and m, so
+each orbit length is cached per datum under them.  The breadth-first
+enumeration in :func:`orbit` is kept for callers that need the orbit's
+elements; it runs on the orbit kernel :func:`rootdata.weyl_orbit`.
 
 Irreducibility of the reflection representation over F_l is decided in
 closed form, from the Cartan matrix mod l: for rank >= 2 it holds exactly
@@ -84,14 +85,19 @@ def _require_split(spec: GroupSpec) -> None:
             f"not {spec.describe()}")
 
 
-def character_from_weight(spec: GroupSpec, weight) -> TorusCharacter:
-    """Restrict a weight to the split torus: reduce coordinates mod q-1."""
+def _weight_coords(spec: GroupSpec, weight) -> tuple[tuple[int, ...], int]:
+    """The coordinates of a weight reduced mod m = q-1, and m."""
     _require_split(spec)
     m = max(spec.q - 1, 1)
     coords = tuple(weight)
     if len(coords) != spec.datum.rank:
         raise ValueError("weight length does not match the rank")
-    return TorusCharacter(coords, m)
+    return tuple([c % m for c in coords]), m
+
+
+def character_from_weight(spec: GroupSpec, weight) -> TorusCharacter:
+    """Restrict a weight to the split torus: reduce coordinates mod q-1."""
+    return TorusCharacter(*_weight_coords(spec, weight))
 
 
 def _as_character(spec: GroupSpec, beta) -> TorusCharacter:
@@ -125,6 +131,8 @@ class _AlcovePlan:
     bonds: tuple[tuple[int, ...], ...]  # bond products between wall nodes
     omega: tuple[tuple[int, ...], ...]  # Ω as permutations of Kac coordinates
     wall_orders: dict = field(default_factory=dict)  # zero-set mask -> |W_J|
+    # Kac coordinates -> |W| / (|W_J| * |Ω_x|); they fix x and m.
+    orbit_sizes: dict = field(default_factory=dict)
 
 
 def _highest_coroot(datum: RootDatum, simple):
@@ -266,13 +274,21 @@ def _omega_fixing(plan: _AlcovePlan, kac: tuple[int, ...]) -> int:
 
 def orbit_size(spec: GroupSpec, beta) -> int:
     """Length of the Weyl orbit of a torus character, by orbit-stabilizer in
-    the extended affine Weyl group; nothing is enumerated."""
-    char = _as_character(spec, beta)
+    the extended affine Weyl group; nothing is enumerated.  ``beta`` is a
+    :class:`TorusCharacter` or a weight's coordinates.  The length is cached
+    per alcove point, keyed by its Kac coordinates."""
+    if isinstance(beta, TorusCharacter):
+        char = _as_character(spec, beta)
+        coords, m = char.coords, char.modulus
+    else:
+        coords, m = _weight_coords(spec, beta)
     plan = _alcove_plan(spec.datum)
-    m = char.modulus
-    kac = _kac(plan, _to_alcove(plan, char.coords, m), m)
-    return spec.datum.weyl_order // (
-        _wall_stabilizer_order(plan, kac) * _omega_fixing(plan, kac))
+    kac = _kac(plan, _to_alcove(plan, coords, m), m)
+    size = plan.orbit_sizes.get(kac)
+    if size is None:
+        size = plan.orbit_sizes[kac] = spec.datum.weyl_order // (
+            _wall_stabilizer_order(plan, kac) * _omega_fixing(plan, kac))
+    return size
 
 
 # The largest orbit that :func:`orbit` lists.

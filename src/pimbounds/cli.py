@@ -379,7 +379,10 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of :func:`main`, built on its first call; every
+    caller shares that one parser."""
     parser = argparse.ArgumentParser(
         prog="pimbounds",
         description="Lower bounds for projective indecomposable modules of "
@@ -424,15 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built on its first call."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else EXIT_OK
     # The handler is looked up at call time, so a reused parser holds none.

@@ -700,31 +700,38 @@ class DoublingRule:
 
 
 @lru_cache(maxsize=None)
-def _doubling_parabolic(spec: GroupSpec) -> tuple[ParabolicSubset, str]:
-    """The designated type-A parabolic of the doubling criterion, built once
-    per group."""
+def _doubling_parabolic(
+        spec: GroupSpec) -> tuple[ParabolicSubset, str, tuple[tuple[int, int], ...]]:
+    """The designated type-A parabolic of the doubling criterion, the reason
+    recorded for a weight that escapes it, and the 0-based index pairs whose
+    equality is the escape pattern; built once per group."""
     d = spec.datum
     if d.family == "A" and d.twist_order == 2:
         rank = d.rank
-        n_plus_k = rank + 1  # ambient matrix size 2n+k
-        if rank % 2:
+        if rank % 2:  # ambient matrix size 2n+k
             n, k = (rank + 1) // 2, 0
         else:
             n, k = rank // 2, 1
         if n < 2:
             raise UnsupportedGroupError("doubling needs an SL(n) Levi with n >= 2")
         nodes = frozenset(range(1, n)) | frozenset(range(n + k + 1, rank + 1))
-        return ParabolicSubset(d, nodes), "unitary"
+        pairs = tuple((i - 1, n + k + i - 1) for i in range(1, n))
+        return (ParabolicSubset(d, nodes),
+                "paired coefficients agree: a_i = a_{n+k+i}", pairs)
     if d.twist_order == 1 and (
         (d.family == "B" and d.rank > 2)
         or (d.family == "C" and d.rank > 1)
         or (d.family == "D" and d.rank > 3)
     ):
-        return ParabolicSubset(d, frozenset(range(1, d.rank))), "bcd"
-    if d.family == "D" and d.twist_order == 2 and d.rank > 3:
-        return ParabolicSubset(d, frozenset(range(1, d.rank - 1))), "bcd"
-    raise UnsupportedGroupError(
-        f"no doubling criterion embedded for {spec.describe()}")
+        size = d.rank - 1
+    elif d.family == "D" and d.twist_order == 2 and d.rank > 3:
+        size = d.rank - 2
+    else:
+        raise UnsupportedGroupError(
+            f"no doubling criterion embedded for {spec.describe()}")
+    pairs = tuple((i, size - 1 - i) for i in range(size // 2))
+    return (ParabolicSubset(d, frozenset(range(1, size + 1))),
+            "restricted type-A weight is palindromic (self-dual)", pairs)
 
 
 def doubling_applicable(spec: GroupSpec, weight: Weight) -> DoublingRule:
@@ -736,21 +743,10 @@ def doubling_applicable(spec: GroupSpec, weight: Weight) -> DoublingRule:
     the restriction to the type-A Levi of the first n-1 nodes is palindromic,
     i.e. the Levi module is self-dual.
     """
-    parabolic, kind = _doubling_parabolic(spec)
-    d = spec.datum
-    if kind == "unitary":
-        rank = d.rank
-        n = (rank + 1) // 2 if rank % 2 else rank // 2
-        k = 0 if rank % 2 else 1
-        if all(weight[i] == weight[n + k + i] for i in range(1, n)):
-            return DoublingRule(parabolic, False,
-                                "paired coefficients agree: a_i = a_{n+k+i}")
-        return DoublingRule(parabolic, True, None)
-    size = d.rank - 1 if d.twist_order == 1 else d.rank - 2
-    restricted = tuple(weight[i] for i in range(1, size + 1))
-    if restricted == restricted[::-1]:
-        return DoublingRule(parabolic, False,
-                            "restricted type-A weight is palindromic (self-dual)")
+    parabolic, reason, pairs = _doubling_parabolic(spec)
+    coeffs = weight.coeffs
+    if all(coeffs[i] == coeffs[j] for i, j in pairs):
+        return DoublingRule(parabolic, False, reason)
     return DoublingRule(parabolic, True, None)
 
 

@@ -300,6 +300,71 @@ def test_levi_pieces_equal_the_search_over_every_parabolic():
                 == reference_levi_pieces(datum, suzuki_ree)), (datum, suzuki_ree)
 
 
+def _descendants(spec, parabolic, weight):
+    """``(group key, coefficients, group)`` of each descendant, through
+    ``descend_weight``."""
+    return [(bd._group_key(d.spec), d.weight.coeffs, d.spec)
+            for d in wt.descend_weight(spec, parabolic, weight)]
+
+
+def _projected(entries, coeffs):
+    return [(e.key, e.project(coeffs), e.spec) for e in entries]
+
+
+def test_piece_projections_equal_descend_weight():
+    # Each entry of a piece table against ``descend_weight`` through the
+    # node set of its piece (all the nodes of its Frobenius orbit).
+    rng = random.Random(20261018)
+    kinds = set()
+    for datum, suzuki_ree in _structure_cases():
+        if suzuki_ree:
+            specs = [rd.GroupSpec(datum, rd.SuzukiReeField(
+                3 if datum.family == "G2" else 2, e)) for e in (0, 1)]
+        else:
+            specs = [rd.GroupSpec(datum, rd.IntegerField(q)) for q in (2, 3, 4)]
+        for spec in specs:
+            pieces = wt.levi_pieces(datum, suzuki_ree)
+            table = bd._piece_table(spec)
+            assert len(table) == len(pieces)
+            ranges = wt.coefficient_ranges(spec)
+            for piece, entry in zip(pieces, table):
+                kinds.add((datum.family, datum.twist_order, piece.kind,
+                           len(piece.original_nodes)))
+                nodes = frozenset(i + 1 for row in piece.indices for i in row)
+                parabolic = wt.ParabolicSubset(datum, nodes)
+                for _ in range(5):
+                    coeffs = tuple(rng.randrange(r) for r in ranges)
+                    assert (_projected([entry], coeffs) == _descendants(
+                        spec, parabolic, Weight(coeffs))), (spec, nodes, coeffs)
+    assert ("A", 1, "fixed", 1) in kinds
+    # Orbit pieces of the twisted groups and of the Ree groups of type F4;
+    # the other Suzuki-Ree groups have rank 2 and no proper parabolic.
+    for family, twist in (("A", 2), ("D", 2), ("D", 3), ("E6", 2), ("F4", 2)):
+        assert any(k[:3] == (family, twist, "orbit") for k in kinds), family
+
+
+def test_doubling_step_equals_doubling_applicable():
+    # The plan's escape pairs and doubling pieces against
+    # ``doubling_applicable`` and ``descend_weight``, on every weight.
+    doubling = 0
+    for spec in SWEEP:
+        plan = bd._group_plan(spec)
+        try:
+            wt.doubling_applicable(spec, wt.steinberg_weight(spec))
+        except rd.UnsupportedGroupError:
+            assert plan.escape_pairs is plan.doubling_pieces is None
+            continue
+        doubling += 1
+        for w in wt.enumerate_restricted_weights(spec):
+            rule = wt.doubling_applicable(spec, w)
+            escapes = all(w.coeffs[i] == w.coeffs[j]
+                          for i, j in plan.escape_pairs)
+            assert rule.applicable is not escapes, (spec.describe(), w)
+            assert (_projected(plan.doubling_pieces, w.coeffs)
+                    == _descendants(spec, rule.parabolic, w)), (spec, w)
+    assert doubling == 29
+
+
 def test_descent_memo_counts_a_fresh_sweep(monkeypatch):
     # The set of descent values computed for the D4(8)-then-A4(8) sweep is
     # the one computed when descent ran through every proper parabolic.
@@ -309,7 +374,7 @@ def test_descent_memo_counts_a_fresh_sweep(monkeypatch):
         for w in wt.enumerate_restricted_weights(spec):
             bd.best_bound(spec, w)
     assert memo.misses == len(memo.values) == 8774
-    assert memo.lookups > memo.misses
+    assert memo.lookups == 92260
 
 
 def test_short_weight_raises_value_error():

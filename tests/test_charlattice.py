@@ -245,9 +245,48 @@ def test_dominant_walk_finds_the_highest_coroot(datum):
 @pytest.mark.parametrize("family, rank, q", [
     ("A", 2, 5), ("C", 2, 5), ("B", 3, 4), ("G2", 2, 8), ("A", 3, 4)])
 def test_orbit_size_on_every_character(family, rank, q):
+    # Cold (the per-alcove-point cache emptied), warm, and listed.
     spec = rd.group(family, rank, q=q)
+    cache = cl._alcove_plan(spec.datum).orbit_sizes
     for beta in itertools.product(range(q - 1), repeat=rank):
-        assert cl.orbit_size(spec, beta) == len(cl.orbit(spec, beta)), beta
+        cache.clear()
+        cold = cl.orbit_size(spec, beta)
+        assert len(cache) == 1
+        warm = cl.orbit_size(spec, beta)
+        assert cold == warm == len(cl.orbit(spec, beta)), beta
+
+
+def _raised(compute, *args):
+    try:
+        compute(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("spec", (rd.group("A", 2, q=4),) + NON_SPLIT,
+                         ids=lambda s: s.describe())
+def test_orbit_size_checks_plain_coordinates_as_characters(spec):
+    # The plain-tuple path raises what a TorusCharacter raises, in the same
+    # order: split groups only, then the length.  Its messages are those of
+    # ``character_from_weight``.
+    m = 3 if spec.is_suzuki_ree else max(spec.q - 1, 1)
+    rank = spec.datum.rank
+    for coords in ((1,) + (0,) * (rank - 1), (1,) * (rank + 1), (1,) * (rank - 1)):
+        plain = _raised(cl.orbit_size, spec, coords)
+        char = _raised(cl.orbit_size, spec, cl.TorusCharacter(coords, m))
+        assert plain == _raised(cl.character_from_weight, spec, coords)
+        if spec.datum.twist_order != 1:
+            assert plain[0] is char[0] is rd.UnsupportedGroupError
+            assert plain == char
+        elif len(coords) != rank:
+            assert plain == (ValueError, "weight length does not match the rank")
+            assert char == (ValueError, "character length does not match the rank")
+        else:
+            assert plain is char is None
+    if spec.datum.twist_order == 1:
+        assert _raised(cl.orbit_size, spec, cl.TorusCharacter((1, 0), 2)) == (
+            ValueError, f"character modulus 2 is not q-1 for {spec.describe()}")
 
 
 def test_orbit_budget_is_checked_before_enumerating(monkeypatch):

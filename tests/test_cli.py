@@ -191,22 +191,15 @@ def test_orbit_json_refuses_a_multi_million_orbit(capsys):
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
-    built = []
-    build_parser = cli.build_parser
-
-    def counting_build_parser():
-        built.append(None)
-        return build_parser()
-
-    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     try:
         for argv in (("info", "A", "2", "--q", "3"),
                      ("bound", "A", "2", "--q", "3", "--weight", "1,0"),
                      ("bound", "A", "2", "--q", "3"),
                      ("info", "A", "2", "--q", "0")):
             run(capsys, *argv)
-        assert len(built) == 1
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser() is cli.build_parser()
 
         def patched(args):
             print("patched", args.family, args.rank)
@@ -215,9 +208,9 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
         monkeypatch.setattr(cli, "_cmd_info", patched)
         assert run(capsys, "info", "C", "3", "--q", "4") == (
             cli.EXIT_OK, "patched C 3\n", "")
-        assert len(built) == 1
+        assert cli.build_parser.cache_info().misses == 1
     finally:
-        cli._parser.cache_clear()
+        cli.build_parser.cache_clear()
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):

@@ -404,7 +404,7 @@ def test_import_builds_no_descent_plan():
             "    weights.twisted_bn_rank, weights.levi_pieces,\n"
             "    weights.steinberg_weight, weights._independent_set_sizes,\n"
             "    weights._doubling_parabolic, bounds._piece_table,\n"
-            "    bounds._group_plan, cli._parser)))")
+            "    bounds._group_plan, cli.build_parser)))")
     assert _fresh_python(code).split() == ["0"] * 10
 
 
