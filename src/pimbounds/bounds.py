@@ -26,16 +26,17 @@ or the scope of the restriction bound.
 
 Group plans: what the rules need to know about a group that does not depend
 on the weight (its name and memo key, the Steinberg coefficients and the
-coefficient ranges, the four rule scopes, the embedded minimum, the escape
-pairs and Levi pieces of the doubling step, and for split groups of rank
->= 2 the size of a largest independent node set inside every node set) is
-built once per group, on first use, and cached.  Each Levi piece holds a
-precomputed projection from the group's coefficients to its descendant's,
-an ``itemgetter`` for a Frobenius-fixed piece.  A weight then costs a tuple
-comparison for Steinberg, one bitmask and one table index for the
-independent set, one projection and one memo read per piece, and the rules
-that really depend on it; the torus-orbit length is read from a cache per
-alcove point in :mod:`pimbounds.charlattice`.
+coefficient ranges, the four rule scopes, the embedded minimum, the Levi
+pieces of plain descent, the escape pairs and Levi pieces of the doubling
+step, and for split groups of rank >= 2 the size of a largest independent
+node set inside every node set) is built once per group, on first use, and
+cached.  Each Levi piece holds a precomputed projection from the group's
+coefficients to its descendant's, an ``itemgetter`` for a Frobenius-fixed
+piece.  A weight then costs a tuple comparison for Steinberg, one bitmask
+and one table index for the independent set, one projection and one memo
+read per piece, and the rules that really depend on it; the torus-orbit
+length is read from a cache per alcove point in
+:mod:`pimbounds.charlattice`.
 """
 
 from __future__ import annotations
@@ -238,6 +239,8 @@ class _GroupPlan:
     descends: bool
     # The embedded table steps, for the zero weight and for the others.
     table_steps: tuple[ChainStep, ChainStep] | None
+    # The Levi pieces of plain descent; None when the group does not descend.
+    pieces: tuple[_PieceEntry, ...] | None
     # The doubling step, when a designated parabolic exists: the 0-based
     # index pairs whose equality is the escape pattern, and its Levi pieces.
     escape_pairs: tuple[tuple[int, int], ...] | None
@@ -277,15 +280,14 @@ def _table_steps(spec: GroupSpec) -> tuple[ChainStep, ChainStep] | None:
     return ChainStep(table.rule, table.zero_weight_value, _ONE_PIM_DETAIL), minimum
 
 
-def _doubling_step(spec: GroupSpec):
+def _doubling_step(spec: GroupSpec, suzuki_ree: bool):
     """The escape pairs and the Levi pieces of the designated doubling
     parabolic, or ``(None, None)`` when the group has none.  That parabolic
     is of type A, so its descent plan is supported."""
     try:
-        parabolic, _, pairs = _doubling_parabolic(spec)
+        parabolic, pairs = _doubling_parabolic(spec)
     except UnsupportedGroupError:
         return None, None
-    suzuki_ree = isinstance(spec.field, SuzukiReeField)
     pieces = _descent_plan(parabolic, suzuki_ree).pieces
     return pairs, _piece_entries(pieces, spec.field, suzuki_ree)
 
@@ -294,18 +296,22 @@ def _doubling_step(spec: GroupSpec):
 def _group_plan(spec: GroupSpec) -> _GroupPlan:
     """The plan of a group, built on first use."""
     split = _is_split(spec)
-    escape_pairs, doubling_pieces = _doubling_step(spec)
+    descends = _descends(spec)
+    suzuki_ree = spec.is_suzuki_ree
+    escape_pairs, doubling_pieces = _doubling_step(spec, suzuki_ree)
     return _GroupPlan(
         group=spec.describe(),
         key=_group_key(spec),
-        q=None if spec.is_suzuki_ree else spec.q,
+        q=None if suzuki_ree else spec.q,
         steinberg=steinberg_weight(spec).coeffs,
         ranges=coefficient_ranges(spec),
         sl2=_is_sl2(spec),
         split=split,
         hc=_hc_in_scope(spec),
-        descends=_descends(spec),
+        descends=descends,
         table_steps=_table_steps(spec),
+        pieces=(_piece_entries(levi_pieces(spec.datum, suzuki_ree), spec.field,
+                               suzuki_ree) if descends else None),
         escape_pairs=escape_pairs,
         doubling_pieces=doubling_pieces,
         independent=(_independent_set_sizes(spec.datum)
@@ -314,15 +320,8 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
 
 
 # ---------------------------------------------------------------------------
-# Individual bound rules
+# Restriction bound
 # ---------------------------------------------------------------------------
-
-
-def ballard_bound(spec: GroupSpec, weight: Weight) -> int:
-    """Orbit-size bound: c is at least the Weyl orbit length of the torus
-    character obtained by reducing the weight modulo q-1.  Split groups only.
-    """
-    return orbit_size(spec, weight.coeffs)
 
 
 _HC_LARGE = {"A": lambda rank: rank + 1, "D": lambda rank: 2 * rank,
@@ -330,53 +329,21 @@ _HC_LARGE = {"A": lambda rank: rank + 1, "D": lambda rank: 2 * rank,
              "E8": lambda rank: 120}
 
 
-def hc_bound(spec: GroupSpec, weight: Weight) -> tuple[int, str]:
-    """Minimal-degree bound through Harish-Chandra restriction.
+def _hc_value(spec: GroupSpec, weight: Weight) -> tuple[int, str]:
+    """Minimal-degree bound through Harish-Chandra restriction, for a
+    non-Steinberg weight of a group in the scope of :func:`_hc_in_scope`.
 
-    Scope: split groups of type A with rank >= 4, split type D with rank >= 4
-    and q even, and E6/E7/E8.  When the Borel socle of the simple module is
-    nontrivial the bound is the smallest faithful-permutation-like degree m
-    (rank+1, 2*rank, 27, 28, 120); when it is trivial the bound is the
-    minimum dimension of a nonlinear Weyl-group character.
+    When the Borel socle of the simple module is nontrivial the bound is the
+    smallest faithful-permutation-like degree m (rank+1, 2*rank, 27, 28,
+    120); when it is trivial the bound is the minimum dimension of a
+    nonlinear Weyl-group character.
     """
-    return _hc_value(spec, weight, _group_plan(spec))
-
-
-def _hc_value(spec: GroupSpec, weight: Weight,
-              plan: _GroupPlan) -> tuple[int, str]:
-    """The body of :func:`hc_bound`, given the group's plan."""
-    if not plan.split:
-        raise UnsupportedGroupError("the restriction bound needs a split group")
-    if not plan.hc:
-        raise UnsupportedGroupError(
-            f"the restriction bound is not stated for {plan.group}")
     d = spec.datum
-    if weight.coeffs == plan.steinberg:
-        return 1, "Steinberg module: multiplier exactly 1"
     if socle_trivial_on_borel(spec, weight):
         return (d.min_nonlinear_degree,
                 "trivial Borel socle: minimal nonlinear Weyl character degree")
     return (_HC_LARGE[d.family](d.rank),
             "nontrivial Borel socle: minimal nontrivial permutation degree")
-
-
-def independent_set_bound(spec: GroupSpec, weight: Weight) -> tuple[int, int]:
-    """The 2^|J| bound from an independent set of A1 Levi factors.
-
-    Returns ``(bound, set_size)``.  Split groups of rank >= 2 only; nodes
-    must carry a coefficient outside {0, q-1}.  The size is read off the
-    group plan's table, filled by the subset recursion of
-    :func:`weights._independent_set_sizes`.
-    """
-    if spec.datum.rank < 2:
-        raise UnsupportedGroupError("the independent-set bound needs rank >= 2")
-    plan = _group_plan(spec)
-    if plan.independent is None:
-        raise UnsupportedGroupError(
-            "the independent-set criterion is stated for split groups")
-    _check_weight(weight, plan.ranges)
-    size = plan.independent_size(weight.coeffs)
-    return 2 ** size, size
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +386,17 @@ def descent_bound(spec: GroupSpec, weight: Weight) -> int:
     strengthening along the designated type-A parabolic of the classical
     groups.  Values are memoised per group and weight.
     """
-    return _memo_descent(spec, weight, _group_plan(spec))
+    return _memo_descent(weight, _group_plan(spec))
 
 
-def _memo_descent(spec: GroupSpec, weight: Weight, plan: _GroupPlan) -> int:
+def _memo_descent(weight: Weight, plan: _GroupPlan) -> int:
     """The body of :func:`descent_bound`, given the group's plan."""
     memo = _DESCENT_MEMO
     memo.lookups += 1
     key = (plan.key, weight.coeffs)
     value = memo.values.get(key)
     if value is None:
-        value = memo.store(key, _descent_value(spec, weight, plan))
+        value = memo.store(key, _descent_value(weight, plan))
     return value
 
 
@@ -473,14 +440,6 @@ def _piece_entries(pieces, field, suzuki_ree: bool) -> tuple[_PieceEntry, ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
-def _piece_table(spec: GroupSpec) -> tuple[_PieceEntry, ...]:
-    """The supported Levi pieces of a group, built on its first memo miss."""
-    suzuki_ree = isinstance(spec.field, SuzukiReeField)
-    return _piece_entries(levi_pieces(spec.datum, suzuki_ree), spec.field,
-                          suzuki_ree)
-
-
 def _best_piece_value(pieces: tuple[_PieceEntry, ...],
                       coeffs: tuple[int, ...]) -> int:
     """The largest descent value over some pieces of a group at one weight.
@@ -496,13 +455,13 @@ def _best_piece_value(pieces: tuple[_PieceEntry, ...],
         value = values.get(memo_key)
         if value is None:
             value = memo.store(memo_key, _descent_value(
-                dspec, Weight(dcoeffs), _group_plan(dspec)))
+                Weight(dcoeffs), _group_plan(dspec)))
         if value > best:
             best = value
     return best
 
 
-def _descent_value(spec: GroupSpec, weight: Weight, plan: _GroupPlan) -> int:
+def _descent_value(weight: Weight, plan: _GroupPlan) -> int:
     """The uncached body of :func:`descent_bound`.
 
     Plain descent takes the best value over the Levi pieces of the group
@@ -510,7 +469,7 @@ def _descent_value(spec: GroupSpec, weight: Weight, plan: _GroupPlan) -> int:
     descendant of every supported proper parabolic.  The doubling step takes
     twice the best value over the pieces of the designated parabolic, unless
     the weight is equal on every escape pair (see
-    :func:`weights.doubling_applicable`)."""
+    :func:`weights._doubling_parabolic`)."""
     coeffs = weight.coeffs
     if coeffs == plan.steinberg:
         return 1
@@ -523,7 +482,7 @@ def _descent_value(spec: GroupSpec, weight: Weight, plan: _GroupPlan) -> int:
     _check_weight(weight, plan.ranges)
     if plan.independent is not None:
         best = max(best, 2 ** plan.independent_size(coeffs))
-    best = max(best, _best_piece_value(_piece_table(spec), coeffs))
+    best = max(best, _best_piece_value(plan.pieces, coeffs))
     pairs = plan.escape_pairs
     if pairs is not None and any(coeffs[i] != coeffs[j] for i, j in pairs):
         best = max(best, 2 * _best_piece_value(plan.doubling_pieces, coeffs))
@@ -562,7 +521,7 @@ def best_bound(spec: GroupSpec, weight: Weight) -> BoundCertificate:
         exact = exact or table.detail == _ONE_PIM_DETAIL
     if plan.split:
         steps.append(ChainStep(
-            "torus-orbit", ballard_bound(spec, weight),
+            "torus-orbit", orbit_size(spec, coeffs),
             "Weyl orbit length of the weight reduced modulo q-1"))
         if plan.independent is not None:
             size = plan.independent_size(coeffs)
@@ -571,11 +530,11 @@ def best_bound(spec: GroupSpec, weight: Weight) -> BoundCertificate:
                     "independent-set", 2 ** size,
                     f"2^{size} from an independent set of A1 Levi factors"))
     if plan.hc:
-        value, reason = _hc_value(spec, weight, plan)
+        value, reason = _hc_value(spec, weight)
         steps.append(ChainStep("hc-restriction", value, reason))
     if plan.descends:
         steps.append(ChainStep("parabolic-descent",
-                               _memo_descent(spec, weight, plan),
+                               _memo_descent(weight, plan),
                                "recursion through twist-stable parabolics"))
     bound = max((s.value for s in steps), default=1)
     return BoundCertificate(plan.group, coeffs, bound, exact, tuple(steps))

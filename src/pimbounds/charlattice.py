@@ -61,23 +61,6 @@ class BudgetExceededError(RuntimeError):
     """A scan or search was larger than the configured budget."""
 
 
-@dataclass(frozen=True)
-class TorusCharacter:
-    """A character of the split torus: weight coordinates modulo ``modulus``."""
-
-    coords: tuple[int, ...]
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(
-            self, "coords", tuple(c % self.modulus for c in self.coords))
-
-    def is_trivial(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-
 def _require_split(spec: GroupSpec) -> None:
     if spec.is_suzuki_ree or spec.datum.twist_order != 1:
         raise UnsupportedGroupError(
@@ -93,23 +76,6 @@ def _weight_coords(spec: GroupSpec, weight) -> tuple[tuple[int, ...], int]:
     if len(coords) != spec.datum.rank:
         raise ValueError("weight length does not match the rank")
     return tuple([c % m for c in coords]), m
-
-
-def character_from_weight(spec: GroupSpec, weight) -> TorusCharacter:
-    """Restrict a weight to the split torus: reduce coordinates mod q-1."""
-    return TorusCharacter(*_weight_coords(spec, weight))
-
-
-def _as_character(spec: GroupSpec, beta) -> TorusCharacter:
-    if not isinstance(beta, TorusCharacter):
-        return character_from_weight(spec, beta)
-    _require_split(spec)
-    if beta.modulus != max(spec.q - 1, 1):
-        raise ValueError(
-            f"character modulus {beta.modulus} is not q-1 for {spec.describe()}")
-    if len(beta.coords) != spec.datum.rank:
-        raise ValueError("character length does not match the rank")
-    return beta
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +238,12 @@ def _omega_fixing(plan: _AlcovePlan, kac: tuple[int, ...]) -> int:
                if all(kac[p] == s for p, s in zip(perm, kac)))
 
 
-def orbit_size(spec: GroupSpec, beta) -> int:
-    """Length of the Weyl orbit of a torus character, by orbit-stabilizer in
-    the extended affine Weyl group; nothing is enumerated.  ``beta`` is a
-    :class:`TorusCharacter` or a weight's coordinates.  The length is cached
-    per alcove point, keyed by its Kac coordinates."""
-    if isinstance(beta, TorusCharacter):
-        char = _as_character(spec, beta)
-        coords, m = char.coords, char.modulus
-    else:
-        coords, m = _weight_coords(spec, beta)
+def orbit_size(spec: GroupSpec, weight) -> int:
+    """Length of the Weyl orbit of the torus character of a weight (its
+    coordinates reduced mod q-1), by orbit-stabilizer in the extended affine
+    Weyl group; nothing is enumerated.  The length is cached per alcove
+    point, keyed by its Kac coordinates."""
+    coords, m = _weight_coords(spec, weight)
     plan = _alcove_plan(spec.datum)
     kac = _kac(plan, _to_alcove(plan, coords, m), m)
     size = plan.orbit_sizes.get(kac)
@@ -295,19 +257,19 @@ def orbit_size(spec: GroupSpec, beta) -> int:
 ORBIT_BUDGET = 10 ** 6
 
 
-def orbit(spec: GroupSpec, beta) -> frozenset[tuple[int, ...]]:
-    """Weyl-group orbit of a torus character, as a set of coordinate tuples.
+def orbit(spec: GroupSpec, weight) -> frozenset[tuple[int, ...]]:
+    """Weyl-group orbit of the torus character of a weight, as a set of
+    coordinate tuples reduced mod q-1.
 
     Raises :class:`BudgetExceededError`, before enumerating anything, when
     the orbit has more than :data:`ORBIT_BUDGET` elements.
     """
-    char = _as_character(spec, beta)
-    size = orbit_size(spec, char)
+    size = orbit_size(spec, weight)
     if size > ORBIT_BUDGET:
         raise BudgetExceededError(
             f"an orbit of {size} torus characters exceeds the budget "
             f"of {ORBIT_BUDGET}")
-    return frozenset(weyl_orbit(spec.datum, char.coords, char.modulus))
+    return frozenset(weyl_orbit(spec.datum, *_weight_coords(spec, weight)))
 
 
 @dataclass(frozen=True)

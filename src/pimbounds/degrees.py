@@ -71,9 +71,6 @@ class DegreePolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading_coefficient(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -206,14 +203,6 @@ class DegreePolynomial:
                 f"{self!r} is not divisible by {divisor!r} (remainder {r!r})"
             )
         return q
-
-    def div_int(self, k: int) -> "DegreePolynomial":
-        """Exact division by an integer constant."""
-        if k == 0:
-            raise ZeroDivisionError
-        if any(c % k for c in self.coeffs):
-            raise InexactDivisionError(f"{self!r} has a coefficient not divisible by {k}")
-        return DegreePolynomial(c // k for c in self.coeffs)
 
     def reduce_mod(self, modulus: "DegreePolynomial") -> "DegreePolynomial":
         """Remainder of division by ``modulus`` (always legal for monic moduli)."""

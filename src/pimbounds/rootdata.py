@@ -318,15 +318,6 @@ def reflection_matrices(datum: RootDatum) -> tuple[tuple[tuple[int, ...], ...], 
     return tuple(simple_reflection_matrix(datum, i) for i in range(1, datum.rank + 1))
 
 
-def apply_reflection(datum: RootDatum, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply the simple reflection s_i to a weight vector."""
-    a = v[i - 1]
-    if a == 0:
-        return v
-    col = tuple(datum.cartan[j][i - 1] for j in range(datum.rank))
-    return tuple(v[j] - a * col[j] for j in range(datum.rank))
-
-
 def weyl_orbit(datum: RootDatum, start: tuple[int, ...],
                modulus: int | None = None,
                nodes: Iterable[int] | None = None) -> set[tuple[int, ...]]:

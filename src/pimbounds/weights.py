@@ -67,9 +67,6 @@ class Weight:
         """Coefficient at a 1-based node."""
         return self.coeffs[node - 1]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
 
 def coefficient_ranges(spec: GroupSpec) -> tuple[int, ...]:
     """Per-node coefficient range sizes for the restricted weights.
@@ -104,10 +101,6 @@ def steinberg_weight(spec: GroupSpec) -> Weight:
     """The weight of the Steinberg module: maximal in every coordinate.
     Built once per group."""
     return Weight(tuple(r - 1 for r in coefficient_ranges(spec)))
-
-
-def is_steinberg(spec: GroupSpec, weight: Weight) -> bool:
-    return weight == steinberg_weight(spec)
 
 
 def steinberg_dimension(spec: GroupSpec) -> int:
@@ -166,31 +159,16 @@ class ParabolicSubset:
         return tuple(sorted(comps))
 
 
-def twist_stable_subsets(datum: RootDatum, *, proper: bool = True,
-                         nonempty: bool = True):
-    """All twist-stable node subsets (unions of diagram-symmetry orbits)."""
-    orbits = []
-    seen = set()
-    for i in range(1, datum.rank + 1):
-        if i in seen:
-            continue
-        orb = datum.perm_orbit(i)
-        seen.update(orb)
-        orbits.append(orb)
-    for mask in range(1 << len(orbits)):
-        nodes = frozenset(
-            n for k, orb in enumerate(orbits) if mask >> k & 1 for n in orb)
-        if nonempty and not nodes:
-            continue
-        if proper and len(nodes) == datum.rank:
-            continue
-        yield ParabolicSubset(datum, nodes)
-
-
 @lru_cache(maxsize=None)
 def proper_parabolics(datum: RootDatum) -> tuple[ParabolicSubset, ...]:
-    """The twist-stable nonempty proper node sets, built once per datum."""
-    return tuple(twist_stable_subsets(datum))
+    """The twist-stable nonempty proper node sets (unions of some, but not
+    all, diagram-symmetry orbits), built once per datum."""
+    orbits = list(dict.fromkeys(frozenset(datum.perm_orbit(i))
+                                for i in range(1, datum.rank + 1)))
+    return tuple(
+        ParabolicSubset(datum, frozenset(
+            n for k, orb in enumerate(orbits) if mask >> k & 1 for n in orb))
+        for mask in range(1, (1 << len(orbits)) - 1))
 
 
 @lru_cache(maxsize=None)
@@ -685,26 +663,19 @@ def minimal_pim_candidates(spec: GroupSpec) -> list[Weight]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DoublingRule:
-    """Outcome of the dimension-doubling criterion for one standard parabolic.
-
-    ``applicable`` is True when the doubling factor 2 applies to the descent
-    through ``parabolic``; otherwise the weight satisfies the self-duality
-    escape pattern recorded in ``escape_reason``.
-    """
-
-    parabolic: ParabolicSubset
-    applicable: bool
-    escape_reason: str | None
-
-
 @lru_cache(maxsize=None)
 def _doubling_parabolic(
-        spec: GroupSpec) -> tuple[ParabolicSubset, str, tuple[tuple[int, int], ...]]:
-    """The designated type-A parabolic of the doubling criterion, the reason
-    recorded for a weight that escapes it, and the 0-based index pairs whose
-    equality is the escape pattern; built once per group."""
+        spec: GroupSpec) -> tuple[ParabolicSubset, tuple[tuple[int, int], ...]]:
+    """The designated type-A parabolic of the factor-2 strengthening, and the
+    0-based index pairs whose equality is the escape pattern; built once per
+    group.
+
+    For the unitary groups (twisted type A, ambient size 2n+k with k in
+    {0,1}) a weight escapes exactly when ``a_i = a_{n+k+i}`` for all i < n.
+    For types B/C/D (and twisted D) it escapes exactly when its restriction
+    to the type-A Levi of the first n-1 nodes (n-2 for twisted D) is
+    palindromic, i.e. the Levi module is self-dual.
+    """
     d = spec.datum
     if d.family == "A" and d.twist_order == 2:
         rank = d.rank
@@ -716,8 +687,7 @@ def _doubling_parabolic(
             raise UnsupportedGroupError("doubling needs an SL(n) Levi with n >= 2")
         nodes = frozenset(range(1, n)) | frozenset(range(n + k + 1, rank + 1))
         pairs = tuple((i - 1, n + k + i - 1) for i in range(1, n))
-        return (ParabolicSubset(d, nodes),
-                "paired coefficients agree: a_i = a_{n+k+i}", pairs)
+        return ParabolicSubset(d, nodes), pairs
     if d.twist_order == 1 and (
         (d.family == "B" and d.rank > 2)
         or (d.family == "C" and d.rank > 1)
@@ -730,24 +700,7 @@ def _doubling_parabolic(
         raise UnsupportedGroupError(
             f"no doubling criterion embedded for {spec.describe()}")
     pairs = tuple((i, size - 1 - i) for i in range(size // 2))
-    return (ParabolicSubset(d, frozenset(range(1, size + 1))),
-            "restricted type-A weight is palindromic (self-dual)", pairs)
-
-
-def doubling_applicable(spec: GroupSpec, weight: Weight) -> DoublingRule:
-    """Does the factor-2 strengthening apply to the designated type-A descent?
-
-    For the unitary groups (twisted type A, ambient size 2n+k with k in
-    {0,1}) the weight escapes exactly when ``a_i = a_{n+k+i}`` for all
-    i < n.  For types B/C/D (and twisted D) the weight escapes exactly when
-    the restriction to the type-A Levi of the first n-1 nodes is palindromic,
-    i.e. the Levi module is self-dual.
-    """
-    parabolic, reason, pairs = _doubling_parabolic(spec)
-    coeffs = weight.coeffs
-    if all(coeffs[i] == coeffs[j] for i, j in pairs):
-        return DoublingRule(parabolic, False, reason)
-    return DoublingRule(parabolic, True, None)
+    return ParabolicSubset(d, frozenset(range(1, size + 1))), pairs
 
 
 def _largest_independent_set(datum: RootDatum,

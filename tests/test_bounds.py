@@ -1,6 +1,7 @@
 """Tests for the bound rules, certificates and the final classification."""
 
 import json
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from pimbounds import (
     bounds as bd,
     caseanalysis as ca,
+    charlattice as cl,
     cli,
     rootdata as rd,
     weights as wt,
@@ -68,36 +70,39 @@ def test_rank_one_multiplier_rejects_unrestricted():
 # ---------------------------------------------------------------------------
 
 
+def _steps(spec, weight):
+    """The steps of ``best_bound`` on one weight, by rule."""
+    return {step.rule: step for step in bd.best_bound(spec, weight).steps}
+
+
 def test_ballard_bound_is_orbit_size():
     spec = rd.group("C", 2, q=4)
-    assert bd.ballard_bound(spec, Weight((1, 0))) == 4
-    assert bd.ballard_bound(spec, Weight((3, 3))) == 1  # reduces to 0 mod 3
+    assert _steps(spec, Weight((1, 0)))["torus-orbit"].value == 4
+    assert _steps(spec, Weight((3, 0)))["torus-orbit"].value == 1  # 0 mod 3
 
 
 def test_hc_bound_scope_and_values():
     spec = rd.special_linear(6, 3)
-    value, _ = bd.hc_bound(spec, Weight((1, 0, 0, 0, 0)))
-    assert value == 6  # nontrivial Borel socle -> rank + 1
-    value, _ = bd.hc_bound(spec, Weight((0, 2, 0, 2, 0)))
-    assert value == 5  # trivial Borel socle -> min nonlinear degree of S_6
-    value, _ = bd.hc_bound(spec, Weight((2,) * 5))
-    assert value == 1  # Steinberg
-    value, _ = bd.hc_bound(rd.group("E8", 8, q=3), Weight((1,) + (0,) * 7))
-    assert value == 120
-    with pytest.raises(rd.UnsupportedGroupError):
-        bd.hc_bound(rd.special_linear(3, 3), Weight((1, 0)))
-    with pytest.raises(rd.UnsupportedGroupError):
-        bd.hc_bound(rd.group("D", 5, q=3), Weight((1, 0, 0, 0, 0)))
+    steps = _steps(spec, Weight((1, 0, 0, 0, 0)))
+    assert steps["hc-restriction"].value == 6  # nontrivial Borel socle -> rank + 1
+    steps = _steps(spec, Weight((0, 2, 0, 2, 0)))
+    assert steps["hc-restriction"].value == 5  # trivial Borel socle -> S_6
+    steps = _steps(rd.group("E8", 8, q=3), Weight((1,) + (0,) * 7))
+    assert steps["hc-restriction"].value == 120
+    # Out of scope, and the Steinberg weight: no restriction step.
+    for spec, weight in ((rd.special_linear(3, 3), Weight((1, 0))),
+                         (rd.group("D", 5, q=3), Weight((1, 0, 0, 0, 0))),
+                         (spec, Weight((2,) * 5))):
+        assert "hc-restriction" not in _steps(spec, weight)
 
 
 def test_independent_set_bound():
     spec = rd.special_linear(6, 4)
-    value, size = bd.independent_set_bound(spec, Weight((1, 2, 1, 2, 1)))
-    assert (value, size) == (8, 3)
-    value, size = bd.independent_set_bound(spec, Weight((0, 0, 0, 0, 0)))
-    assert (value, size) == (1, 0)
-    with pytest.raises(rd.UnsupportedGroupError):
-        bd.independent_set_bound(rd.special_linear(2, 4), Weight((1,)))
+    step = _steps(spec, Weight((1, 2, 1, 2, 1)))["independent-set"]
+    assert (step.value, step.detail) == (
+        8, "2^3 from an independent set of A1 Levi factors")
+    assert "independent-set" not in _steps(spec, Weight((0, 0, 0, 0, 0)))
+    assert "independent-set" not in _steps(rd.special_linear(2, 4), Weight((1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +129,11 @@ def test_descent_bound_doubling_strengthening():
     # twice the inner bound along the designated parabolic.
     spec = rd.group("C", 3, q=4)
     weight = Weight((1, 2, 0))
-    rule = wt.doubling_applicable(spec, weight)
-    assert rule.applicable
+    parabolic, applies = reference_doubling(spec, weight)
+    assert applies
     inner = max(
         bd.descent_bound(desc.spec, desc.weight)
-        for desc in wt.descend_weight(spec, rule.parabolic, weight))
+        for desc in wt.descend_weight(spec, parabolic, weight))
     assert bd.descent_bound(spec, weight) >= 2 * inner
 
 
@@ -142,6 +147,36 @@ def test_descent_bound_twisted_groups():
     assert bd.descent_bound(spec, Weight((0, 0, 0, 0))) >= 15
 
 
+# The groups of types B, C, D and twisted D that have a doubling parabolic.
+_DOUBLING_LEAST_RANK = {("B", 1): 3, ("C", 1): 2, ("D", 1): 4, ("D", 2): 4}
+
+
+def reference_doubling(spec, weight):
+    """The factor-2 rule restated: ``(parabolic, applies)`` for the designated
+    type-A parabolic, or None when the group has none.
+
+    B, C and D (n-1 nodes) and twisted D (n-2 nodes): the parabolic is the
+    first nodes, and the rule applies unless their coefficients form a
+    palindrome.  Unitary groups of ambient size 2n+k, k in {0, 1}: the
+    parabolic is nodes 1..n-1 and n+k+1..rank, and the rule applies unless
+    a_i = a_{n+k+i} for every i < n."""
+    d = spec.datum
+    if d.family == "A" and d.twist_order == 2:
+        n, k = divmod(d.rank + 1, 2)
+        if n < 2:
+            return None
+        nodes = set(range(1, n)) | set(range(n + k + 1, d.rank + 1))
+        escapes = all(weight[i] == weight[n + k + i] for i in range(1, n))
+    elif d.rank >= _DOUBLING_LEAST_RANK.get((d.family, d.twist_order), math.inf):
+        size = d.rank - d.twist_order  # n-1 nodes, n-2 for twisted D
+        nodes = set(range(1, size + 1))
+        head = weight.coeffs[:size]
+        escapes = head == head[::-1]
+    else:
+        return None
+    return wt.ParabolicSubset(d, frozenset(nodes)), not escapes
+
+
 def reference_descent_bound(spec, weight, memo):
     """The descent bound as it stood before the Levi piece tables: every
     proper parabolic through ``descend_weight``, with a memo of its own."""
@@ -152,7 +187,7 @@ def reference_descent_bound(spec, weight, memo):
 
 
 def _reference_descent_value(spec, weight, memo):
-    if wt.is_steinberg(spec, weight):
+    if weight == wt.steinberg_weight(spec):
         return 1
     if bd._is_sl2(spec):
         return bd.rank_one_multiplier(spec.q, weight[1])
@@ -169,13 +204,10 @@ def _reference_descent_value(spec, weight, memo):
             continue
         for desc in descendants:
             best = max(best, reference_descent_bound(desc.spec, desc.weight, memo))
-    try:
-        rule = wt.doubling_applicable(spec, weight)
-    except rd.UnsupportedGroupError:
-        rule = None
-    if rule is not None and rule.applicable:
+    doubling = reference_doubling(spec, weight)
+    if doubling is not None and doubling[1]:
         inner = max(reference_descent_bound(desc.spec, desc.weight, memo)
-                    for desc in wt.descend_weight(spec, rule.parabolic, weight))
+                    for desc in wt.descend_weight(spec, doubling[0], weight))
         best = max(best, 2 * inner)
     return best
 
@@ -187,7 +219,7 @@ def _reference_table_step(spec, weight):
     table = bd.known_minimum(spec)
     if table is None:
         return None
-    if weight.is_zero() and table.zero_weight_value is not None:
+    if not any(weight.coeffs) and table.zero_weight_value is not None:
         return bd.ChainStep(table.rule, table.zero_weight_value,
                             "embedded exact value for the 1-PIM")
     return bd.ChainStep(table.rule, table.value,
@@ -312,8 +344,9 @@ def _projected(entries, coeffs):
 
 
 def test_piece_projections_equal_descend_weight():
-    # Each entry of a piece table against ``descend_weight`` through the
-    # node set of its piece (all the nodes of its Frobenius orbit).
+    # Each piece of a group plan against ``descend_weight`` through the node
+    # set of its piece (all the nodes of its Frobenius orbit).  A group that
+    # does not descend plans no pieces.
     rng = random.Random(20261018)
     kinds = set()
     for datum, suzuki_ree in _structure_cases():
@@ -323,8 +356,11 @@ def test_piece_projections_equal_descend_weight():
         else:
             specs = [rd.GroupSpec(datum, rd.IntegerField(q)) for q in (2, 3, 4)]
         for spec in specs:
+            table = bd._group_plan(spec).pieces
+            if not bd._descends(spec):
+                assert table is None
+                continue
             pieces = wt.levi_pieces(datum, suzuki_ree)
-            table = bd._piece_table(spec)
             assert len(table) == len(pieces)
             ranges = wt.coefficient_ranges(spec)
             for piece, entry in zip(pieces, table):
@@ -337,31 +373,29 @@ def test_piece_projections_equal_descend_weight():
                     assert (_projected([entry], coeffs) == _descendants(
                         spec, parabolic, Weight(coeffs))), (spec, nodes, coeffs)
     assert ("A", 1, "fixed", 1) in kinds
-    # Orbit pieces of the twisted groups and of the Ree groups of type F4;
-    # the other Suzuki-Ree groups have rank 2 and no proper parabolic.
-    for family, twist in (("A", 2), ("D", 2), ("D", 3), ("E6", 2), ("F4", 2)):
+    # Orbit pieces of the twisted groups; the Suzuki-Ree groups do not
+    # descend.
+    for family, twist in (("A", 2), ("D", 2), ("D", 3), ("E6", 2)):
         assert any(k[:3] == (family, twist, "orbit") for k in kinds), family
 
 
-def test_doubling_step_equals_doubling_applicable():
+def test_doubling_step_equals_reference_doubling():
     # The plan's escape pairs and doubling pieces against
-    # ``doubling_applicable`` and ``descend_weight``, on every weight.
+    # ``reference_doubling`` and ``descend_weight``, on every weight.
     doubling = 0
     for spec in SWEEP:
         plan = bd._group_plan(spec)
-        try:
-            wt.doubling_applicable(spec, wt.steinberg_weight(spec))
-        except rd.UnsupportedGroupError:
+        if reference_doubling(spec, wt.steinberg_weight(spec)) is None:
             assert plan.escape_pairs is plan.doubling_pieces is None
             continue
         doubling += 1
         for w in wt.enumerate_restricted_weights(spec):
-            rule = wt.doubling_applicable(spec, w)
+            parabolic, applies = reference_doubling(spec, w)
             escapes = all(w.coeffs[i] == w.coeffs[j]
                           for i, j in plan.escape_pairs)
-            assert rule.applicable is not escapes, (spec.describe(), w)
+            assert applies is not escapes, (spec.describe(), w)
             assert (_projected(plan.doubling_pieces, w.coeffs)
-                    == _descendants(spec, rule.parabolic, w)), (spec, w)
+                    == _descendants(spec, parabolic, w)), (spec, w)
     assert doubling == 29
 
 
@@ -380,7 +414,7 @@ def test_descent_memo_counts_a_fresh_sweep(monkeypatch):
 def test_short_weight_raises_value_error():
     # Each rule checks the weight before it indexes the independent-set table.
     spec, short = rd.group("D", 4, q=8), Weight((1, 2, 3))
-    for rule in (bd.descent_bound, bd.independent_set_bound, bd.best_bound):
+    for rule in (bd.descent_bound, bd.best_bound):
         assert _outcome(rule, spec, short) == (
             ValueError, "weight length does not match the rank")
 
@@ -406,8 +440,6 @@ def test_independent_set_table_matches_search():
                     for i in range(datum.rank)))
                 assert table[mask] == _searched_independent_set_size(spec, w), (
                     spec.describe(), w)
-                assert bd.independent_set_bound(spec, w) == (
-                    2 ** table[mask], table[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +452,7 @@ def reference_best_bound(spec, weight, memo):
     group read again for each weight, the independent set searched, and
     descent through every proper parabolic (``reference_descent_bound``
     with the memo ``memo``)."""
-    if wt.is_steinberg(spec, weight):
+    if weight == wt.steinberg_weight(spec):
         step = bd.ChainStep("steinberg", 1,
                             "defect-zero module: multiplier exactly 1")
         return bd.BoundCertificate(spec.describe(), weight.coeffs, 1, True,
@@ -437,7 +469,7 @@ def reference_best_bound(spec, weight, memo):
         exact = exact or table.detail == "embedded exact value for the 1-PIM"
     if bd._is_split(spec):
         steps.append(bd.ChainStep(
-            "torus-orbit", bd.ballard_bound(spec, weight),
+            "torus-orbit", cl.orbit_size(spec, weight.coeffs),
             "Weyl orbit length of the weight reduced modulo q-1"))
         if spec.datum.rank >= 2:
             size = _searched_independent_set_size(spec, weight)
@@ -446,7 +478,7 @@ def reference_best_bound(spec, weight, memo):
                     "independent-set", 2 ** size,
                     f"2^{size} from an independent set of A1 Levi factors"))
     if bd._hc_in_scope(spec):
-        value, reason = bd.hc_bound(spec, weight)
+        value, reason = reference_hc_value(spec, weight)
         steps.append(bd.ChainStep("hc-restriction", value, reason))
     if bd._descends(spec):
         steps.append(bd.ChainStep(
@@ -455,6 +487,20 @@ def reference_best_bound(spec, weight, memo):
     bound = max((s.value for s in steps), default=1)
     return bd.BoundCertificate(spec.describe(), weight.coeffs, bound, exact,
                                tuple(steps))
+
+
+def reference_hc_value(spec, weight):
+    """The restriction bound restated for a non-Steinberg weight: the least
+    nonlinear Weyl character degree on a trivial Borel socle, else the least
+    nontrivial permutation degree."""
+    d = spec.datum
+    if wt.socle_trivial_on_borel(spec, weight):
+        return (d.min_nonlinear_degree,
+                "trivial Borel socle: minimal nonlinear Weyl character degree")
+    degree = {"A": d.rank + 1, "D": 2 * d.rank, "E6": 27, "E7": 28,
+              "E8": 120}[d.family]
+    return (degree,
+            "nontrivial Borel socle: minimal nontrivial permutation degree")
 
 
 def test_best_bound_equals_reference(monkeypatch):
@@ -762,7 +808,7 @@ def test_classification_matches_reference():
 # "no" from an exhaustive case analysis, while ``best_bound`` stays at 1 on
 # one non-Steinberg weight: (p-1, 0, p-1), (2, 0, 2, 2) and (0, 0).
 _CASE_ANALYSIS_GAP = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 3: the case analyses do not feed "
+    strict=True, reason="ROADMAP item 2a: the case analyses do not feed "
                         "best_bound")
 _GAP_GROUPS = {"2A3(q=3)", "2A3(q=5)", "3D4(q=3)", "2G2(q^2=27)"}
 

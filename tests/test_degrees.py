@@ -17,7 +17,6 @@ def test_basic_structure():
     assert poly(0, 0).is_zero()
     assert poly(3).degree == 0
     assert poly(1, 2, 3).degree == 2
-    assert poly(1, 2, 3).leading_coefficient() == 3
     assert DegreePolynomial.monomial(4, 7) == poly(0, 0, 0, 0, 7)
     assert X == poly(0, 1)
     assert ONE == poly(1)
@@ -72,9 +71,6 @@ def test_divexact_and_failures():
         (f + 1).divexact(X + 1)
     with pytest.raises(dg.InexactDivisionError):
         poly(1, 1).divmod(poly(0, 2))  # quotient 1/2 not integral
-    assert poly(2, 4).div_int(2) == poly(1, 2)
-    with pytest.raises(dg.InexactDivisionError):
-        poly(1, 2).div_int(2)
 
 
 def test_shift_p_part():

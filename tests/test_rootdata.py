@@ -249,7 +249,9 @@ def test_reflection_matrix_action_matches_vector_form():
         mat = rd.simple_reflection_matrix(datum, i)
         via_matrix = tuple(sum(mat[j][k] * v[k] for k in range(4))
                            for j in range(4))
-        assert via_matrix == rd.apply_reflection(datum, i, v)
+        # s_i v = v - v_i alpha_i, with alpha_i column i of the Cartan matrix.
+        assert via_matrix == tuple(v[j] - v[i - 1] * datum.cartan[j][i - 1]
+                                   for j in range(4))
 
 
 def test_prime_power_factoring():

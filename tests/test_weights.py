@@ -1,5 +1,6 @@
 """Tests for restricted weights, descent, and the candidate sieve."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pimbounds
 from pimbounds import bounds as bd, rootdata as rd, weights as wt
 from pimbounds.rootdata import GroupSpec, IntegerField, build_root_datum
 from pimbounds.weights import Descendant, UnsupportedSubdiagramError, Weight
-from test_bounds import SWEEP
+from test_bounds import SWEEP, reference_doubling
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +56,7 @@ def test_steinberg_dimension():
 def test_weight_coefficients_are_nonnegative_integers():
     assert Weight([True, 2.0, 3]).coeffs == (1, 2, 3)
     assert type(Weight([2.0]).coeffs[0]) is int
-    assert Weight(()).is_zero()
+    assert Weight(()).coeffs == ()
     with pytest.raises(ValueError, match="dominant"):
         Weight((1, -1))
 
@@ -84,7 +85,7 @@ def test_components_and_stability():
 
 def test_twist_stable_subsets_d4_triality():
     d4 = rd.build_root_datum("D", 4, 3)
-    subsets = sorted(tuple(sorted(s.nodes)) for s in wt.twist_stable_subsets(d4))
+    subsets = sorted(tuple(sorted(s.nodes)) for s in wt.proper_parabolics(d4))
     assert subsets == [(1, 3, 4), (2,)]
     assert wt.twisted_bn_rank(d4) == 2
 
@@ -312,8 +313,7 @@ def _group_and_weight(draw):
 @given(_group_and_weight())
 def test_descend_weight_equals_reference(case):
     spec, weight = case
-    for parabolic in wt.twist_stable_subsets(spec.datum, proper=False,
-                                             nonempty=False):
+    for parabolic in reference_twist_stable_subsets(spec.datum):
         assert (_outcome(wt.descend_weight, spec, parabolic, weight)
                 == _outcome(reference_descend_weight, spec, parabolic, weight))
 
@@ -368,10 +368,24 @@ def _traceback_depth(exc):
     return depth
 
 
+def reference_twist_stable_subsets(datum):
+    """Every twist-stable node set, the empty and the full one included, by
+    a search over all node sets."""
+    for r in range(datum.rank + 1):
+        for nodes in itertools.combinations(range(1, datum.rank + 1), r):
+            parabolic = wt.ParabolicSubset(datum, frozenset(nodes))
+            if parabolic.is_twist_stable():
+                yield parabolic
+
+
 def test_proper_parabolics_are_the_twist_stable_subsets():
     for datum in _ORACLE_DATA:
-        assert wt.proper_parabolics(datum) == tuple(wt.twist_stable_subsets(datum))
-        assert wt.proper_parabolics(datum) is wt.proper_parabolics(datum)
+        parabolics = wt.proper_parabolics(datum)
+        assert len(set(parabolics)) == len(parabolics)
+        assert set(parabolics) == {
+            p for p in reference_twist_stable_subsets(datum)
+            if 0 < len(p.nodes) < datum.rank}
+        assert wt.proper_parabolics(datum) is parabolics
 
 
 def test_descent_accepts_an_equal_copy_of_the_datum():
@@ -403,9 +417,9 @@ def test_import_builds_no_descent_plan():
             "    weights._descent_plan, weights.proper_parabolics,\n"
             "    weights.twisted_bn_rank, weights.levi_pieces,\n"
             "    weights.steinberg_weight, weights._independent_set_sizes,\n"
-            "    weights._doubling_parabolic, bounds._piece_table,\n"
-            "    bounds._group_plan, cli.build_parser)))")
-    assert _fresh_python(code).split() == ["0"] * 10
+            "    weights._doubling_parabolic, bounds._group_plan,\n"
+            "    cli.build_parser)))")
+    assert _fresh_python(code).split() == ["0"] * 9
 
 
 @pytest.mark.parametrize("family, rank, pieces, parabolics", [
@@ -491,14 +505,15 @@ def reference_candidates(spec):
     ranges = wt.coefficient_ranges(spec)
     survivors = []
     for weight in wt.enumerate_restricted_weights(spec):
-        if weight.is_zero() or weight == st:
+        if not any(weight.coeffs) or weight == st:
             continue
         ok = True
         for parabolic in wt.proper_parabolics(spec.datum):
             if all(weight[n] == ranges[n - 1] - 1 for n in parabolic.nodes):
                 continue
             descendants = wt.descend_weight(spec, parabolic, weight)
-            if not all(d.weight.is_zero() and wt._trivial_restriction_allowed(d.spec)
+            if not all(not any(d.weight.coeffs)
+                       and wt._trivial_restriction_allowed(d.spec)
                        for d in descendants):
                 ok = False
                 break
@@ -548,54 +563,55 @@ def test_candidates_need_relative_rank_two():
 # ---------------------------------------------------------------------------
 
 
+def _doubling(spec, weight):
+    """The designated parabolic's nodes and whether the factor 2 applies to
+    a weight, read from the group plan and checked against the restated
+    rule."""
+    parabolic, _ = wt._doubling_parabolic(spec)
+    pairs = bd._group_plan(spec).escape_pairs
+    applies = any(weight.coeffs[i] != weight.coeffs[j] for i, j in pairs)
+    assert (parabolic, applies) == reference_doubling(spec, weight)
+    return sorted(parabolic.nodes), applies
+
+
 def test_doubling_unitary_even_ambient():
     spec = rd.special_unitary(4, 3)  # n = 2, k = 0
-    rule = wt.doubling_applicable(spec, Weight((1, 0, 1)))
-    assert not rule.applicable  # paired coefficients agree
-    rule = wt.doubling_applicable(spec, Weight((1, 0, 2)))
-    assert rule.applicable
-    assert sorted(rule.parabolic.nodes) == [1, 3]
+    # Paired coefficients agree, so the weight escapes.
+    assert _doubling(spec, Weight((1, 0, 1))) == ([1, 3], False)
+    assert _doubling(spec, Weight((1, 0, 2))) == ([1, 3], True)
 
 
 def test_doubling_unitary_odd_ambient():
     spec = rd.special_unitary(5, 3)  # rank 4: n = 2, k = 1
-    rule = wt.doubling_applicable(spec, Weight((1, 2, 0, 1)))
-    assert not rule.applicable
-    rule = wt.doubling_applicable(spec, Weight((1, 2, 0, 2)))
-    assert rule.applicable
-    assert sorted(rule.parabolic.nodes) == [1, 4]
+    assert _doubling(spec, Weight((1, 2, 0, 1))) == ([1, 4], False)
+    assert _doubling(spec, Weight((1, 2, 0, 2))) == ([1, 4], True)
 
 
 def test_doubling_symplectic_palindrome_escape():
     spec = rd.group("C", 3, q=3)
-    assert not wt.doubling_applicable(spec, Weight((1, 1, 0))).applicable
-    assert wt.doubling_applicable(spec, Weight((1, 2, 0))).applicable
-    assert sorted(wt.doubling_applicable(
-        spec, Weight((1, 2, 0))).parabolic.nodes) == [1, 2]
+    assert _doubling(spec, Weight((1, 1, 0))) == ([1, 2], False)
+    assert _doubling(spec, Weight((1, 2, 0))) == ([1, 2], True)
 
 
 def test_doubling_twisted_d():
     spec = rd.group("D", 5, q=2, twist_order=2)
-    rule = wt.doubling_applicable(spec, Weight((1, 0, 1, 0, 0)))
-    assert sorted(rule.parabolic.nodes) == [1, 2, 3]
-    assert not rule.applicable  # (1, 0, 1) is palindromic
-    assert wt.doubling_applicable(spec, Weight((1, 1, 0, 0, 0))).applicable
+    # (1, 0, 1) is palindromic.
+    assert _doubling(spec, Weight((1, 0, 1, 0, 0))) == ([1, 2, 3], False)
+    assert _doubling(spec, Weight((1, 1, 0, 0, 0))) == ([1, 2, 3], True)
 
 
 def test_doubling_parabolic_is_built_once_per_group():
-    spec = rd.group("C", 3, q=3)
-    first = wt.doubling_applicable(spec, Weight((1, 1, 0)))
-    second = wt.doubling_applicable(rd.group("C", 3, q=3), Weight((1, 2, 0)))
-    assert first.parabolic is second.parabolic
+    first = wt._doubling_parabolic(rd.group("C", 3, q=3))
+    assert wt._doubling_parabolic(rd.group("C", 3, q=3)) is first
 
 
 def test_doubling_out_of_scope():
-    with pytest.raises(rd.UnsupportedGroupError):
-        wt.doubling_applicable(rd.special_linear(4, 3), Weight((1, 0, 0)))
-    with pytest.raises(rd.UnsupportedGroupError):
-        wt.doubling_applicable(rd.group("B", 2, q=3), Weight((1, 0)))
-    with pytest.raises(rd.UnsupportedGroupError):
-        wt.doubling_applicable(rd.group("G2", 2, q=3), Weight((1, 0)))
+    for spec in (rd.special_linear(4, 3), rd.group("B", 2, q=3),
+                 rd.group("G2", 2, q=3)):
+        with pytest.raises(rd.UnsupportedGroupError):
+            wt._doubling_parabolic(spec)
+        assert bd._group_plan(spec).escape_pairs is None
+        assert reference_doubling(spec, wt.steinberg_weight(spec)) is None
 
 
 def test_independent_violating_set():
