@@ -26,27 +26,39 @@ or the scope of the restriction bound.
 
 Group plans: what the rules need to know about a group that does not depend
 on the weight (its name and memo key, the Steinberg coefficients and the
-coefficient ranges, the four rule scopes, the embedded minimum, the Levi
+coefficient ranges, the scopes of the rules, the embedded minimum, the Levi
 pieces of plain descent, the escape pairs and Levi pieces of the doubling
-step, and for split groups of rank >= 2 the size of a largest independent
-node set inside every node set) is built once per group, on first use, and
-cached.  Each Levi piece holds a precomputed projection from the group's
-coefficients to its descendant's, an ``itemgetter`` for a Frobenius-fixed
-piece.  A weight then costs a tuple comparison for Steinberg, one bitmask
-and one table index for the independent set, one projection and one memo
-read per piece, and the rules that really depend on it; the torus-orbit
-length is read from a cache per alcove point in
-:mod:`pimbounds.charlattice`.
+step, for split groups the torus-orbit cache of
+:func:`charlattice.torus_orbits` with its modulus m = q-1, for split groups
+of rank >= 2 the size of a largest independent node set inside every node
+set, and for groups in the restriction bound's scope its two steps) is built
+once per group, on first use, and cached.  Each Levi piece holds a
+precomputed projection from the group's coefficients to its descendant's,
+an ``itemgetter`` for a Frobenius-fixed piece.  Chain steps are frozen, so
+each step that does not depend on the weight, or only on its value, is
+built once and shared.  A weight then costs:
+
+* a check that it is restricted, and a tuple comparison for Steinberg;
+* its coefficients reduced mod m, and one dict read for the orbit length
+  of that reduced point (the alcove walk of :mod:`pimbounds.charlattice`
+  only on the point's first use);
+* one bitmask of the nodes with a coefficient outside {0, q-1}, which
+  indexes the independent-set table and, empty or not, picks the
+  restriction step (the general Borel-socle criterion,
+  ``socle_trivial_on_borel``, is a test oracle in ``tests/test_bounds.py``);
+* one projection and one memo read per Levi piece;
+* and the rules that really depend on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from operator import itemgetter, mul
 from typing import Callable, NamedTuple
 
-from .charlattice import orbit_size
+from .charlattice import TorusOrbits, torus_orbits
 from .rootdata import (
     GroupSpec,
     SuzukiReeField,
@@ -62,7 +74,6 @@ from .weights import (
     _piece_field,
     coefficient_ranges,
     levi_pieces,
-    socle_trivial_on_borel,
     steinberg_weight,
     twisted_bn_rank,
 )
@@ -233,10 +244,14 @@ class _GroupPlan:
     q: int | None  # integer field size; None for the Suzuki and Ree groups
     steinberg: tuple[int, ...]
     ranges: tuple[int, ...]  # coefficient range sizes
-    sl2: bool  # the scopes of the four rules, from the predicates above
-    split: bool
-    hc: bool
-    descends: bool
+    sl2: bool  # the scope of the exact rank-1 values
+    # Split groups: the shared orbit-length cache of their torus characters,
+    # which holds m = q-1; its alcove data is built on its first miss.
+    torus: TorusOrbits | None
+    # Groups in the scope of the restriction bound: its steps on a trivial
+    # and on a nontrivial Borel socle.
+    hc_steps: tuple[ChainStep, ChainStep] | None
+    descends: bool  # the scope of parabolic descent
     # The embedded table steps, for the zero weight and for the others.
     table_steps: tuple[ChainStep, ChainStep] | None
     # The Levi pieces of plain descent; None when the group does not descend.
@@ -245,8 +260,10 @@ class _GroupPlan:
     # index pairs whose equality is the escape pattern, and its Levi pieces.
     escape_pairs: tuple[tuple[int, int], ...] | None
     doubling_pieces: tuple[_PieceEntry, ...] | None
-    # Split groups of rank >= 2: the independent-set size per node bitmask.
+    # Split groups of rank >= 2: the independent-set size per node bitmask,
+    # and the bit of each node.
     independent: tuple[int, ...] | None
+    node_bits: tuple[int, ...]
 
     def table_step(self, coeffs: tuple[int, ...]) -> ChainStep | None:
         """The embedded value for one weight: the exact multiplier of the
@@ -256,17 +273,11 @@ class _GroupPlan:
             return None
         return self.table_steps[1] if any(coeffs) else self.table_steps[0]
 
-    def independent_size(self, coeffs: tuple[int, ...]) -> int:
-        """Size of a largest independent set of nodes whose coefficient is
-        outside {0, q-1}; ``coeffs`` must have the group's rank."""
-        top = self.q - 1
-        mask = 0
-        bit = 1
-        for c in coeffs:
-            if c and c != top:
-                mask |= bit
-            bit <<= 1
-        return self.independent[mask]
+    def node_mask(self, reduced: tuple[int, ...]) -> int:
+        """The bitmask of the nodes whose coefficient lies outside {0, q-1},
+        from the coefficients of a restricted weight reduced mod q-1: the
+        nodes where those are nonzero."""
+        return sum(compress(self.node_bits, reduced))
 
 
 def _table_steps(spec: GroupSpec) -> tuple[ChainStep, ChainStep] | None:
@@ -306,8 +317,8 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
         steinberg=steinberg_weight(spec).coeffs,
         ranges=coefficient_ranges(spec),
         sl2=_is_sl2(spec),
-        split=split,
-        hc=_hc_in_scope(spec),
+        torus=torus_orbits(spec) if split else None,
+        hc_steps=_hc_steps(spec),
         descends=descends,
         table_steps=_table_steps(spec),
         pieces=(_piece_entries(levi_pieces(spec.datum, suzuki_ree), spec.field,
@@ -316,6 +327,7 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
         doubling_pieces=doubling_pieces,
         independent=(_independent_set_sizes(spec.datum)
                      if split and spec.datum.rank >= 2 else None),
+        node_bits=tuple(1 << i for i in range(spec.datum.rank)),
     )
 
 
@@ -329,21 +341,27 @@ _HC_LARGE = {"A": lambda rank: rank + 1, "D": lambda rank: 2 * rank,
              "E8": lambda rank: 120}
 
 
-def _hc_value(spec: GroupSpec, weight: Weight) -> tuple[int, str]:
-    """Minimal-degree bound through Harish-Chandra restriction, for a
-    non-Steinberg weight of a group in the scope of :func:`_hc_in_scope`.
+def _hc_steps(spec: GroupSpec) -> tuple[ChainStep, ChainStep] | None:
+    """The two steps of the minimal-degree bound through Harish-Chandra
+    restriction, for the non-Steinberg weights of a group in the scope of
+    :func:`_hc_in_scope`, or None outside it.
 
-    When the Borel socle of the simple module is nontrivial the bound is the
-    smallest faithful-permutation-like degree m (rank+1, 2*rank, 27, 28,
-    120); when it is trivial the bound is the minimum dimension of a
-    nonlinear Weyl-group character.
+    When the Borel socle of the simple module is trivial the bound is the
+    minimum dimension of a nonlinear Weyl-group character; when it is
+    nontrivial it is the smallest faithful-permutation-like degree (rank+1,
+    2*rank, 27, 28, 120).  The groups in scope are split, so their diagram
+    symmetry is trivial and the socle is trivial exactly when every
+    coefficient lies in {0, q-1}.
     """
+    if not _hc_in_scope(spec):
+        return None
     d = spec.datum
-    if socle_trivial_on_borel(spec, weight):
-        return (d.min_nonlinear_degree,
-                "trivial Borel socle: minimal nonlinear Weyl character degree")
-    return (_HC_LARGE[d.family](d.rank),
-            "nontrivial Borel socle: minimal nontrivial permutation degree")
+    return (ChainStep("hc-restriction", d.min_nonlinear_degree,
+                      "trivial Borel socle: minimal nonlinear Weyl character "
+                      "degree"),
+            ChainStep("hc-restriction", _HC_LARGE[d.family](d.rank),
+                      "nontrivial Borel socle: minimal nontrivial permutation "
+                      "degree"))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +499,9 @@ def _descent_value(weight: Weight, plan: _GroupPlan) -> int:
         return best  # every split group of rank >= 2 descends
     _check_weight(weight, plan.ranges)
     if plan.independent is not None:
-        best = max(best, 2 ** plan.independent_size(coeffs))
+        m = plan.torus.m
+        mask = plan.node_mask(tuple([c % m for c in coeffs]))
+        best = max(best, 2 ** plan.independent[mask])
     best = max(best, _best_piece_value(plan.pieces, coeffs))
     pairs = plan.escape_pairs
     if pairs is not None and any(coeffs[i] != coeffs[j] for i, j in pairs):
@@ -494,8 +514,27 @@ def _descent_value(weight: Weight, plan: _GroupPlan) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Steps are frozen, so each value's step is built once and shared.
 _STEINBERG_STEP = ChainStep("steinberg", 1,
                             "defect-zero module: multiplier exactly 1")
+
+
+@lru_cache(maxsize=None)
+def _torus_step(size: int) -> ChainStep:
+    return ChainStep("torus-orbit", size,
+                     "Weyl orbit length of the weight reduced modulo q-1")
+
+
+@lru_cache(maxsize=None)
+def _independent_step(size: int) -> ChainStep:
+    return ChainStep("independent-set", 2 ** size,
+                     f"2^{size} from an independent set of A1 Levi factors")
+
+
+@lru_cache(maxsize=None)
+def _descent_step(value: int) -> ChainStep:
+    return ChainStep("parabolic-descent", value,
+                     "recursion through twist-stable parabolics")
 
 
 def best_bound(spec: GroupSpec, weight: Weight) -> BoundCertificate:
@@ -504,8 +543,10 @@ def best_bound(spec: GroupSpec, weight: Weight) -> BoundCertificate:
     Runs every applicable rule and returns a certificate whose chain records
     each rule's contribution.  The bound is exact for the Steinberg weight,
     for rank-1 groups of type A and for a 1-PIM whose value is embedded.
+    Raises ValueError for a weight that is not restricted for the group.
     """
     plan = _group_plan(spec)
+    _check_weight(weight, plan.ranges)
     coeffs = weight.coeffs
     if coeffs == plan.steinberg:
         return BoundCertificate(plan.group, coeffs, 1, True, (_STEINBERG_STEP,))
@@ -519,23 +560,22 @@ def best_bound(spec: GroupSpec, weight: Weight) -> BoundCertificate:
     if table is not None:
         steps.append(table)
         exact = exact or table.detail == _ONE_PIM_DETAIL
-    if plan.split:
-        steps.append(ChainStep(
-            "torus-orbit", orbit_size(spec, coeffs),
-            "Weyl orbit length of the weight reduced modulo q-1"))
+    torus = plan.torus
+    if torus is not None:
+        m = torus.m
+        reduced = tuple([c % m for c in coeffs])
+        steps.append(_torus_step(torus.size(reduced)))
         if plan.independent is not None:
-            size = plan.independent_size(coeffs)
+            mask = plan.node_mask(reduced)
+            size = plan.independent[mask]
             if size:
-                steps.append(ChainStep(
-                    "independent-set", 2 ** size,
-                    f"2^{size} from an independent set of A1 Levi factors"))
-    if plan.hc:
-        value, reason = _hc_value(spec, weight)
-        steps.append(ChainStep("hc-restriction", value, reason))
+                steps.append(_independent_step(size))
+            # The restriction bound's scope lies in this branch; its Borel
+            # socle is trivial exactly when the mask is empty.
+            if plan.hc_steps is not None:
+                steps.append(plan.hc_steps[mask != 0])
     if plan.descends:
-        steps.append(ChainStep("parabolic-descent",
-                               _memo_descent(weight, plan),
-                               "recursion through twist-stable parabolics"))
+        steps.append(_descent_step(_memo_descent(weight, plan)))
     bound = max((s.value for s in steps), default=1)
     return BoundCertificate(plan.group, coeffs, bound, exact, tuple(steps))
 

@@ -27,7 +27,10 @@ and a full scan of the m^n characters only walks the points of A
 (Bourbaki, *Lie Groups and Lie Algebras*, ch. VI §2; Kac, *Infinite
 Dimensional Lie Algebras*, §8.6; Reeder, "Torsion automorphisms of simple
 Lie algebras", Enseign. Math. 2010).  The Kac coordinates fix x and m, so
-each orbit length is cached per datum under them.  The breadth-first
+each orbit length is cached per datum under them.  A :class:`TorusOrbits`
+for one datum and one m caches the length again per reduced point, so a
+repeated point costs one dict read and neither the walk nor the alcove
+data; those are built on the first point that misses.  The breadth-first
 enumeration in :func:`orbit` is kept for callers that need the orbit's
 elements; it runs on the orbit kernel :func:`rootdata.weyl_orbit`.
 
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from operator import mul
 
 from .rootdata import (
     GroupSpec,
@@ -68,14 +72,13 @@ def _require_split(spec: GroupSpec) -> None:
             f"not {spec.describe()}")
 
 
-def _weight_coords(spec: GroupSpec, weight) -> tuple[tuple[int, ...], int]:
-    """The coordinates of a weight reduced mod m = q-1, and m."""
-    _require_split(spec)
-    m = max(spec.q - 1, 1)
+def _weight_coords(orbits: TorusOrbits, weight) -> tuple[int, ...]:
+    """The coordinates of a weight reduced mod the m of ``orbits``."""
     coords = tuple(weight)
-    if len(coords) != spec.datum.rank:
+    if len(coords) != orbits.datum.rank:
         raise ValueError("weight length does not match the rank")
-    return tuple([c % m for c in coords]), m
+    m = orbits.m
+    return tuple([c % m for c in coords])
 
 
 # ---------------------------------------------------------------------------
@@ -123,28 +126,29 @@ def _highest_coroot(datum: RootDatum, simple):
     return best
 
 
-def _to_alcove(plan: _AlcovePlan, x, m: int) -> tuple[int, ...]:
-    """The point of the closed alcove in the W_a-orbit of ``x``.
+def _alcove_kac(plan: _AlcovePlan, x, m: int) -> tuple[int, ...]:
+    """The Kac coordinates of the point of the closed alcove in the
+    W_a-orbit of ``x``.
 
-    Reflects in a wall x_i = 0 while a coordinate is negative, then in the
-    affine wall while <x, theta^vee> > m.  Each step brings x closer to the
-    alcove's interior, so the walk ends.
+    Reflects in the wall x_i = 0 of a most negative coordinate while one is
+    negative, then in the affine wall while <x, theta^vee> > m.  Each step
+    reflects x in a wall of the alcove that separates the two, which lowers
+    the number of reflecting hyperplanes between them by one.  So the walk
+    ends, at the one point of the alcove in the orbit, whatever the order of
+    the steps.
     """
     x = list(x)
+    simple, theta, theta_form = plan.simple_roots, plan.theta, plan.theta_form
     while True:
-        for i, c in enumerate(x):
-            if c < 0:
-                x = [a - c * r for a, r in zip(x, plan.simple_roots[i])]
-                break
-        else:
-            h = sum(d * c for d, c in zip(plan.theta_form, x))
-            if h <= m:
-                return tuple(x)
-            x = [a - (h - m) * t for a, t in zip(x, plan.theta)]
-
-
-def _kac(plan: _AlcovePlan, x, m: int) -> tuple[int, ...]:
-    return (m - sum(d * c for d, c in zip(plan.theta_form, x)), *x)
+        low = min(x)
+        if low < 0:
+            x = [a - low * r for a, r in zip(x, simple[x.index(low)])]
+            continue
+        h = sum(map(mul, theta_form, x))
+        if h <= m:
+            return (m - h, *x)
+        h -= m
+        x = [a - h * t for a, t in zip(x, theta)]
 
 
 @lru_cache(maxsize=None)
@@ -179,13 +183,13 @@ def _alcove_plan(datum: RootDatum) -> _AlcovePlan:
     # nodes with coefficient 1 in the highest coroot.  Each permutes the Kac
     # coordinates; read the permutation off a point whose coordinates differ.
     probe = tuple(range(2, n + 2))
-    m = 1 + sum(d * c for d, c in zip(theta_form, probe))
-    before = _kac(plan, probe, m)
+    m = 1 + sum(map(mul, theta_form, probe))
+    before = _alcove_kac(plan, probe, m)  # the probe lies in the alcove
     omega = [tuple(range(n + 1))]
     for i, d in enumerate(theta_form):
         if d == 1:
             shifted = tuple(c + m * (k == i) for k, c in enumerate(probe))
-            after = _kac(plan, _to_alcove(plan, shifted, m), m)
+            after = _alcove_kac(plan, shifted, m)
             omega.append(tuple(before.index(c) for c in after))
     return replace(plan, omega=tuple(omega))
 
@@ -238,19 +242,54 @@ def _omega_fixing(plan: _AlcovePlan, kac: tuple[int, ...]) -> int:
                if all(kac[p] == s for p, s in zip(perm, kac)))
 
 
+def _alcove_orbit_size(datum: RootDatum, coords, m: int) -> int:
+    """|W . x mod m| for a lift ``coords`` of x, by orbit-stabilizer at its
+    alcove point; nothing is enumerated.  The length is cached per alcove
+    point, keyed by its Kac coordinates."""
+    plan = _alcove_plan(datum)
+    kac = _alcove_kac(plan, coords, m)
+    size = plan.orbit_sizes.get(kac)
+    if size is None:
+        size = plan.orbit_sizes[kac] = datum.weyl_order // (
+            _wall_stabilizer_order(plan, kac) * _omega_fixing(plan, kac))
+    return size
+
+
+class TorusOrbits:
+    """The Weyl orbit lengths of the torus characters of one datum modulo
+    one m >= 1, cached per character, that is per point reduced mod m."""
+
+    __slots__ = ("datum", "m", "sizes")
+
+    def __init__(self, datum: RootDatum, m: int):
+        self.datum = datum
+        self.m = m
+        self.sizes: dict[tuple[int, ...], int] = {}
+
+    def size(self, reduced: tuple[int, ...]) -> int:
+        """The orbit length of the character with coordinates ``reduced``,
+        each in [0, m)."""
+        size = self.sizes.get(reduced)
+        if size is None:
+            size = self.sizes[reduced] = _alcove_orbit_size(
+                self.datum, reduced, self.m)
+        return size
+
+
+@lru_cache(maxsize=None)
+def torus_orbits(spec: GroupSpec) -> TorusOrbits:
+    """The orbit-length cache of a split group, shared by every caller: its
+    datum modulo m = q-1 (m = 1 when q = 2, whose torus is trivial)."""
+    _require_split(spec)
+    return TorusOrbits(spec.datum, max(spec.q - 1, 1))
+
+
 def orbit_size(spec: GroupSpec, weight) -> int:
     """Length of the Weyl orbit of the torus character of a weight (its
     coordinates reduced mod q-1), by orbit-stabilizer in the extended affine
-    Weyl group; nothing is enumerated.  The length is cached per alcove
-    point, keyed by its Kac coordinates."""
-    coords, m = _weight_coords(spec, weight)
-    plan = _alcove_plan(spec.datum)
-    kac = _kac(plan, _to_alcove(plan, coords, m), m)
-    size = plan.orbit_sizes.get(kac)
-    if size is None:
-        size = plan.orbit_sizes[kac] = spec.datum.weyl_order // (
-            _wall_stabilizer_order(plan, kac) * _omega_fixing(plan, kac))
-    return size
+    Weyl group; see :class:`TorusOrbits`."""
+    orbits = torus_orbits(spec)
+    return orbits.size(_weight_coords(orbits, weight))
 
 
 # The largest orbit that :func:`orbit` lists.
@@ -269,7 +308,9 @@ def orbit(spec: GroupSpec, weight) -> frozenset[tuple[int, ...]]:
         raise BudgetExceededError(
             f"an orbit of {size} torus characters exceeds the budget "
             f"of {ORBIT_BUDGET}")
-    return frozenset(weyl_orbit(spec.datum, *_weight_coords(spec, weight)))
+    orbits = torus_orbits(spec)
+    return frozenset(weyl_orbit(spec.datum, _weight_coords(orbits, weight),
+                                orbits.m))
 
 
 @dataclass(frozen=True)

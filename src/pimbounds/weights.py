@@ -4,10 +4,9 @@ A simple module for a finite group of Lie type in defining characteristic is
 labelled by a restricted highest weight.  Restricting its projective cover to
 a parabolic subgroup relates it to modules for a smaller group of Lie type
 over the same or an extension field; this module implements that descent on
-the level of weights, together with the structural predicates (Steinberg /
-one-dimensional restrictions, trivial Borel socle) and the sieve that lists
-the weights whose projective cover could still have dimension equal to the
-order of a Sylow p-subgroup.
+the level of weights, together with the sieve that lists the weights whose
+projective cover could still have dimension equal to the order of a Sylow
+p-subgroup.
 
 Descent plans: the part of a descent that does not depend on the weight or
 on the field size (the components of the subdiagram, their Bourbaki order
@@ -548,29 +547,6 @@ def levi_pieces(datum: RootDatum, suzuki_ree: bool) -> tuple[_LeviPiece, ...]:
              if _is_one_orbit(datum, neighbours,
                               sum(1 << (n - 1) for n in p.nodes)))
     return tuple(plan.pieces[0] for plan in plans if plan.pieces)
-
-
-# ---------------------------------------------------------------------------
-# Structural predicates
-# ---------------------------------------------------------------------------
-
-
-def socle_trivial_on_borel(spec: GroupSpec, weight: Weight) -> bool:
-    """Does the simple module restrict to a Borel subgroup with trivial socle?
-
-    For an integer field size the criterion is purely combinatorial: every
-    coefficient lies in {0, q-1} and the coefficient pattern is stable under
-    the diagram symmetry.
-    """
-    if isinstance(spec.field, SuzukiReeField):
-        raise UnsupportedGroupError(
-            "the Borel-socle criterion is stated for integer field sizes")
-    q = spec.q
-    coeffs = weight.coeffs
-    if any(c not in (0, q - 1) for c in coeffs):
-        return False
-    return all(coeffs[spec.datum.apply_perm(i) - 1] == coeffs[i - 1]
-               for i in range(1, spec.datum.rank + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,34 @@ def test_short_weight_raises_value_error():
             ValueError, "weight length does not match the rank")
 
 
+_LENGTH = "weight length does not match the rank"
+
+
+@pytest.mark.parametrize("spec, coeffs, message", [
+    (rd.special_unitary(3, 5), (7, 7, 7), _LENGTH),
+    (rd.group("G2", 2, suzuki_ree_e=1), (50,), _LENGTH),
+    (rd.group("B", 2, suzuki_ree_e=1), (50, 9, 9), _LENGTH),
+    (rd.group("F4", 4, suzuki_ree_e=1), (99,), _LENGTH),
+    (rd.special_linear(2, 9), (9,), "weight is not restricted for this group"),
+], ids=["SU3(5)", "2G2(e=1)", "2B2(e=1)", "2F4(e=1)", "SL2(9)"])
+def test_best_bound_checks_the_weight_on_every_group(spec, coeffs, message):
+    # Groups that are neither split nor descend, and SL(2, q).
+    assert _outcome(bd.best_bound, spec, Weight(coeffs)) == (ValueError, message)
+
+
+def test_best_bound_caches_orbit_lengths_per_reduced_point():
+    # A coefficient q-1 reads the length cached for 0: a sweep of A3(4) leaves
+    # one entry per character mod 3, each equal to its orbit's length.
+    spec = rd.group("A", 3, q=4)
+    lengths = cl.torus_orbits(spec).sizes
+    lengths.clear()
+    for w in wt.enumerate_restricted_weights(spec):
+        bd.best_bound(spec, w)
+    assert len(lengths) == 3 ** 3
+    for point, length in lengths.items():
+        assert length == len(rd.weyl_orbit(spec.datum, point, 3)), point
+
+
 def test_independent_set_table_matches_search():
     # The subset recursion of the table against the exhaustive search of
     # ``weights._largest_independent_set``, on every split datum of ranks
@@ -447,11 +475,25 @@ def test_independent_set_table_matches_search():
 # ---------------------------------------------------------------------------
 
 
+def reference_orbit_length(spec, weight, lengths):
+    """The torus-orbit length of a weight by breadth-first search, which
+    reads neither cache of :mod:`pimbounds.charlattice`.  Each orbit is
+    listed once, and its length recorded for its points in ``lengths``."""
+    m = max(spec.q - 1, 1)
+    point = tuple(c % m for c in weight.coeffs)
+    if (spec, point) not in lengths:
+        orbit = rd.weyl_orbit(spec.datum, point, m)
+        for x in orbit:
+            lengths[spec, x] = len(orbit)
+    return lengths[spec, point]
+
+
 def reference_best_bound(spec, weight, memo):
     """``best_bound`` as it stood before group plans: every fact about the
-    group read again for each weight, the independent set searched, and
-    descent through every proper parabolic (``reference_descent_bound``
-    with the memo ``memo``)."""
+    group read again for each weight, the orbit listed, the independent set
+    searched, and descent through every proper parabolic
+    (``reference_descent_bound``).  ``memo`` holds the descent values and
+    the orbit lengths."""
     if weight == wt.steinberg_weight(spec):
         step = bd.ChainStep("steinberg", 1,
                             "defect-zero module: multiplier exactly 1")
@@ -469,7 +511,7 @@ def reference_best_bound(spec, weight, memo):
         exact = exact or table.detail == "embedded exact value for the 1-PIM"
     if bd._is_split(spec):
         steps.append(bd.ChainStep(
-            "torus-orbit", cl.orbit_size(spec, weight.coeffs),
+            "torus-orbit", reference_orbit_length(spec, weight, memo),
             "Weyl orbit length of the weight reduced modulo q-1"))
         if spec.datum.rank >= 2:
             size = _searched_independent_set_size(spec, weight)
@@ -489,12 +531,30 @@ def reference_best_bound(spec, weight, memo):
                                tuple(steps))
 
 
+def socle_trivial_on_borel(spec, weight):
+    """Does the simple module restrict to a Borel subgroup with trivial socle?
+
+    For an integer field size the criterion is purely combinatorial: every
+    coefficient lies in {0, q-1} and the coefficient pattern is stable under
+    the diagram symmetry.
+    """
+    if isinstance(spec.field, rd.SuzukiReeField):
+        raise rd.UnsupportedGroupError(
+            "the Borel-socle criterion is stated for integer field sizes")
+    q = spec.q
+    coeffs = weight.coeffs
+    if any(c not in (0, q - 1) for c in coeffs):
+        return False
+    return all(coeffs[spec.datum.apply_perm(i) - 1] == coeffs[i - 1]
+               for i in range(1, spec.datum.rank + 1))
+
+
 def reference_hc_value(spec, weight):
     """The restriction bound restated for a non-Steinberg weight: the least
     nonlinear Weyl character degree on a trivial Borel socle, else the least
     nontrivial permutation degree."""
     d = spec.datum
-    if wt.socle_trivial_on_borel(spec, weight):
+    if socle_trivial_on_borel(spec, weight):
         return (d.min_nonlinear_degree,
                 "trivial Borel socle: minimal nonlinear Weyl character degree")
     degree = {"A": d.rank + 1, "D": 2 * d.rank, "E6": 27, "E7": 28,

@@ -245,15 +245,34 @@ def test_dominant_walk_finds_the_highest_coroot(datum):
 @pytest.mark.parametrize("family, rank, q", [
     ("A", 2, 5), ("C", 2, 5), ("B", 3, 4), ("G2", 2, 8), ("A", 3, 4)])
 def test_orbit_size_on_every_character(family, rank, q):
-    # Cold (the per-alcove-point cache emptied), warm, and listed.
+    # Cold (the caches per reduced point and per alcove point emptied), warm,
+    # from a lift of the point, and listed.
     spec = rd.group(family, rank, q=q)
-    cache = cl._alcove_plan(spec.datum).orbit_sizes
-    for beta in itertools.product(range(q - 1), repeat=rank):
-        cache.clear()
+    m = q - 1
+    points = cl.torus_orbits(spec).sizes
+    alcove_points = cl._alcove_plan(spec.datum).orbit_sizes
+    for beta in itertools.product(range(m), repeat=rank):
+        points.clear()
+        alcove_points.clear()
         cold = cl.orbit_size(spec, beta)
-        assert len(cache) == 1
+        assert len(points) == len(alcove_points) == 1
         warm = cl.orbit_size(spec, beta)
-        assert cold == warm == len(cl.orbit(spec, beta)), beta
+        lifted = [c + (i - 1) * m for i, c in enumerate(beta)]
+        lift = cl.orbit_size(spec, lifted)
+        assert len(points) == 1
+        assert cold == warm == lift == len(cl.orbit(spec, beta)), beta
+
+
+def test_orbit_lengths_are_cached_per_modulus():
+    # One datum at q = 4 and q = 5: the point (1, 2) is reduced for both,
+    # and its orbit has a different length under each modulus.
+    lengths = {}
+    for q in (4, 5, 4, 5):
+        spec = rd.group("A", 2, q=q)
+        got = cl.orbit_size(spec, (1, 2))
+        assert got == len(bfs_orbit(spec.datum, (1, 2), q - 1)), q
+        lengths[q] = got
+    assert lengths[4] != lengths[5]
 
 
 def test_orbit_budget_is_checked_before_enumerating(monkeypatch):

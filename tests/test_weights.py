@@ -13,7 +13,7 @@ import pimbounds
 from pimbounds import bounds as bd, rootdata as rd, weights as wt
 from pimbounds.rootdata import GroupSpec, IntegerField, build_root_datum
 from pimbounds.weights import Descendant, UnsupportedSubdiagramError, Weight
-from test_bounds import SWEEP, reference_doubling
+from test_bounds import SWEEP, reference_doubling, socle_trivial_on_borel
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +412,28 @@ def _fresh_python(code: str) -> str:
 
 def test_import_builds_no_descent_plan():
     code = ("import pimbounds, pimbounds.cli, pimbounds.bounds\n"
-            "from pimbounds import bounds, cli, weights\n"
+            "from pimbounds import bounds, charlattice, cli, weights\n"
             "print(*(f.cache_info().currsize for f in (\n"
             "    weights._descent_plan, weights.proper_parabolics,\n"
             "    weights.twisted_bn_rank, weights.levi_pieces,\n"
             "    weights.steinberg_weight, weights._independent_set_sizes,\n"
             "    weights._doubling_parabolic, bounds._group_plan,\n"
-            "    cli.build_parser)))")
-    assert _fresh_python(code).split() == ["0"] * 9
+            "    bounds._torus_step, bounds._independent_step,\n"
+            "    bounds._descent_step, charlattice.torus_orbits,\n"
+            "    charlattice._alcove_plan, cli.build_parser)))")
+    assert _fresh_python(code).split() == ["0"] * 14
+
+
+def test_descendants_build_no_alcove_plan():
+    # One E8(5) weight walks the E8 torus orbit and descends through the
+    # plans of its 13 descendant groups, which never read a torus orbit.
+    code = ("from pimbounds import bounds, charlattice, rootdata\n"
+            "from pimbounds.weights import Weight\n"
+            "spec = rootdata.group('E8', 8, q=5)\n"
+            "bounds.best_bound(spec, Weight((1, 0, 2, 0, 3, 0, 4, 1)))\n"
+            "print(charlattice._alcove_plan.cache_info().currsize,\n"
+            "      bounds._group_plan.cache_info().currsize)")
+    assert _fresh_python(code).split() == ["1", "14"]
 
 
 @pytest.mark.parametrize("family, rank, pieces, parabolics", [
@@ -445,14 +459,14 @@ def test_levi_pieces_plan_only_one_orbit_node_sets(family, rank, pieces,
 
 def test_socle_trivial_on_borel():
     spec = rd.special_linear(3, 4)
-    assert wt.socle_trivial_on_borel(spec, Weight((0, 0)))
-    assert wt.socle_trivial_on_borel(spec, Weight((3, 3)))
-    assert wt.socle_trivial_on_borel(spec, Weight((0, 3)))
-    assert not wt.socle_trivial_on_borel(spec, Weight((1, 3)))
+    assert socle_trivial_on_borel(spec, Weight((0, 0)))
+    assert socle_trivial_on_borel(spec, Weight((3, 3)))
+    assert socle_trivial_on_borel(spec, Weight((0, 3)))
+    assert not socle_trivial_on_borel(spec, Weight((1, 3)))
     # Twisted: the pattern must be symmetry-stable.
     tw = rd.special_unitary(4, 4)
-    assert wt.socle_trivial_on_borel(tw, Weight((0, 3, 0)))
-    assert not wt.socle_trivial_on_borel(tw, Weight((0, 3, 3)))
+    assert socle_trivial_on_borel(tw, Weight((0, 3, 0)))
+    assert not socle_trivial_on_borel(tw, Weight((0, 3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +506,7 @@ def test_candidates_all_have_trivial_borel_socle():
                  rd.special_unitary(4, 3), rd.special_unitary(5, 2),
                  rd.group("D", 4, q=3, twist_order=3)):
         for w in wt.minimal_pim_candidates(spec):
-            assert wt.socle_trivial_on_borel(spec, w)
+            assert socle_trivial_on_borel(spec, w)
 
 
 def reference_candidates(spec):
