@@ -32,11 +32,15 @@ step, for split groups the torus-orbit cache of
 :func:`charlattice.torus_orbits` with its modulus m = q-1, for split groups
 of rank >= 2 the size of a largest independent node set inside every node
 set, and for groups in the restriction bound's scope its two steps) is built
-once per group, on first use, and cached.  Each Levi piece holds a
-precomputed projection from the group's coefficients to its descendant's,
-an ``itemgetter`` for a Frobenius-fixed piece.  Chain steps are frozen, so
-each step that does not depend on the weight, or only on its value, is
-built once and shared.  A weight then costs:
+once per group, on first use, and cached.  Each Levi piece holds its
+descendant's memo key beside the descendant and projection of
+:func:`weights._piece_descent`, the one map from a group's coefficients to
+a piece's, which :func:`weights.descend_weight` applies too.  Chain steps
+are frozen, so each step that does not depend on the weight, or only on its
+value, is built once and shared.  The weight is checked once, at the public
+entries :func:`best_bound` and :func:`descent_bound`: a projection of a
+restricted weight is restricted, so the memoised recursion runs on
+coefficient tuples and builds no :class:`Weight`.  A weight then costs:
 
 * a check that it is restricted, and a tuple comparison for Steinberg;
 * its coefficients reduced mod m, and one dict read for the orbit length
@@ -55,23 +59,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
-from operator import itemgetter, mul
 from typing import Callable, NamedTuple
 
 from .charlattice import TorusOrbits, torus_orbits
-from .rootdata import (
-    GroupSpec,
-    SuzukiReeField,
-    UnsupportedGroupError,
-    factor_prime_power,
-)
+from .rootdata import GroupSpec, UnsupportedGroupError, factor_prime_power
 from .weights import (
     Weight,
     _check_weight,
     _descent_plan,
     _doubling_parabolic,
     _independent_set_sizes,
-    _piece_field,
+    _piece_descent,
     coefficient_ranges,
     levi_pieces,
     steinberg_weight,
@@ -150,8 +148,7 @@ def _is_sl2(spec: GroupSpec) -> bool:
 
 def _is_split(spec: GroupSpec) -> bool:
     """Scope of the torus-orbit and independent-set bounds."""
-    return (spec.datum.twist_order == 1
-            and not isinstance(spec.field, SuzukiReeField))
+    return spec.is_split
 
 
 def _hc_in_scope(spec: GroupSpec) -> bool:
@@ -168,7 +165,7 @@ def _descends(spec: GroupSpec) -> bool:
     """Scope of parabolic descent: relative rank >= 2, except the Ree groups
     of type F4."""
     return twisted_bn_rank(spec.datum) >= 2 and not (
-        isinstance(spec.field, SuzukiReeField) and spec.datum.family == "F4")
+        spec.is_suzuki_ree and spec.datum.family == "F4")
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +186,7 @@ def known_minimum(spec: GroupSpec) -> KnownMinimum | None:
     """Embedded lower bound for non-Steinberg multipliers, if one exists."""
     d = spec.datum
     fam, rank, twist = d.family, d.rank, d.twist_order
-    if isinstance(spec.field, SuzukiReeField):
+    if spec.is_suzuki_ree:
         if fam == "B":
             if spec.field.q_squared > 2:
                 return KnownMinimum(4, "suzuki-minimum")
@@ -291,7 +288,7 @@ def _table_steps(spec: GroupSpec) -> tuple[ChainStep, ChainStep] | None:
     return ChainStep(table.rule, table.zero_weight_value, _ONE_PIM_DETAIL), minimum
 
 
-def _doubling_step(spec: GroupSpec, suzuki_ree: bool):
+def _doubling_step(spec: GroupSpec):
     """The escape pairs and the Levi pieces of the designated doubling
     parabolic, or ``(None, None)`` when the group has none.  That parabolic
     is of type A, so its descent plan is supported."""
@@ -299,8 +296,8 @@ def _doubling_step(spec: GroupSpec, suzuki_ree: bool):
         parabolic, pairs = _doubling_parabolic(spec)
     except UnsupportedGroupError:
         return None, None
-    pieces = _descent_plan(parabolic, suzuki_ree).pieces
-    return pairs, _piece_entries(pieces, spec.field, suzuki_ree)
+    return pairs, _piece_entries(_descent_plan(parabolic, spec.is_suzuki_ree),
+                                 spec)
 
 
 @lru_cache(maxsize=None)
@@ -309,7 +306,7 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
     split = _is_split(spec)
     descends = _descends(spec)
     suzuki_ree = spec.is_suzuki_ree
-    escape_pairs, doubling_pieces = _doubling_step(spec, suzuki_ree)
+    escape_pairs, doubling_pieces = _doubling_step(spec)
     return _GroupPlan(
         group=spec.describe(),
         key=_group_key(spec),
@@ -321,8 +318,8 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
         hc_steps=_hc_steps(spec),
         descends=descends,
         table_steps=_table_steps(spec),
-        pieces=(_piece_entries(levi_pieces(spec.datum, suzuki_ree), spec.field,
-                               suzuki_ree) if descends else None),
+        pieces=(_piece_entries(levi_pieces(spec.datum, suzuki_ree), spec)
+                if descends else None),
         escape_pairs=escape_pairs,
         doubling_pieces=doubling_pieces,
         independent=(_independent_set_sizes(spec.datum)
@@ -390,7 +387,7 @@ _DESCENT_MEMO = DescentMemo()
 
 def _group_key(spec: GroupSpec):
     d = spec.datum
-    if isinstance(spec.field, SuzukiReeField):
+    if spec.is_suzuki_ree:
         return (d.family, d.rank, d.twist_order, "SR", spec.field.p, spec.field.e)
     return (d.family, d.rank, d.twist_order, spec.q)
 
@@ -402,19 +399,23 @@ def descent_bound(spec: GroupSpec, weight: Weight) -> int:
     bound, plain descent (the multiplier of a group bounds below the
     multiplier of any ambient group restricting to it), and the factor-2
     strengthening along the designated type-A parabolic of the classical
-    groups.  Values are memoised per group and weight.
+    groups.  Values are memoised per group and weight.  Raises ValueError
+    for a weight that is not restricted for the group.
     """
-    return _memo_descent(weight, _group_plan(spec))
+    plan = _group_plan(spec)
+    _check_weight(weight, plan.ranges)
+    return _memo_descent(weight.coeffs, plan)
 
 
-def _memo_descent(weight: Weight, plan: _GroupPlan) -> int:
-    """The body of :func:`descent_bound`, given the group's plan."""
+def _memo_descent(coeffs: tuple[int, ...], plan: _GroupPlan) -> int:
+    """The body of :func:`descent_bound`, given the coefficients of a
+    restricted weight and the group's plan."""
     memo = _DESCENT_MEMO
     memo.lookups += 1
-    key = (plan.key, weight.coeffs)
+    key = (plan.key, coeffs)
     value = memo.values.get(key)
     if value is None:
-        value = memo.store(key, _descent_value(weight, plan))
+        value = memo.store(key, _descent_value(coeffs, plan))
     return value
 
 
@@ -428,41 +429,23 @@ class _PieceEntry(NamedTuple):
     spec: GroupSpec
 
 
-def _projection(piece, multipliers: tuple[int, ...]):
-    """The coefficients of a piece's descendant as a function of the
-    group's: an ``itemgetter`` for a fixed piece, whose multiplier is 1, and
-    the q^k-weighted sums along the Frobenius orbit for an orbit piece."""
-    if piece.kind == "fixed":
-        (indices,) = piece.indices
-        if len(indices) == 1:  # an itemgetter of one index gives a scalar
-            index = indices[0]
-            return lambda coeffs: (coeffs[index],)
-        return itemgetter(*indices)
-    columns = tuple(zip(*piece.indices))
-
-    def project(coeffs):
-        return tuple([sum(map(mul, multipliers, map(coeffs.__getitem__, column)))
-                      for column in columns])
-
-    return project
-
-
-def _piece_entries(pieces, field, suzuki_ree: bool) -> tuple[_PieceEntry, ...]:
-    """The table entries of some Levi pieces of a group over ``field``."""
-    table = []
+def _piece_entries(pieces, spec: GroupSpec) -> tuple[_PieceEntry, ...]:
+    """The table entries of some Levi pieces of a group: each piece's
+    descendant and projection from :func:`weights._piece_descent`, with the
+    descendant's memo key."""
+    entries = []
     for piece in pieces:
-        multipliers, dfield = _piece_field(piece, field, suzuki_ree)
-        dspec = GroupSpec(piece.datum, dfield)
-        table.append(_PieceEntry(_group_key(dspec),
-                                 _projection(piece, multipliers), dspec))
-    return tuple(table)
+        dspec, project = _piece_descent(piece, spec)
+        entries.append(_PieceEntry(_group_key(dspec), project, dspec))
+    return tuple(entries)
 
 
 def _best_piece_value(pieces: tuple[_PieceEntry, ...],
                       coeffs: tuple[int, ...]) -> int:
-    """The largest descent value over some pieces of a group at one weight.
-    Each piece reads its descendant in the memo, and computes it there on a
-    miss."""
+    """The largest descent value over some pieces of a group at one
+    restricted weight.  Each piece reads its descendant in the memo, and
+    computes it there on a miss; a projection of a restricted weight is
+    restricted, so it is not checked again."""
     memo = _DESCENT_MEMO
     values = memo.values
     memo.lookups += len(pieces)
@@ -472,15 +455,16 @@ def _best_piece_value(pieces: tuple[_PieceEntry, ...],
         memo_key = (key, dcoeffs)
         value = values.get(memo_key)
         if value is None:
-            value = memo.store(memo_key, _descent_value(
-                Weight(dcoeffs), _group_plan(dspec)))
+            value = memo.store(memo_key,
+                               _descent_value(dcoeffs, _group_plan(dspec)))
         if value > best:
             best = value
     return best
 
 
-def _descent_value(weight: Weight, plan: _GroupPlan) -> int:
-    """The uncached body of :func:`descent_bound`.
+def _descent_value(coeffs: tuple[int, ...], plan: _GroupPlan) -> int:
+    """The uncached body of :func:`descent_bound`, on the coefficients of a
+    restricted weight.
 
     Plain descent takes the best value over the Levi pieces of the group
     (see :func:`weights.levi_pieces`), which equals the best value over every
@@ -488,7 +472,6 @@ def _descent_value(weight: Weight, plan: _GroupPlan) -> int:
     twice the best value over the pieces of the designated parabolic, unless
     the weight is equal on every escape pair (see
     :func:`weights._doubling_parabolic`)."""
-    coeffs = weight.coeffs
     if coeffs == plan.steinberg:
         return 1
     if plan.sl2:
@@ -497,7 +480,6 @@ def _descent_value(weight: Weight, plan: _GroupPlan) -> int:
     best = 1 if table is None else table.value
     if not plan.descends:
         return best  # every split group of rank >= 2 descends
-    _check_weight(weight, plan.ranges)
     if plan.independent is not None:
         m = plan.torus.m
         mask = plan.node_mask(tuple([c % m for c in coeffs]))
@@ -575,7 +557,7 @@ def best_bound(spec: GroupSpec, weight: Weight) -> BoundCertificate:
             if plan.hc_steps is not None:
                 steps.append(plan.hc_steps[mask != 0])
     if plan.descends:
-        steps.append(_descent_step(_memo_descent(weight, plan)))
+        steps.append(_descent_step(_memo_descent(coeffs, plan)))
     bound = max((s.value for s in steps), default=1)
     return BoundCertificate(plan.group, coeffs, bound, exact, tuple(steps))
 
@@ -608,7 +590,7 @@ def _case_analysis(spec: GroupSpec) -> str | None:
     from .caseanalysis import d4_verify, ree_verify, u4_verify
 
     d = spec.datum
-    if isinstance(spec.field, SuzukiReeField):
+    if spec.is_suzuki_ree:
         if d.family != "G2" or spec.field.e < 1:
             return None
         outcome = ree_verify(spec.field.e)
@@ -639,7 +621,7 @@ def classify_dim_equal_sylow(spec: GroupSpec) -> SylowDimensionVerdict:
     the answer is "undecided".
     """
     d = spec.datum
-    suzuki_ree = isinstance(spec.field, SuzukiReeField)
+    suzuki_ree = spec.is_suzuki_ree
 
     def verdict(answer, reason, witnesses=()):
         return SylowDimensionVerdict(spec.describe(), answer, (reason,),

@@ -66,7 +66,7 @@ class BudgetExceededError(RuntimeError):
 
 
 def _require_split(spec: GroupSpec) -> None:
-    if spec.is_suzuki_ree or spec.datum.twist_order != 1:
+    if not spec.is_split:
         raise UnsupportedGroupError(
             f"torus-character orbits are computed for split groups only, "
             f"not {spec.describe()}")

@@ -476,6 +476,11 @@ class GroupSpec:
         return isinstance(self.field, SuzukiReeField)
 
     @property
+    def is_split(self) -> bool:
+        """Twist order 1, and not a Suzuki or Ree group."""
+        return self.datum.twist_order == 1 and not self.is_suzuki_ree
+
+    @property
     def q(self) -> int:
         """Integer field size; raises for Suzuki-Ree parameters."""
         if self.is_suzuki_ree:

@@ -10,37 +10,39 @@ p-subgroup.
 
 Descent plans: the part of a descent that does not depend on the weight or
 on the field size (the components of the subdiagram, their Bourbaki order
-and induced twist, the Frobenius orbits of components, the descendant root
-data, and any reason the descent is unsupported) is built once per root
-datum, node set and kind of field, on first use, and cached.
-:func:`descend_weight` then only reads and sums coefficients.
+and induced twist, the Frobenius orbits of components and the descendant
+root data) is built once per root datum, node set and kind of field, on
+first use, and cached.  A plan is its tuple of pieces; an unsupported
+component raises instead, and nothing is cached for it.
 
 Levi pieces: one Frobenius orbit of components of a plan is a *piece*.  It
 depends on that orbit only, so it is also the single piece of its own node
 set, and :func:`levi_pieces` lists each supported piece of a datum once.
 The recursive bound in :mod:`pimbounds.bounds` runs over these pieces
-instead of over every proper parabolic.
+instead of over every proper parabolic.  A piece over a given field has one
+descendant group and one projection of coefficients
+(:func:`_piece_descent`); :func:`descend_weight`, the group plans of
+:mod:`pimbounds.bounds` and the candidate sieve all read that one map.
 
 The candidate sieve reads each parabolic's verdict off the coefficients on
 its nodes (all maximal, or all zero); only whether a zero restriction is
-allowed depends on the Levi factor, and that is found once per parabolic.
-Since every orbit of the diagram symmetry on the nodes is such a parabolic,
-the sieve only examines the weights that are all maximal or all zero on
-each orbit.
+allowed depends on the Levi factor, and that is read once per parabolic off
+the descendant groups of its pieces.  Since every orbit of the diagram
+symmetry on the nodes is such a parabolic, the sieve only examines the
+weights that are all maximal or all zero on each orbit.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import ge, itemgetter, mul
 
 from .rootdata import (
     GroupSpec,
     IntegerField,
     RootDatum,
-    SuzukiReeField,
     UnsupportedGroupError,
     build_root_datum,
 )
@@ -76,7 +78,7 @@ def coefficient_ranges(spec: GroupSpec) -> tuple[int, ...]:
     the relevant torus power.
     """
     d = spec.datum
-    if isinstance(spec.field, SuzukiReeField):
+    if spec.is_suzuki_ree:
         q1 = spec.field.q1
         return tuple(q1 if is_long else spec.field.p * q1 for is_long in d.long_nodes)
     return (spec.q,) * d.rank
@@ -110,7 +112,7 @@ def steinberg_dimension(spec: GroupSpec) -> int:
     3^(3(2e+1)) in type G2 (where N = 6).
     """
     n_pos = spec.datum.positive_root_count
-    if isinstance(spec.field, SuzukiReeField):
+    if spec.is_suzuki_ree:
         exponent2 = n_pos * (2 * spec.field.e + 1)
         if exponent2 % 2:
             raise UnsupportedGroupError("odd p-exponent; inconsistent datum")
@@ -159,28 +161,27 @@ class ParabolicSubset:
 
 
 @lru_cache(maxsize=None)
+def _node_orbits(datum: RootDatum) -> tuple[frozenset[int], ...]:
+    """The orbits of the diagram symmetry on the nodes, in the order of
+    their least node, found once per datum."""
+    return tuple(dict.fromkeys(frozenset(datum.perm_orbit(i))
+                               for i in range(1, datum.rank + 1)))
+
+
+@lru_cache(maxsize=None)
 def proper_parabolics(datum: RootDatum) -> tuple[ParabolicSubset, ...]:
     """The twist-stable nonempty proper node sets (unions of some, but not
     all, diagram-symmetry orbits), built once per datum."""
-    orbits = list(dict.fromkeys(frozenset(datum.perm_orbit(i))
-                                for i in range(1, datum.rank + 1)))
+    orbits = _node_orbits(datum)
     return tuple(
         ParabolicSubset(datum, frozenset(
             n for k, orb in enumerate(orbits) if mask >> k & 1 for n in orb))
         for mask in range(1, (1 << len(orbits)) - 1))
 
 
-@lru_cache(maxsize=None)
 def twisted_bn_rank(datum: RootDatum) -> int:
-    """Number of diagram-symmetry orbits on the nodes (the relative rank),
-    counted once per datum."""
-    seen = set()
-    count = 0
-    for i in range(1, datum.rank + 1):
-        if i not in seen:
-            seen.update(datum.perm_orbit(i))
-            count += 1
-    return count
+    """Number of diagram-symmetry orbits on the nodes (the relative rank)."""
+    return len(_node_orbits(datum))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +349,7 @@ def _check_weight(weight: Weight, ranges: tuple[int, ...]) -> None:
     for the coefficient ranges of its group."""
     if len(weight.coeffs) != len(ranges):
         raise ValueError("weight length does not match the rank")
-    if any(map(operator.ge, weight.coeffs, ranges)):
+    if any(map(ge, weight.coeffs, ranges)):
         raise ValueError("weight is not restricted for this group")
 
 
@@ -375,38 +376,18 @@ class _LeviPiece:
     indices: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class _DescentPlan:
-    """Field-independent part of the descent through one parabolic.
-
-    A failure found while planning is kept as a fact and raised afresh on
-    every use: ``invalid`` is the message of a rejected node set, raised
-    before the weight is checked; ``unsupported`` is the type and message of
-    an unsupported Levi component, raised after it.
-    """
-
-    pieces: tuple[_LeviPiece, ...] = ()
-    invalid: str | None = None
-    unsupported: tuple[type[UnsupportedGroupError], str] | None = None
-
-
 @lru_cache(maxsize=None)
-def _descent_plan(parabolic: ParabolicSubset, suzuki_ree: bool) -> _DescentPlan:
-    try:
-        _check_parabolic(parabolic)
-    except ValueError as exc:
-        return _DescentPlan(invalid=str(exc))
-    try:
-        return _DescentPlan(pieces=tuple(_plan_pieces(parabolic, suzuki_ree)))
-    except UnsupportedGroupError as exc:
-        return _DescentPlan(unsupported=(type(exc), str(exc)))
-
-
-def _plan_pieces(parabolic: ParabolicSubset, suzuki_ree: bool):
+def _descent_plan(parabolic: ParabolicSubset,
+                  suzuki_ree: bool) -> tuple[_LeviPiece, ...]:
+    """The pieces of the descent through a valid node set, one per
+    Frobenius orbit of its connected components.  Raises
+    :class:`UnsupportedSubdiagramError` for an unsupported component; a
+    supported plan is built once per node set and kind of field."""
     datum = parabolic.datum
     comps = parabolic.components()
     comp_of_node = {n: comp for comp in comps for n in comp}
     unprocessed = set(comps)
+    pieces = []
     for comp in comps:
         if comp not in unprocessed:
             continue
@@ -425,7 +406,8 @@ def _plan_pieces(parabolic: ParabolicSubset, suzuki_ree: bool):
                 raise UnsupportedSubdiagramError(
                     "unexpected twisted component for a Suzuki-Ree group")
             sub = build_root_datum(family, len(order), twist)
-            yield _LeviPiece("fixed", sub, order, (tuple(n - 1 for n in order),))
+            pieces.append(_LeviPiece("fixed", sub, order,
+                                     (tuple(n - 1 for n in order),)))
             continue
         if suzuki_ree:
             if len(orbit) != 2:
@@ -440,7 +422,8 @@ def _plan_pieces(parabolic: ParabolicSubset, suzuki_ree: bool):
             indices.append(tuple(n - 1 for n in images))
             images = tuple(datum.apply_perm(n) for n in images)
         sub = build_root_datum(family, len(order), 1)
-        yield _LeviPiece("orbit", sub, order, tuple(indices))
+        pieces.append(_LeviPiece("orbit", sub, order, tuple(indices)))
+    return tuple(pieces)
 
 
 @lru_cache(maxsize=64)
@@ -448,15 +431,41 @@ def _extension_field(q: int) -> IntegerField:
     return IntegerField(q)
 
 
-def _piece_field(piece: _LeviPiece, field, suzuki_ree: bool):
-    """The multipliers read along a piece's Frobenius orbit (q^k, or
-    (1, p^e) for the Suzuki and Ree groups) and the field of its descendant."""
+def _piece_descent(piece: _LeviPiece, spec: GroupSpec):
+    """The descendant group of a piece of ``spec``, and the projection of the
+    group's coefficients to the descendant's.
+
+    A fixed piece keeps its coefficients, so its projection is an
+    ``itemgetter`` over its indices.  An orbit piece of a components sums
+    them along the Frobenius orbit with multipliers q^k, k < a, and its
+    descendant lives over q^a; for the Suzuki and Ree groups the multipliers
+    are (1, p^e) and the field is p^(2e+1).  Each projection of a restricted
+    weight is restricted: a fixed piece copies coefficients below q, and an
+    orbit piece gives at most (q-1)(1 + q + ... + q^(a-1)) = q^a - 1 (at
+    most p^(2e+1) - 1 for the Suzuki and Ree groups).
+    """
+    field = spec.field
     if piece.kind == "fixed":
-        return (1,), _extension_field(field.q_squared) if suzuki_ree else field
-    if suzuki_ree:
-        return (1, field.q1), _extension_field(field.q_squared)
-    a = len(piece.indices)
-    return tuple(field.q ** k for k in range(a)), _extension_field(field.q ** a)
+        if spec.is_suzuki_ree:
+            field = _extension_field(field.q_squared)
+        (indices,) = piece.indices
+        if len(indices) > 1:
+            return GroupSpec(piece.datum, field), itemgetter(*indices)
+        index = indices[0]  # an itemgetter of one index gives a scalar
+        return GroupSpec(piece.datum, field), lambda coeffs: (coeffs[index],)
+    if spec.is_suzuki_ree:
+        multipliers, dfield = (1, field.q1), _extension_field(field.q_squared)
+    else:
+        a = len(piece.indices)
+        multipliers = tuple(field.q ** k for k in range(a))
+        dfield = _extension_field(field.q ** a)
+    columns = tuple(zip(*piece.indices))
+
+    def project(coeffs):
+        return tuple([sum(map(mul, multipliers, map(coeffs.__getitem__, column)))
+                      for column in columns])
+
+    return GroupSpec(piece.datum, dfield), project
 
 
 def descend_weight(spec: GroupSpec, parabolic: ParabolicSubset,
@@ -472,27 +481,18 @@ def descend_weight(spec: GroupSpec, parabolic: ParabolicSubset,
     Suzuki and Ree groups the multiplier q is replaced by p^e and the
     descendant lives over p^(2e+1).
 
-    The components, their classification and the descendant root data come
-    from a plan cached per root datum and node set; only the coefficients
-    are computed here.
+    Checks the datum, the node set and the weight, in that order, then
+    reads the pieces of the cached plan and applies each piece's projection
+    (:func:`_piece_descent`), the one the group plans of
+    :mod:`pimbounds.bounds` hold.
     """
     _check_datum(spec, parabolic)
-    field = spec.field
-    suzuki_ree = isinstance(field, SuzukiReeField)
-    plan = _descent_plan(parabolic, suzuki_ree)
-    if plan.invalid is not None:
-        raise ValueError(plan.invalid)
+    _check_parabolic(parabolic)
     _check_weight(weight, coefficient_ranges(spec))
-    if plan.unsupported is not None:
-        error, message = plan.unsupported
-        raise error(message)
-    coeffs = weight.coeffs
     out = []
-    for piece in plan.pieces:
-        multipliers, dfield = _piece_field(piece, field, suzuki_ree)
-        dweight = tuple(sum(m * coeffs[i] for m, i in zip(multipliers, column))
-                        for column in zip(*piece.indices))
-        out.append(Descendant(GroupSpec(piece.datum, dfield), Weight(dweight),
+    for piece in _descent_plan(parabolic, spec.is_suzuki_ree):
+        dspec, project = _piece_descent(piece, spec)
+        out.append(Descendant(dspec, Weight(project(weight.coeffs)),
                               piece.original_nodes))
     return tuple(out)
 
@@ -543,10 +543,14 @@ def levi_pieces(datum: RootDatum, suzuki_ree: bool) -> tuple[_LeviPiece, ...]:
     per datum and kind of field.
     """
     neighbours = _neighbour_masks(datum)
-    plans = (_descent_plan(p, suzuki_ree) for p in proper_parabolics(datum)
-             if _is_one_orbit(datum, neighbours,
-                              sum(1 << (n - 1) for n in p.nodes)))
-    return tuple(plan.pieces[0] for plan in plans if plan.pieces)
+    pieces = []
+    for p in proper_parabolics(datum):
+        if _is_one_orbit(datum, neighbours, sum(1 << (n - 1) for n in p.nodes)):
+            try:
+                pieces += _descent_plan(p, suzuki_ree)
+            except UnsupportedGroupError:
+                pass
+    return tuple(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +583,8 @@ def minimal_pim_candidates(spec: GroupSpec) -> list[Weight]:
     Both conditions are read off the coefficients on J: the restriction is
     Steinberg when they are all maximal, and every descendant weight is zero
     when they all vanish.  Whether every descendant is one of the small
-    groups depends on J only, and is found once per J, through the descent
-    of the zero weight.
+    groups depends on J only, and is read once per J off the descendant
+    groups of its plan's pieces.
 
     Each orbit O of the diagram symmetry on the nodes is itself such a J,
     proper because the relative rank is at least 2.  So the sieve on O alone
@@ -597,7 +601,6 @@ def minimal_pim_candidates(spec: GroupSpec) -> list[Weight]:
         raise UnsupportedGroupError(
             f"{spec.describe()} has no proper parabolic above a Borel subgroup")
     top = steinberg_weight(spec).coeffs
-    zero = Weight((0,) * datum.rank)
     parabolics = proper_parabolics(datum)
     node_sets = [tuple(n - 1 for n in sorted(p.nodes)) for p in parabolics]
     trivial_allowed: dict[int, bool] = {}
@@ -605,12 +608,11 @@ def minimal_pim_candidates(spec: GroupSpec) -> list[Weight]:
     def allows_trivial(k: int) -> bool:
         if k not in trivial_allowed:
             trivial_allowed[k] = all(
-                _trivial_restriction_allowed(d.spec)
-                for d in descend_weight(spec, parabolics[k], zero))
+                _trivial_restriction_allowed(_piece_descent(piece, spec)[0])
+                for piece in _descent_plan(parabolics[k], spec.is_suzuki_ree))
         return trivial_allowed[k]
 
-    node_orbits = {frozenset(datum.perm_orbit(i))
-                   for i in range(1, datum.rank + 1)}
+    node_orbits = _node_orbits(datum)
     orbits = [k for k, p in enumerate(parabolics) if p.nodes in node_orbits]
     patterns = [top]
     for k in orbits:
@@ -724,7 +726,7 @@ def independent_violating_set(spec: GroupSpec, weight: Weight) -> ParabolicSubse
     Dynkin diagram is found exhaustively (rank <= 8).  Ties are broken by the
     lexicographically smallest node tuple.
     """
-    if spec.datum.twist_order != 1 or spec.is_suzuki_ree:
+    if not spec.is_split:
         raise UnsupportedGroupError(
             "the independent-set criterion is stated for split groups")
     q = spec.q

@@ -14,7 +14,8 @@ from pimbounds import (
     rootdata as rd,
     weights as wt,
 )
-from pimbounds.weights import Weight
+from pimbounds.rootdata import GroupSpec, IntegerField, build_root_datum
+from pimbounds.weights import Descendant, UnsupportedSubdiagramError, Weight
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +178,93 @@ def reference_doubling(spec, weight):
     return wt.ParabolicSubset(d, frozenset(nodes)), not escapes
 
 
+def reference_descend_weight(spec, parabolic, weight):
+    """Oracle for descend_weight and the piece projections of the group
+    plans: the per-weight descent that classified the Levi components afresh
+    on every call, before descent plans."""
+    if parabolic.datum is not spec.datum:
+        raise ValueError("parabolic subset belongs to a different root datum")
+    if not parabolic.nodes:
+        raise ValueError("descent needs a nonempty node set")
+    if len(parabolic.nodes) == spec.datum.rank:
+        raise ValueError("descent needs a proper node set")
+    if not parabolic.is_twist_stable():
+        raise ValueError("descent needs a twist-stable node set")
+    if len(weight.coeffs) != spec.datum.rank:
+        raise ValueError("weight length does not match the rank")
+    ranges = wt.coefficient_ranges(spec)
+    if any(weight.coeffs[i] >= ranges[i] for i in range(spec.datum.rank)):
+        raise ValueError("weight is not restricted for this group")
+    datum = spec.datum
+    comps = parabolic.components()
+    comp_of_node = {}
+    for comp in comps:
+        for n in comp:
+            comp_of_node[n] = comp
+    unprocessed = set(comps)
+    out = []
+    suzuki_ree = isinstance(spec.field, rd.SuzukiReeField)
+    for comp in comps:
+        if comp not in unprocessed:
+            continue
+        image = comp_of_node[datum.apply_perm(comp[0])]
+        if image == comp:
+            unprocessed.discard(comp)
+            family, order = wt._classify_subdiagram(datum, comp)
+            twist = wt._induced_twist(datum, order, family)
+            if suzuki_ree:
+                if twist == 1:
+                    sub = build_root_datum(family, len(order), 1)
+                    field = IntegerField(spec.field.p ** (2 * spec.field.e + 1))
+                else:
+                    if family != "C" or len(order) != 2:
+                        raise UnsupportedSubdiagramError(
+                            "unexpected twisted component for a Suzuki-Ree group")
+                    sub = build_root_datum("B", 2, 2)
+                    long_first = sorted(
+                        order, key=lambda n: not datum.long_nodes[n - 1])
+                    order = tuple(long_first)
+                    field = spec.field
+                dspec = GroupSpec(sub, field)
+            else:
+                sub = build_root_datum(family, len(order), twist)
+                dspec = GroupSpec(sub, IntegerField(spec.q))
+            dweight = Weight(tuple(weight[n] for n in order))
+            out.append(Descendant(dspec, dweight, order))
+            continue
+        orbit = [comp]
+        cur = image
+        while cur != comp:
+            orbit.append(cur)
+            cur = comp_of_node[datum.apply_perm(cur[0])]
+        for c in orbit:
+            unprocessed.discard(c)
+        a = len(orbit)
+        family, order = wt._classify_subdiagram(datum, comp)
+        if suzuki_ree:
+            if a != 2:
+                raise UnsupportedSubdiagramError(
+                    "Suzuki-Ree symmetries have order 2 on components")
+            multipliers = (1, spec.field.p ** spec.field.e)
+            field = IntegerField(spec.field.p ** (2 * spec.field.e + 1))
+            if not datum.long_nodes[order[0] - 1]:
+                order = tuple(datum.apply_perm(n) for n in order)
+        else:
+            multipliers = tuple(spec.q ** k for k in range(a))
+            field = IntegerField(spec.q ** a)
+        coeffs = []
+        for n in order:
+            total = 0
+            node = n
+            for mult in multipliers:
+                total += mult * weight[node]
+                node = datum.apply_perm(node)
+            coeffs.append(total)
+        sub = build_root_datum(family, len(order), 1)
+        out.append(Descendant(GroupSpec(sub, field), Weight(tuple(coeffs)), order))
+    return tuple(out)
+
+
 def reference_descent_bound(spec, weight, memo):
     """The descent bound as it stood before the Levi piece tables: every
     proper parabolic through ``descend_weight``, with a memo of its own."""
@@ -295,23 +383,32 @@ def _component_orbits(parabolic):
     return out
 
 
+def _plan_outcome(parabolic, suzuki_ree):
+    """``(pieces, None)`` for a supported descent plan, ``((), (type,
+    message))`` for one that raises."""
+    try:
+        return wt._descent_plan(parabolic, suzuki_ree), None
+    except rd.UnsupportedGroupError as exc:
+        return (), (type(exc), str(exc))
+
+
 def test_every_levi_piece_is_the_piece_of_its_own_node_set():
     for datum, suzuki_ree in _structure_cases():
         used = set()
         for parabolic in wt.proper_parabolics(datum):
-            plan = wt._descent_plan(parabolic, suzuki_ree)
-            singles = [wt._descent_plan(wt.ParabolicSubset(datum, nodes),
-                                        suzuki_ree)
+            pieces, unsupported = _plan_outcome(parabolic, suzuki_ree)
+            singles = [_plan_outcome(wt.ParabolicSubset(datum, nodes),
+                                     suzuki_ree)
                        for nodes in _component_orbits(parabolic)]
-            assert all(len(s.pieces) == (s.unsupported is None)
-                       for s in singles)
-            unsupported = [s.unsupported for s in singles if s.unsupported]
-            if plan.unsupported is None:
-                assert not unsupported
-                assert plan.pieces == tuple(s.pieces[0] for s in singles)
-                used.update(plan.pieces)
+            assert all(len(s_pieces) == (s_error is None)
+                       for s_pieces, s_error in singles)
+            errors = [s_error for _, s_error in singles if s_error]
+            if unsupported is None:
+                assert not errors
+                assert pieces == tuple(s_pieces[0] for s_pieces, _ in singles)
+                used.update(pieces)
             else:
-                assert plan.unsupported == unsupported[0]
+                assert unsupported == errors[0]
         pieces = wt.levi_pieces(datum, suzuki_ree)
         assert len(set(pieces)) == len(pieces)
         assert set(pieces) == used, (datum.family, datum.rank, suzuki_ree)
@@ -320,8 +417,8 @@ def test_every_levi_piece_is_the_piece_of_its_own_node_set():
 def reference_levi_pieces(datum, suzuki_ree):
     """The pieces as found before the one-orbit test: a descent plan for
     every proper parabolic, keeping each plan of exactly one piece."""
-    plans = (wt._descent_plan(p, suzuki_ree) for p in wt.proper_parabolics(datum))
-    return tuple(plan.pieces[0] for plan in plans if len(plan.pieces) == 1)
+    outcomes = (_plan_outcome(p, suzuki_ree) for p in wt.proper_parabolics(datum))
+    return tuple(pieces[0] for pieces, _ in outcomes if len(pieces) == 1)
 
 
 def test_levi_pieces_equal_the_search_over_every_parabolic():
@@ -334,9 +431,10 @@ def test_levi_pieces_equal_the_search_over_every_parabolic():
 
 def _descendants(spec, parabolic, weight):
     """``(group key, coefficients, group)`` of each descendant, through
-    ``descend_weight``."""
+    ``reference_descend_weight``, which shares no projection with the
+    group plans."""
     return [(bd._group_key(d.spec), d.weight.coeffs, d.spec)
-            for d in wt.descend_weight(spec, parabolic, weight)]
+            for d in reference_descend_weight(spec, parabolic, weight)]
 
 
 def _projected(entries, coeffs):
@@ -344,9 +442,9 @@ def _projected(entries, coeffs):
 
 
 def test_piece_projections_equal_descend_weight():
-    # Each piece of a group plan against ``descend_weight`` through the node
-    # set of its piece (all the nodes of its Frobenius orbit).  A group that
-    # does not descend plans no pieces.
+    # Each piece of a group plan against ``reference_descend_weight`` through
+    # the node set of its piece (all the nodes of its Frobenius orbit).  A
+    # group that does not descend plans no pieces.
     rng = random.Random(20261018)
     kinds = set()
     for datum, suzuki_ree in _structure_cases():
@@ -381,7 +479,8 @@ def test_piece_projections_equal_descend_weight():
 
 def test_doubling_step_equals_reference_doubling():
     # The plan's escape pairs and doubling pieces against
-    # ``reference_doubling`` and ``descend_weight``, on every weight.
+    # ``reference_doubling`` and ``reference_descend_weight``, on every
+    # weight.
     doubling = 0
     for spec in SWEEP:
         plan = bd._group_plan(spec)
@@ -422,16 +521,25 @@ def test_short_weight_raises_value_error():
 _LENGTH = "weight length does not match the rank"
 
 
-@pytest.mark.parametrize("spec, coeffs, message", [
-    (rd.special_unitary(3, 5), (7, 7, 7), _LENGTH),
-    (rd.group("G2", 2, suzuki_ree_e=1), (50,), _LENGTH),
-    (rd.group("B", 2, suzuki_ree_e=1), (50, 9, 9), _LENGTH),
-    (rd.group("F4", 4, suzuki_ree_e=1), (99,), _LENGTH),
-    (rd.special_linear(2, 9), (9,), "weight is not restricted for this group"),
-], ids=["SU3(5)", "2G2(e=1)", "2B2(e=1)", "2F4(e=1)", "SL2(9)"])
-def test_best_bound_checks_the_weight_on_every_group(spec, coeffs, message):
-    # Groups that are neither split nor descend, and SL(2, q).
-    assert _outcome(bd.best_bound, spec, Weight(coeffs)) == (ValueError, message)
+_BAD_WEIGHTS = [
+    ("SU3(5)", rd.special_unitary(3, 5), (7, 7, 7), _LENGTH),
+    ("2G2(e=1)", rd.group("G2", 2, suzuki_ree_e=1), (50,), _LENGTH),
+    ("2B2(e=1)", rd.group("B", 2, suzuki_ree_e=1), (50, 9, 9), _LENGTH),
+    ("2F4(e=1)", rd.group("F4", 4, suzuki_ree_e=1), (99,), _LENGTH),
+    ("SL2(9)", rd.special_linear(2, 9), (9,),
+     "weight is not restricted for this group"),
+]
+
+
+@pytest.mark.parametrize("rule, spec, coeffs, message", [
+    pytest.param(rule, spec, coeffs, message, id=prefix + name)
+    for rule, prefix in ((bd.best_bound, ""), (bd.descent_bound, "descent_bound-"))
+    for name, spec, coeffs, message in _BAD_WEIGHTS])
+def test_best_bound_checks_the_weight_on_every_group(rule, spec, coeffs,
+                                                     message):
+    # Groups that are neither split nor descend, and SL(2, q): both public
+    # entries check the weight before any rule reads it.
+    assert _outcome(rule, spec, Weight(coeffs)) == (ValueError, message)
 
 
 def test_best_bound_caches_orbit_lengths_per_reduced_point():

@@ -12,8 +12,13 @@ from hypothesis import given, settings, strategies as st
 import pimbounds
 from pimbounds import bounds as bd, rootdata as rd, weights as wt
 from pimbounds.rootdata import GroupSpec, IntegerField, build_root_datum
-from pimbounds.weights import Descendant, UnsupportedSubdiagramError, Weight
-from test_bounds import SWEEP, reference_doubling, socle_trivial_on_borel
+from pimbounds.weights import UnsupportedSubdiagramError, Weight
+from test_bounds import (
+    SWEEP,
+    reference_descend_weight,
+    reference_doubling,
+    socle_trivial_on_borel,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -182,92 +187,6 @@ def test_descent_transitivity_on_split_chain():
     assert leaf.spec.q == leaf2.spec.q
 
 
-def reference_descend_weight(spec, parabolic, weight):
-    """Oracle for descend_weight: the per-weight descent that classified the
-    Levi components afresh on every call, before descent plans."""
-    if parabolic.datum is not spec.datum:
-        raise ValueError("parabolic subset belongs to a different root datum")
-    if not parabolic.nodes:
-        raise ValueError("descent needs a nonempty node set")
-    if len(parabolic.nodes) == spec.datum.rank:
-        raise ValueError("descent needs a proper node set")
-    if not parabolic.is_twist_stable():
-        raise ValueError("descent needs a twist-stable node set")
-    if len(weight.coeffs) != spec.datum.rank:
-        raise ValueError("weight length does not match the rank")
-    ranges = wt.coefficient_ranges(spec)
-    if any(weight.coeffs[i] >= ranges[i] for i in range(spec.datum.rank)):
-        raise ValueError("weight is not restricted for this group")
-    datum = spec.datum
-    comps = parabolic.components()
-    comp_of_node = {}
-    for comp in comps:
-        for n in comp:
-            comp_of_node[n] = comp
-    unprocessed = set(comps)
-    out = []
-    suzuki_ree = isinstance(spec.field, rd.SuzukiReeField)
-    for comp in comps:
-        if comp not in unprocessed:
-            continue
-        image = comp_of_node[datum.apply_perm(comp[0])]
-        if image == comp:
-            unprocessed.discard(comp)
-            family, order = wt._classify_subdiagram(datum, comp)
-            twist = wt._induced_twist(datum, order, family)
-            if suzuki_ree:
-                if twist == 1:
-                    sub = build_root_datum(family, len(order), 1)
-                    field = IntegerField(spec.field.p ** (2 * spec.field.e + 1))
-                else:
-                    if family != "C" or len(order) != 2:
-                        raise UnsupportedSubdiagramError(
-                            "unexpected twisted component for a Suzuki-Ree group")
-                    sub = build_root_datum("B", 2, 2)
-                    long_first = sorted(
-                        order, key=lambda n: not datum.long_nodes[n - 1])
-                    order = tuple(long_first)
-                    field = spec.field
-                dspec = GroupSpec(sub, field)
-            else:
-                sub = build_root_datum(family, len(order), twist)
-                dspec = GroupSpec(sub, IntegerField(spec.q))
-            dweight = Weight(tuple(weight[n] for n in order))
-            out.append(Descendant(dspec, dweight, order))
-            continue
-        orbit = [comp]
-        cur = image
-        while cur != comp:
-            orbit.append(cur)
-            cur = comp_of_node[datum.apply_perm(cur[0])]
-        for c in orbit:
-            unprocessed.discard(c)
-        a = len(orbit)
-        family, order = wt._classify_subdiagram(datum, comp)
-        if suzuki_ree:
-            if a != 2:
-                raise UnsupportedSubdiagramError(
-                    "Suzuki-Ree symmetries have order 2 on components")
-            multipliers = (1, spec.field.p ** spec.field.e)
-            field = IntegerField(spec.field.p ** (2 * spec.field.e + 1))
-            if not datum.long_nodes[order[0] - 1]:
-                order = tuple(datum.apply_perm(n) for n in order)
-        else:
-            multipliers = tuple(spec.q ** k for k in range(a))
-            field = IntegerField(spec.q ** a)
-        coeffs = []
-        for n in order:
-            total = 0
-            node = n
-            for mult in multipliers:
-                total += mult * weight[node]
-                node = datum.apply_perm(node)
-            coeffs.append(total)
-        sub = build_root_datum(family, len(order), 1)
-        out.append(Descendant(GroupSpec(sub, field), Weight(tuple(coeffs)), order))
-    return tuple(out)
-
-
 def _outcome(descend, spec, parabolic, weight):
     try:
         return descend(spec, parabolic, weight)
@@ -415,7 +334,7 @@ def test_import_builds_no_descent_plan():
             "from pimbounds import bounds, charlattice, cli, weights\n"
             "print(*(f.cache_info().currsize for f in (\n"
             "    weights._descent_plan, weights.proper_parabolics,\n"
-            "    weights.twisted_bn_rank, weights.levi_pieces,\n"
+            "    weights._node_orbits, weights.levi_pieces,\n"
             "    weights.steinberg_weight, weights._independent_set_sizes,\n"
             "    weights._doubling_parabolic, bounds._group_plan,\n"
             "    bounds._torus_step, bounds._independent_step,\n"
