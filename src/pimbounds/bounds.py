@@ -25,22 +25,23 @@ values, a case analysis of :mod:`pimbounds.caseanalysis`, the embedded minima
 or the scope of the restriction bound.
 
 Group plans: what the rules need to know about a group that does not depend
-on the weight (its name and memo key, the Steinberg coefficients and the
-coefficient ranges, the scopes of the rules, the embedded minimum, the Levi
-pieces of plain descent, the escape pairs and Levi pieces of the doubling
-step, for split groups the torus-orbit cache of
+on the weight (its name, its table of descent values, the Steinberg
+coefficients and the coefficient ranges, the scopes of the rules, the
+embedded minimum, the Levi pieces of plain descent, the escape pairs and
+Levi pieces of the doubling step, for split groups the torus-orbit cache of
 :func:`charlattice.torus_orbits` with its modulus m = q-1, for split groups
 of rank >= 2 the size of a largest independent node set inside every node
 set, and for groups in the restriction bound's scope its two steps) is built
-once per group, on first use, and cached.  Each Levi piece holds its
-descendant's memo key beside the descendant and projection of
-:func:`weights._piece_descent`, the one map from a group's coefficients to
-a piece's, which :func:`weights.descend_weight` applies too.  Chain steps
-are frozen, so each step that does not depend on the weight, or only on its
-value, is built once and shared.  The weight is checked once, at the public
-entries :func:`best_bound` and :func:`descent_bound`: a projection of a
-restricted weight is restricted, so the memoised recursion runs on
-coefficient tuples and builds no :class:`Weight`.  A weight then costs:
+once per group, on first use, and cached.  Each Levi piece holds the
+projection of :func:`weights._piece_descent`, the one map from a group's
+coefficients to a piece's, which :func:`weights.descend_weight` applies
+too, linked to the plan of its descendant and that plan's table; the
+descendants' plans are built with the group's.  Chain steps are frozen,
+so each step that does not depend on the weight, or only on its value, is
+built once and shared.  The weight is checked once, at the public entries
+:func:`best_bound` and :func:`descent_bound`: a projection of a restricted
+weight is restricted, so the memoised recursion runs on coefficient tuples
+and builds no :class:`Weight`.  A weight then costs:
 
 * a check that it is restricted, and a tuple comparison for Steinberg;
 * its coefficients reduced mod m, and one dict read for the orbit length
@@ -50,7 +51,8 @@ coefficient tuples and builds no :class:`Weight`.  A weight then costs:
   indexes the independent-set table and, empty or not, picks the
   restriction step (the general Borel-socle criterion,
   ``socle_trivial_on_borel``, is a test oracle in ``tests/test_bounds.py``);
-* one projection and one memo read per Levi piece;
+* one projection and one read of the descendant's table per Levi piece,
+  with no plan lookup and no hash of a group;
 * and the rules that really depend on it.
 """
 
@@ -232,12 +234,13 @@ _ONE_PIM_DETAIL = "embedded exact value for the 1-PIM"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class _GroupPlan:
     """The weight-independent facts that every rule reads about one group."""
 
     group: str  # spec.describe(), the certificate's group name
-    key: tuple  # the group's part of a descent-memo key
+    # The group's descent values, keyed by coefficient tuple.
+    descent: dict[tuple[int, ...], int]
     q: int | None  # integer field size; None for the Suzuki and Ree groups
     steinberg: tuple[int, ...]
     ranges: tuple[int, ...]  # coefficient range sizes
@@ -309,7 +312,7 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
     escape_pairs, doubling_pieces = _doubling_step(spec)
     return _GroupPlan(
         group=spec.describe(),
-        key=_group_key(spec),
+        descent={},
         q=None if suzuki_ree else spec.q,
         steinberg=steinberg_weight(spec).coeffs,
         ranges=coefficient_ranges(spec),
@@ -366,30 +369,27 @@ def _hc_steps(spec: GroupSpec) -> tuple[ChainStep, ChainStep] | None:
 # ---------------------------------------------------------------------------
 
 class DescentMemo:
-    """Descent values per group and weight, with counts of the values asked
-    for (``lookups``) and of those computed (``misses``)."""
+    """Counts of the descent values asked for (``lookups``) and of those
+    computed (``misses``).  The values live in the ``descent`` table of each
+    group plan."""
 
-    __slots__ = ("values", "lookups", "misses")
+    __slots__ = ("lookups", "misses")
 
     def __init__(self):
-        self.values: dict = {}
         self.lookups = 0
         self.misses = 0
-
-    def store(self, key, value: int) -> int:
-        self.misses += 1
-        self.values[key] = value
-        return value
 
 
 _DESCENT_MEMO = DescentMemo()
 
 
-def _group_key(spec: GroupSpec):
-    d = spec.datum
-    if spec.is_suzuki_ree:
-        return (d.family, d.rank, d.twist_order, "SR", spec.field.p, spec.field.e)
-    return (d.family, d.rank, d.twist_order, spec.q)
+def _reset_descent_memo() -> DescentMemo:
+    """Drop every descent value, with the group plans that hold them, and
+    start new counts, which are returned."""
+    global _DESCENT_MEMO
+    _group_plan.cache_clear()
+    _DESCENT_MEMO = DescentMemo()
+    return _DESCENT_MEMO
 
 
 def descent_bound(spec: GroupSpec, weight: Weight) -> int:
@@ -412,51 +412,52 @@ def _memo_descent(coeffs: tuple[int, ...], plan: _GroupPlan) -> int:
     restricted weight and the group's plan."""
     memo = _DESCENT_MEMO
     memo.lookups += 1
-    key = (plan.key, coeffs)
-    value = memo.values.get(key)
+    value = plan.descent.get(coeffs)
     if value is None:
-        value = memo.store(key, _descent_value(coeffs, plan))
+        memo.misses += 1
+        value = plan.descent[coeffs] = _descent_value(coeffs, plan)
     return value
 
 
 class _PieceEntry(NamedTuple):
-    """One Levi piece of a group: the memo key of its descendant group, the
-    projection of a weight's coefficients to the descendant's, and the
-    descendant group."""
+    """One Levi piece of a group: the projection of a weight's coefficients
+    to the descendant's, the descendant's descent table and its plan.  A
+    map that sends the descendant's coefficients to another weight of the
+    same value, such as a canonical one under a diagram symmetry, composes
+    into the projection."""
 
-    key: tuple
     project: Callable[[tuple[int, ...]], tuple[int, ...]]
-    spec: GroupSpec
+    table: dict[tuple[int, ...], int]
+    plan: _GroupPlan
 
 
 def _piece_entries(pieces, spec: GroupSpec) -> tuple[_PieceEntry, ...]:
-    """The table entries of some Levi pieces of a group: each piece's
-    descendant and projection from :func:`weights._piece_descent`, with the
-    descendant's memo key."""
+    """The entries of some Levi pieces of a group: each piece's projection
+    from :func:`weights._piece_descent`, linked to the plan of its
+    descendant, which is built here if it is new."""
     entries = []
     for piece in pieces:
         dspec, project = _piece_descent(piece, spec)
-        entries.append(_PieceEntry(_group_key(dspec), project, dspec))
+        dplan = _group_plan(dspec)
+        entries.append(_PieceEntry(project, dplan.descent, dplan))
     return tuple(entries)
 
 
 def _best_piece_value(pieces: tuple[_PieceEntry, ...],
                       coeffs: tuple[int, ...]) -> int:
     """The largest descent value over some pieces of a group at one
-    restricted weight.  Each piece reads its descendant in the memo, and
-    computes it there on a miss; a projection of a restricted weight is
-    restricted, so it is not checked again."""
+    restricted weight.  Each piece reads its descendant's table, and
+    computes the value there on a miss; a projection of a restricted weight
+    is restricted, so it is not checked again."""
     memo = _DESCENT_MEMO
-    values = memo.values
     memo.lookups += len(pieces)
     best = 0
-    for key, project, dspec in pieces:
+    for project, table, dplan in pieces:
         dcoeffs = project(coeffs)
-        memo_key = (key, dcoeffs)
-        value = values.get(memo_key)
+        value = table.get(dcoeffs)
         if value is None:
-            value = memo.store(memo_key,
-                               _descent_value(dcoeffs, _group_plan(dspec)))
+            memo.misses += 1
+            value = table[dcoeffs] = _descent_value(dcoeffs, dplan)
         if value > best:
             best = value
     return best

@@ -30,9 +30,10 @@ Lie algebras", Enseign. Math. 2010).  The Kac coordinates fix x and m, so
 each orbit length is cached per datum under them.  A :class:`TorusOrbits`
 for one datum and one m caches the length again per reduced point, so a
 repeated point costs one dict read and neither the walk nor the alcove
-data; those are built on the first point that misses.  The breadth-first
-enumeration in :func:`orbit` is kept for callers that need the orbit's
-elements; it runs on the orbit kernel :func:`rootdata.weyl_orbit`.
+data; it looks the alcove data up on the first point that misses and keeps
+it.  The breadth-first enumeration in :func:`orbit` is kept for callers
+that need the orbit's elements; it runs on the orbit kernel
+:func:`rootdata.weyl_orbit`.
 
 Irreducibility of the reflection representation over F_l is decided in
 closed form, from the Cartan matrix mod l: for rank >= 2 it holds exactly
@@ -94,8 +95,10 @@ class _AlcovePlan:
     node i >= 1 is the wall x_i = 0.
     """
 
-    simple_roots: tuple[tuple[int, ...], ...]  # fundamental-weight coordinates
-    theta: tuple[int, ...]  # the root whose coroot is the highest coroot
+    # The nonzero entries (j, c), in fundamental-weight coordinates, of each
+    # simple root and of theta, the root whose coroot is the highest coroot.
+    columns: tuple[tuple[tuple[int, int], ...], ...]
+    theta_column: tuple[tuple[int, int], ...]
     theta_form: tuple[int, ...]  # the highest coroot on simple coroots
     bonds: tuple[tuple[int, ...], ...]  # bond products between wall nodes
     omega: tuple[tuple[int, ...], ...]  # Ω as permutations of Kac coordinates
@@ -135,20 +138,24 @@ def _alcove_kac(plan: _AlcovePlan, x, m: int) -> tuple[int, ...]:
     reflects x in a wall of the alcove that separates the two, which lowers
     the number of reflecting hyperplanes between them by one.  So the walk
     ends, at the one point of the alcove in the orbit, whatever the order of
-    the steps.
+    the steps.  A step changes x in place, at the nonzero entries of the
+    root it reflects along.
     """
     x = list(x)
-    simple, theta, theta_form = plan.simple_roots, plan.theta, plan.theta_form
+    columns, theta_column, theta_form = (plan.columns, plan.theta_column,
+                                         plan.theta_form)
     while True:
         low = min(x)
         if low < 0:
-            x = [a - low * r for a, r in zip(x, simple[x.index(low)])]
+            for j, c in columns[x.index(low)]:
+                x[j] -= low * c
             continue
         h = sum(map(mul, theta_form, x))
         if h <= m:
             return (m - h, *x)
         h -= m
-        x = [a - h * t for a, t in zip(x, theta)]
+        for j, t in theta_column:
+            x[j] -= h * t
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +185,9 @@ def _alcove_plan(datum: RootDatum) -> _AlcovePlan:
 
     bonds = tuple(tuple(pairing(a, b) * pairing(b, a) if a != b else 0
                         for b in range(n + 1)) for a in range(n + 1))
-    plan = _AlcovePlan(simple, theta, theta_form, bonds, omega=())
+    plan = _AlcovePlan(datum._columns,
+                       tuple((j, t) for j, t in enumerate(theta) if t),
+                       theta_form, bonds, omega=())
     # Ω ≅ P/Q is represented by 0 and the minuscule fundamental weights, the
     # nodes with coefficient 1 in the highest coroot.  Each permutes the Kac
     # coordinates; read the permutation off a point whose coordinates differ.
@@ -242,37 +251,34 @@ def _omega_fixing(plan: _AlcovePlan, kac: tuple[int, ...]) -> int:
                if all(kac[p] == s for p, s in zip(perm, kac)))
 
 
-def _alcove_orbit_size(datum: RootDatum, coords, m: int) -> int:
-    """|W . x mod m| for a lift ``coords`` of x, by orbit-stabilizer at its
-    alcove point; nothing is enumerated.  The length is cached per alcove
-    point, keyed by its Kac coordinates."""
-    plan = _alcove_plan(datum)
-    kac = _alcove_kac(plan, coords, m)
-    size = plan.orbit_sizes.get(kac)
-    if size is None:
-        size = plan.orbit_sizes[kac] = datum.weyl_order // (
-            _wall_stabilizer_order(plan, kac) * _omega_fixing(plan, kac))
-    return size
-
-
 class TorusOrbits:
     """The Weyl orbit lengths of the torus characters of one datum modulo
-    one m >= 1, cached per character, that is per point reduced mod m."""
+    one m >= 1, cached per character, that is per point reduced mod m.  A
+    new character is walked to its alcove point (:func:`_alcove_kac`); the
+    datum's alcove data is looked up on the first such miss and kept."""
 
-    __slots__ = ("datum", "m", "sizes")
+    __slots__ = ("datum", "m", "sizes", "plan")
 
     def __init__(self, datum: RootDatum, m: int):
         self.datum = datum
         self.m = m
         self.sizes: dict[tuple[int, ...], int] = {}
+        self.plan: _AlcovePlan | None = None
 
     def size(self, reduced: tuple[int, ...]) -> int:
         """The orbit length of the character with coordinates ``reduced``,
         each in [0, m)."""
         size = self.sizes.get(reduced)
         if size is None:
-            size = self.sizes[reduced] = _alcove_orbit_size(
-                self.datum, reduced, self.m)
+            plan = self.plan
+            if plan is None:
+                plan = self.plan = _alcove_plan(self.datum)
+            kac = _alcove_kac(plan, reduced, self.m)
+            size = plan.orbit_sizes.get(kac)
+            if size is None:
+                size = plan.orbit_sizes[kac] = self.datum.weyl_order // (
+                    _wall_stabilizer_order(plan, kac) * _omega_fixing(plan, kac))
+            self.sizes[reduced] = size
         return size
 
 

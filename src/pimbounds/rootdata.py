@@ -470,6 +470,15 @@ class GroupSpec:
                     f"no Suzuki-Ree group of type {fam}{rank} with p={self.field.p}")
             if self.datum.twist_order != 2:
                 raise UnsupportedGroupError("Suzuki-Ree groups require twist order 2")
+        # Every plan cache is keyed by a spec, so hash it once; ``replace``
+        # and unpickling run ``__init__`` again and hash afresh.
+        object.__setattr__(self, "_hash", hash((self.datum, self.field)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return GroupSpec, (self.datum, self.field)
 
     @property
     def is_suzuki_ree(self) -> bool:

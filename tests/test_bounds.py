@@ -1,5 +1,6 @@
 """Tests for the bound rules, certificates and the final classification."""
 
+import dataclasses
 import json
 import math
 import random
@@ -430,15 +431,18 @@ def test_levi_pieces_equal_the_search_over_every_parabolic():
 
 
 def _descendants(spec, parabolic, weight):
-    """``(group key, coefficients, group)`` of each descendant, through
+    """``(coefficients, group plan)`` of each descendant, through
     ``reference_descend_weight``, which shares no projection with the
     group plans."""
-    return [(bd._group_key(d.spec), d.weight.coeffs, d.spec)
+    return [(d.weight.coeffs, bd._group_plan(d.spec))
             for d in reference_descend_weight(spec, parabolic, weight)]
 
 
 def _projected(entries, coeffs):
-    return [(e.key, e.project(coeffs), e.spec) for e in entries]
+    """``(coefficients, group plan)`` of each piece; a piece reads the table
+    of the plan it links."""
+    assert all(e.table is e.plan.descent for e in entries)
+    return [(e.project(coeffs), e.plan) for e in entries]
 
 
 def test_piece_projections_equal_descend_weight():
@@ -498,16 +502,68 @@ def test_doubling_step_equals_reference_doubling():
     assert doubling == 29
 
 
-def test_descent_memo_counts_a_fresh_sweep(monkeypatch):
+def _linked_plans(plans):
+    """Every group plan reached from ``plans`` through the pieces."""
+    seen = set(plans)
+    todo = list(plans)
+    while todo:
+        plan = todo.pop()
+        for entry in (plan.pieces or ()) + (plan.doubling_pieces or ()):
+            if entry.plan not in seen:
+                seen.add(entry.plan)
+                todo.append(entry.plan)
+    return seen
+
+
+def test_descent_memo_counts_a_fresh_sweep():
     # The set of descent values computed for the D4(8)-then-A4(8) sweep is
     # the one computed when descent ran through every proper parabolic.
-    memo = bd.DescentMemo()
-    monkeypatch.setattr(bd, "_DESCENT_MEMO", memo)
-    for spec in (rd.group("D", 4, q=8), rd.group("A", 4, q=8)):
+    memo = bd._reset_descent_memo()
+    specs = (rd.group("D", 4, q=8), rd.group("A", 4, q=8))
+    for spec in specs:
         for w in wt.enumerate_restricted_weights(spec):
             bd.best_bound(spec, w)
-    assert memo.misses == len(memo.values) == 8774
+    plans = _linked_plans([bd._group_plan(spec) for spec in specs])
+    assert memo.misses == sum(len(plan.descent) for plan in plans) == 8774
     assert memo.lookups == 92260
+
+
+def test_pieces_of_one_descendant_group_share_its_table():
+    # A3(8) is a Levi piece of D4(8) and of A4(8), through several node sets
+    # of each; every such piece reads the one table of the A3(8) plan.
+    a3 = bd._group_plan(rd.group("A", 3, q=8))
+    for spec, count in ((rd.group("D", 4, q=8), 3), (rd.group("A", 4, q=8), 2)):
+        entries = [e for e in bd._group_plan(spec).pieces
+                   if e.plan.group == a3.group]
+        assert len(entries) == count, spec
+        assert all(e.plan is a3 and e.table is a3.descent for e in entries)
+
+
+def test_reset_drops_every_descent_value():
+    spec = rd.group("C", 3, q=4)
+    weight = Weight((1, 0, 2))
+    bd.best_bound(spec, weight)
+    memo = bd._reset_descent_memo()
+    plan = bd._group_plan(spec)
+    assert memo.lookups == memo.misses == 0
+    assert all(not p.descent for p in _linked_plans([plan]))
+    bd.descent_bound(spec, weight)
+    assert memo.lookups >= memo.misses > 0
+    assert weight.coeffs in plan.descent
+
+
+def test_equal_specs_hash_once_and_share_one_plan():
+    built = GroupSpec(build_root_datum("D", 4), IntegerField(8))
+    named = rd.group("D", 4, q=8)
+    assert built is not named and built == named
+    assert hash(built) == hash(named) == hash((named.datum, named.field))
+    assert bd._group_plan(built) is bd._group_plan(named)
+    # ``replace`` builds a new spec, which hashes its own fields.
+    other = dataclasses.replace(named, field=IntegerField(4))
+    assert other == rd.group("D", 4, q=4)
+    assert hash(other) == hash((other.datum, other.field))
+    assert bd._group_plan(other) is bd._group_plan(rd.group("D", 4, q=4))
+    assert bd._group_plan(other) is not bd._group_plan(named)
 
 
 def test_short_weight_raises_value_error():
@@ -671,14 +727,14 @@ def reference_hc_value(spec, weight):
             "nontrivial Borel socle: minimal nontrivial permutation degree")
 
 
-def test_best_bound_equals_reference(monkeypatch):
+def test_best_bound_equals_reference():
     specs = SWEEP + [rd.group("D", 4, q=8), rd.group("A", 4, q=8)]
     memo = {}
     expected = [
         [json.dumps(reference_best_bound(spec, w, memo).to_json())
          for w in wt.enumerate_restricted_weights(spec)]
         for spec in specs]
-    monkeypatch.setattr(bd, "_DESCENT_MEMO", bd.DescentMemo())
+    bd._reset_descent_memo()
     for memo_state in ("fresh", "warm"):
         for spec, want in zip(specs, expected):
             got = [json.dumps(bd.best_bound(spec, w).to_json())

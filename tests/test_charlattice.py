@@ -238,8 +238,47 @@ def test_dominant_walk_finds_the_highest_coroot(datum):
     height = max(sum(coroot) for _, coroot in positive)
     [highest] = [pair for pair in positive if sum(pair[1]) == height]
     plan = cl._alcove_plan(datum)
-    assert plan.simple_roots == simple
-    assert (plan.theta, plan.theta_form) == highest
+    assert plan.columns == tuple(tuple((j, c) for j, c in enumerate(root) if c)
+                                 for root in simple)
+    assert (dense_theta(plan), plan.theta_form) == highest
+
+
+def dense_theta(plan):
+    """The root theta of ``plan``, from its nonzero entries."""
+    entries = dict(plan.theta_column)
+    return tuple(entries.get(j, 0) for j in range(len(plan.theta_form)))
+
+
+def dense_alcove_kac(datum, x, m):
+    """The walk of ``cl._alcove_kac`` on dense coordinates: each step builds
+    a new x from a whole simple root, or from theta."""
+    n = datum.rank
+    simple = tuple(tuple(datum.cartan[j][i] for j in range(n)) for i in range(n))
+    plan = cl._alcove_plan(datum)
+    x = list(x)
+    while True:
+        low = min(x)
+        if low < 0:
+            x = [a - low * r for a, r in zip(x, simple[x.index(low)])]
+            continue
+        h = sum(d * a for d, a in zip(plan.theta_form, x))
+        if h <= m:
+            return (m - h, *x)
+        x = [a - (h - m) * t for a, t in zip(x, dense_theta(plan))]
+
+
+@pytest.mark.parametrize("family, rank, q", [
+    ("A", 3, 4), ("B", 3, 4), ("G2", 2, 5), ("D", 4, 3)])
+def test_sparse_alcove_walk_equals_dense_walk(family, rank, q):
+    # Every reduced point, and a lift of it with negative coordinates.
+    datum = rd.build_root_datum(family, rank)
+    plan = cl._alcove_plan(datum)
+    m = q - 1
+    for x in itertools.product(range(m), repeat=rank):
+        lift = tuple(c - (i + 1) * m for i, c in enumerate(x))
+        for start in (x, lift):
+            assert (cl._alcove_kac(plan, start, m)
+                    == dense_alcove_kac(datum, start, m)), start
 
 
 @pytest.mark.parametrize("family, rank, q", [

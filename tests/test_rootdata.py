@@ -2,7 +2,11 @@
 
 import dataclasses
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +153,25 @@ def test_equal_data_hash_equal_and_survive_pickling_as_keys():
     # The hash reads fewer fields than equality: a datum that differs
     # elsewhere is still a different key.
     assert dataclasses.replace(datum, weyl_order=1) not in table
+
+
+def test_a_pickled_spec_hashes_afresh_in_another_process():
+    # A spec caches its hash, which depends on the string-hash seed; a spec
+    # pickled under one seed is still found as a key under another.
+    src = Path(rd.__file__).resolve().parent.parent
+    head = "import pickle, sys\nfrom pimbounds import rootdata as rd\n"
+    dump = head + ("sys.stdout.buffer.write(pickle.dumps("
+                   "{rd.group('E6', 6, q=4): 'spec'}))")
+    load = head + ("print(pickle.loads(sys.stdin.buffer.read())"
+                   "[rd.group('E6', 6, q=4)])")
+
+    def run(code, seed, data=None):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              input=data, check=True,
+                              capture_output=True).stdout
+
+    assert run(load, "2", run(dump, "1")) == b"spec\n"
 
 
 def test_positive_root_counts():

@@ -346,13 +346,16 @@ def test_import_builds_no_descent_plan():
 def test_descendants_build_no_alcove_plan():
     # One E8(5) weight walks the E8 torus orbit and descends through the
     # plans of its 13 descendant groups, which never read a torus orbit.
+    # The E8 orbit cache keeps the one alcove plan.
     code = ("from pimbounds import bounds, charlattice, rootdata\n"
             "from pimbounds.weights import Weight\n"
             "spec = rootdata.group('E8', 8, q=5)\n"
             "bounds.best_bound(spec, Weight((1, 0, 2, 0, 3, 0, 4, 1)))\n"
             "print(charlattice._alcove_plan.cache_info().currsize,\n"
-            "      bounds._group_plan.cache_info().currsize)")
-    assert _fresh_python(code).split() == ["1", "14"]
+            "      bounds._group_plan.cache_info().currsize,\n"
+            "      bounds._group_plan(spec).torus.plan\n"
+            "      is charlattice._alcove_plan(spec.datum))")
+    assert _fresh_python(code).split() == ["1", "14", "True"]
 
 
 @pytest.mark.parametrize("family, rank, pieces, parabolics", [
