@@ -5,8 +5,11 @@ recorded with the orbit-enumerating implementation, before torus-orbit sizes
 came from alcove stabilizers.  The twisted, Suzuki-Ree and ``candidates``
 invocations were added later, recorded with the per-weight descent that
 preceded descent plans; the embedded-value invocations were recorded before
-the bound cascades shared their scope predicates and table step.  Refactors
-must keep every output identical.
+the bound cascades shared their scope predicates and table step.  The
+``info``, ``export-tables`` and ``verify`` invocations were recorded before
+the Dynkin-diagram facts (components, independent sets, Weyl constants)
+were kept in one place in ``rootdata``.  Refactors must keep every output
+identical.
 To record the file again, for a change that is meant to alter an output::
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -99,6 +102,18 @@ _SCAN_GROUPS = (
     + [("E6", "6", "--q", "4"), ("E7", "7", "--q", "3"), ("E8", "8", "--q", "3")]
 )
 
+# One group of each family, the twisted forms with order formulas and the
+# three Suzuki-Ree families: pins rank, |W|, N and the order polynomials.
+_INFO_GROUPS = (
+    ("A", "3", "--q", "4"), ("B", "3", "--q", "3"), ("C", "4", "--q", "5"),
+    ("D", "5", "--q", "2"), ("E6", "6", "--q", "2"), ("E7", "7", "--q", "3"),
+    ("E8", "8", "--q", "2"), ("F4", "4", "--q", "3"), ("G2", "2", "--q", "5"),
+    ("A", "4", "--q", "16", "--twist", "2"),
+    ("D", "4", "--q", "9", "--twist", "3"),
+    ("B", "2", "--suzuki-ree-e", "1"), ("G2", "2", "--suzuki-ree-e", "1"),
+    ("F4", "4", "--suzuki-ree-e", "1"),
+)
+
 INVOCATIONS = tuple(
     [("bound", *group, "--weight", w, "--json")
      for group, ws in _BOUND_WEIGHTS for w in ws]
@@ -110,6 +125,10 @@ INVOCATIONS = tuple(
     + [("bound", *group, "--weight", w, "--json")
        for group, ws in _EMBEDDED_BOUND_WEIGHTS for w in ws]
     + [("candidates", *group, "--json") for group in _CANDIDATE_GROUPS]
+    + [("info", *group, "--json") for group in _INFO_GROUPS]
+    + [("export-tables",)]
+    + [("verify", suite, "--json")
+       for suite in ("tables", "orbits", "u4", "d4", "ree", "all")]
 )
 
 
