@@ -48,6 +48,7 @@ roots reachable from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from operator import mul
@@ -56,6 +57,7 @@ from .rootdata import (
     GroupSpec,
     RootDatum,
     UnsupportedGroupError,
+    _components,
     _weyl_order,
     factor_prime_power,
     weyl_orbit,
@@ -229,20 +231,19 @@ def _component_order(bonds, comp: list[int]) -> int:
 
 
 def _wall_stabilizer_order(plan: _AlcovePlan, kac: tuple[int, ...]) -> int:
-    """|W_J| for J the walls through the alcove point, from its Kac coordinates."""
+    """|W_J| for J the walls through the alcove point, from its Kac
+    coordinates: the product of the Weyl orders of the components of J in
+    the extended diagram, whose neighbour masks are read off the bonds.
+    Kept per zero-set mask of the plan."""
     mask = sum(1 << j for j, s in enumerate(kac) if s == 0)
     order = plan.wall_orders.get(mask)
     if order is None:
-        order = 1
-        unseen = {j for j, s in enumerate(kac) if s == 0}
-        while unseen:
-            comp = [unseen.pop()]
-            for a in comp:
-                linked = {b for b in unseen if plan.bonds[a][b]}
-                unseen -= linked
-                comp.extend(linked)
-            order *= _component_order(plan.bonds, comp)
-        plan.wall_orders[mask] = order
+        neighbours = tuple(sum(1 << b for b, bond in enumerate(row) if bond)
+                           for row in plan.bonds)
+        order = plan.wall_orders[mask] = math.prod(
+            _component_order(plan.bonds,
+                             [j for j in range(len(kac)) if comp >> j & 1])
+            for comp in _components(neighbours, mask))
     return order
 
 

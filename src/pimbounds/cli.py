@@ -216,7 +216,7 @@ def _check(condition: bool, description: str, **context) -> None:
         raise VerificationFailure({"failed": description, **context})
 
 
-def _suite_tables(report: dict) -> None:
+def _suite_tables(report: dict, args) -> None:
     # Root-data invariants: Coxeter relations and closure orders.
     for datum in _iter_small_data():
         mats = rootdata.reflection_matrices(datum)
@@ -266,7 +266,7 @@ def _suite_tables(report: dict) -> None:
     report["natural_representation"] = "ok"
 
 
-def _suite_orbits(report: dict) -> None:
+def _suite_orbits(report: dict, args) -> None:
     for rank in (2, 3, 4):
         for q in (4, 8):
             spec = rootdata.group("C", rank, q=q)
@@ -311,60 +311,45 @@ def _suite_orbits(report: dict) -> None:
     report["orbits"] = "ok"
 
 
-def _suite_u4(report: dict, primes) -> None:
+def _case_suite(report: dict, name: str, title: str, parameter: str,
+                values) -> None:
+    """Run the case analysis ``caseanalysis.<name>_verify`` on each value
+    (a prime, or a Ree exponent); any outcome but NoSolution is a
+    counterexample."""
+    verify = getattr(caseanalysis, f"{name}_verify")
     results = {}
-    for p in primes:
-        verdict = caseanalysis.u4_verify(p)
-        _check(verdict.outcome == "NoSolution", "U4 analysis inconclusive",
-               prime=p, verdict=verdict.to_json())
-        results[str(p)] = verdict.outcome
-    report["u4"] = results
+    for value in values:
+        verdict = verify(value)
+        _check(verdict.outcome == "NoSolution", f"{title} analysis inconclusive",
+               **{parameter: value}, verdict=verdict.to_json())
+        results[str(value)] = verdict.outcome
+    report[name] = results
 
 
-def _suite_d4(report: dict, primes) -> None:
-    results = {}
-    for p in primes:
-        verdict = caseanalysis.d4_verify(p)
-        _check(verdict.outcome == "NoSolution", "D4 analysis inconclusive",
-               prime=p, verdict=verdict.to_json())
-        results[str(p)] = verdict.outcome
-    report["d4"] = results
-
-
-def _suite_ree(report: dict, exponents) -> None:
-    results = {}
-    for f in exponents:
-        verdict = caseanalysis.ree_verify(f)
-        _check(verdict.outcome == "NoSolution", "Ree analysis inconclusive",
-               exponent=f, verdict=verdict.to_json())
-        results[str(f)] = verdict.outcome
-    report["ree"] = results
-
-
-_SUITES = ("tables", "orbits", "u4", "d4", "ree", "all")
+# The suites in the order ``verify all`` runs them.
+_SUITES = {
+    "tables": _suite_tables,
+    "orbits": _suite_orbits,
+    "u4": lambda report, args: _case_suite(
+        report, "u4", "U4", "prime", args.primes or (3, 5, 7, 11)),
+    "d4": lambda report, args: _case_suite(
+        report, "d4", "D4", "prime", args.primes or (3, 5, 7, 11, 13)),
+    "ree": lambda report, args: _case_suite(
+        report, "ree", "Ree", "exponent", args.f or (1, 2)),
+}
 
 
 def _cmd_verify(args) -> int:
     report: dict = {}
-    primes_u4 = args.primes or (3, 5, 7, 11)
-    primes_d4 = args.primes or (3, 5, 7, 11, 13)
-    exponents = args.f or (1, 2)
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
     try:
-        if args.suite in ("tables", "all"):
-            _suite_tables(report)
-        if args.suite in ("orbits", "all"):
-            _suite_orbits(report)
-        if args.suite in ("u4", "all"):
-            _suite_u4(report, primes_u4)
-        if args.suite in ("d4", "all"):
-            _suite_d4(report, primes_d4)
-        if args.suite in ("ree", "all"):
-            _suite_ree(report, exponents)
+        for name in suites:
+            _SUITES[name](report, args)
     except VerificationFailure as failure:
         print(json.dumps({"verified": False, "counterexample": failure.payload,
                           "partial_report": report}, sort_keys=True))
         return EXIT_VIOLATION
-    except (AssertionError, caseanalysis.CaseAnalysisError,
+    except (caseanalysis.CaseAnalysisError,
             degrees.DatasetCorruptError) as exc:
         print(json.dumps({"verified": False, "error": str(exc),
                           "partial_report": report}, sort_keys=True))
@@ -416,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cand.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=_SUITES)
+    p_verify.add_argument("suite", choices=[*_SUITES, "all"])
     p_verify.add_argument("--primes", type=int, nargs="+", default=None)
     p_verify.add_argument("--f", type=int, nargs="+", default=None,
                           help="Ree exponents f (with t = 3^f)")

@@ -17,20 +17,19 @@ alpha_j).  The simple reflection s_i sends a weight lam to
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 
 from .degrees import DegreePolynomial, X
 
 FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
-_EXCEPTIONAL_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
-
-# Degrees of the basic Weyl-group invariants; their product is the Weyl group
-# order and q^N * prod(q^d - 1) is the order of the split group, N being the
-# number of positive roots.
+# Degrees of the basic Weyl-group invariants of the exceptional families;
+# :func:`_split_degrees` gives them for every family.  Their number is the
+# rank, their product the Weyl group order and the sum of d - 1 the number N
+# of positive roots, and q^N * prod(q^d - 1) is the order of the split group
+# (Bourbaki, *Lie Groups and Lie Algebras*, ch. V §6).
 _INVARIANT_DEGREES = {
     "E6": (2, 5, 6, 8, 9, 12),
     "E7": (2, 6, 8, 10, 12, 14, 18),
@@ -125,24 +124,18 @@ def _diagram_perm(family: str, rank: int, twist: int) -> tuple[int, ...]:
         f"no diagram symmetry of order {twist} for {family}{rank}")
 
 
-def _positive_root_count(family: str, rank: int) -> int:
-    return {
-        "A": rank * (rank + 1) // 2,
-        "B": rank * rank,
-        "C": rank * rank,
-        "D": rank * (rank - 1),
-        "E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6,
-    }[family]
+def _split_degrees(family: str, rank: int) -> tuple[int, ...]:
+    if family == "A":
+        return tuple(range(2, rank + 2))
+    if family in ("B", "C"):
+        return tuple(range(2, 2 * rank + 1, 2))
+    if family == "D":
+        return tuple(range(2, 2 * rank - 1, 2)) + (rank,)
+    return _INVARIANT_DEGREES[family]
 
 
 def _weyl_order(family: str, rank: int) -> int:
-    if family == "A":
-        return math.factorial(rank + 1)
-    if family in ("B", "C"):
-        return (2 ** rank) * math.factorial(rank)
-    if family == "D":
-        return (2 ** (rank - 1)) * math.factorial(rank)
-    return math.prod(_INVARIANT_DEGREES[family])
+    return math.prod(_split_degrees(family, rank))
 
 
 def _min_nonlinear_degree(family: str, rank: int) -> int:
@@ -195,12 +188,11 @@ class RootDatum:
         return tuple(orbit)
 
     @cached_property
-    def _adjacency(self) -> dict[int, frozenset[int]]:
-        # Built once, on first use: the weight sieves ask for the diagram on
-        # every weight.
-        return {i: frozenset(j for j in range(1, self.rank + 1)
-                             if j != i and self.cartan[i - 1][j - 1] != 0)
-                for i in range(1, self.rank + 1)}
+    def _neighbours(self) -> tuple[int, ...]:
+        # The Dynkin diagram: the neighbours of node i as a bitmask (bit j-1
+        # for node j), at index i-1.  Built once, on first use.
+        return tuple(sum(1 << j for j, c in enumerate(row) if c and j != i)
+                     for i, row in enumerate(self.cartan))
 
     @cached_property
     def _columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -209,10 +201,6 @@ class RootDatum:
         return tuple(tuple((j, row[i]) for j, row in enumerate(self.cartan)
                            if row[i])
                      for i in range(self.rank))
-
-    def adjacency(self) -> Mapping[int, frozenset[int]]:
-        """Neighbours of each 1-based node in the Dynkin diagram (read-only)."""
-        return MappingProxyType(self._adjacency)
 
     def coxeter_order(self, i: int, j: int) -> int:
         """Order of s_i s_j, read off the Cartan matrix."""
@@ -232,9 +220,10 @@ def build_root_datum(family: str, rank: int, twist_order: int = 1) -> RootDatum:
     Valid twists: 1 everywhere; 2 on A (rank >= 2), D (rank >= 4), E6, and on
     B2/G2/F4 for the Suzuki and Ree groups; 3 on D4.
     """
-    if family in _EXCEPTIONAL_RANK:
-        if rank != _EXCEPTIONAL_RANK[family]:
-            raise UnsupportedGroupError(f"{family} has rank {_EXCEPTIONAL_RANK[family]}")
+    if family in _INVARIANT_DEGREES:
+        if rank != len(_INVARIANT_DEGREES[family]):
+            raise UnsupportedGroupError(
+                f"{family} has rank {len(_INVARIANT_DEGREES[family])}")
     elif family == "A":
         if rank < 1:
             raise UnsupportedGroupError("A requires rank >= 1")
@@ -275,13 +264,33 @@ def build_root_datum(family: str, rank: int, twist_order: int = 1) -> RootDatum:
         twist_order=twist_order,
         cartan=cartan,
         diagram_perm=perm,
-        positive_root_count=_positive_root_count(family, rank),
+        positive_root_count=sum(d - 1 for d in _split_degrees(family, rank)),
         weyl_order=_weyl_order(family, rank),
         min_nonlinear_degree=_min_nonlinear_degree(family, rank),
         long_nodes=_long_nodes(family, rank),
     )
     _check_perm_preserves_cartan(datum)
     return datum
+
+
+def _components(neighbours: tuple[int, ...], mask: int) -> list[int]:
+    """The connected components of the node set ``mask`` of a diagram, as
+    masks in the order of their lowest node.  Bit k of ``mask`` is a node
+    whose neighbours are the bitmask ``neighbours[k]``."""
+    comps = []
+    while mask:
+        comp, frontier = 0, mask & -mask
+        while frontier:
+            comp |= frontier
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= neighbours[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+        comps.append(comp)
+        mask &= ~comp
+    return comps
 
 
 def _check_perm_preserves_cartan(datum: RootDatum) -> None:
@@ -462,14 +471,20 @@ class GroupSpec:
     field: IntegerField | SuzukiReeField
 
     def __post_init__(self):
+        fam, rank = self.datum.family, self.datum.rank
+        legal = {("B", 2): 2, ("G2", 2): 3, ("F4", 4): 2}
         if isinstance(self.field, SuzukiReeField):
-            fam, rank = self.datum.family, self.datum.rank
-            legal = {("B", 2): 2, ("G2", 2): 3, ("F4", 4): 2}
             if (fam, rank) not in legal or legal[(fam, rank)] != self.field.p:
                 raise UnsupportedGroupError(
                     f"no Suzuki-Ree group of type {fam}{rank} with p={self.field.p}")
             if self.datum.twist_order != 2:
                 raise UnsupportedGroupError("Suzuki-Ree groups require twist order 2")
+        elif self.datum.twist_order == 2 and (fam, rank) in legal:
+            # The twist of B2, G2 and F4 exchanges long and short roots, so
+            # its groups are the Suzuki and Ree groups alone.
+            raise UnsupportedGroupError(
+                f"the twisted groups of type {fam}{rank} are Suzuki or Ree "
+                f"groups and need a Suzuki-Ree field parameter")
         # Every plan cache is keyed by a spec, so hash it once; ``replace``
         # and unpickling run ``__init__`` again and hash afresh.
         object.__setattr__(self, "_hash", hash((self.datum, self.field)))
@@ -503,7 +518,7 @@ class GroupSpec:
 
     def describe(self) -> str:
         d = self.datum
-        base = d.family if d.family in _EXCEPTIONAL_RANK else f"{d.family}{d.rank}"
+        base = d.family if d.family in _INVARIANT_DEGREES else f"{d.family}{d.rank}"
         if self.is_suzuki_ree:
             return f"2{base}(q^2={self.field.q_squared})"
         prefix = "" if d.twist_order == 1 else str(d.twist_order)
@@ -538,16 +553,6 @@ def special_unitary(n: int, q: int) -> GroupSpec:
 # ---------------------------------------------------------------------------
 # Order polynomials
 # ---------------------------------------------------------------------------
-
-
-def _split_degrees(family: str, rank: int) -> tuple[int, ...]:
-    if family == "A":
-        return tuple(range(2, rank + 2))
-    if family in ("B", "C"):
-        return tuple(range(2, 2 * rank + 1, 2))
-    if family == "D":
-        return tuple(range(2, 2 * rank - 1, 2)) + (rank,)
-    return _INVARIANT_DEGREES[family]
 
 
 def group_order_poly(spec: GroupSpec) -> tuple[DegreePolynomial, DegreePolynomial]:

@@ -44,6 +44,7 @@ from .rootdata import (
     IntegerField,
     RootDatum,
     UnsupportedGroupError,
+    _components,
     build_root_datum,
 )
 
@@ -97,10 +98,8 @@ def restricted_weight_count(spec: GroupSpec) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
 def steinberg_weight(spec: GroupSpec) -> Weight:
-    """The weight of the Steinberg module: maximal in every coordinate.
-    Built once per group."""
+    """The weight of the Steinberg module: maximal in every coordinate."""
     return Weight(tuple(r - 1 for r in coefficient_ranges(spec)))
 
 
@@ -142,22 +141,10 @@ class ParabolicSubset:
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the induced subdiagram, sorted."""
-        adjacency = self.datum.adjacency()
-        remaining = set(self.nodes)
-        comps = []
-        while remaining:
-            seed = min(remaining)
-            comp = {seed}
-            frontier = [seed]
-            while frontier:
-                cur = frontier.pop()
-                for nb in adjacency[cur] & remaining:
-                    if nb not in comp:
-                        comp.add(nb)
-                        frontier.append(nb)
-            remaining -= comp
-            comps.append(tuple(sorted(comp)))
-        return tuple(sorted(comps))
+        mask = sum(1 << (n - 1) for n in self.nodes)
+        return tuple(tuple(i + 1 for i in range(comp.bit_length())
+                           if comp >> i & 1)
+                     for comp in _components(self.datum._neighbours, mask))
 
 
 @lru_cache(maxsize=None)
@@ -197,8 +184,9 @@ def _classify_subdiagram(datum: RootDatum, comp: tuple[int, ...]):
     with a double bond are canonicalised to family C (short node first).
     """
     m = len(comp)
-    adjacency = datum.adjacency()
-    nb = {i: sorted(adjacency[i] & set(comp)) for i in comp}
+    neighbours = datum._neighbours
+    nb = {i: [j for j in sorted(comp) if neighbours[i - 1] >> (j - 1) & 1]
+          for i in comp}
 
     def bond(i, j):
         return datum.cartan[i - 1][j - 1] * datum.cartan[j - 1][i - 1]
@@ -497,28 +485,12 @@ def descend_weight(spec: GroupSpec, parabolic: ParabolicSubset,
     return tuple(out)
 
 
-def _neighbour_masks(datum: RootDatum) -> tuple[int, ...]:
-    """The neighbours of each node as a bitmask (bit i-1 for node i),
-    indexed by node - 1."""
-    adjacency = datum.adjacency()
-    return tuple(sum(1 << (j - 1) for j in adjacency[i])
-                 for i in range(1, datum.rank + 1))
-
-
-def _is_one_orbit(datum: RootDatum, neighbours: tuple[int, ...],
-                  mask: int) -> bool:
+def _is_one_orbit(datum: RootDatum, mask: int) -> bool:
     """Is the twist-stable node set ``mask`` a single Frobenius orbit of
-    connected components?  Grows the component of its lowest node inside
-    the set, then closes it under the diagram symmetry; the set is one
-    orbit exactly when that closure is all of it."""
-    grown, frontier = 0, mask & -mask
-    while frontier:
-        grown |= frontier
-        reach = 0
-        for i, nb in enumerate(neighbours):
-            if frontier >> i & 1:
-                reach |= nb
-        frontier = reach & mask & ~grown
+    connected components?  Closes the component of its lowest node under
+    the diagram symmetry; the set is one orbit exactly when that closure is
+    all of it."""
+    grown = _components(datum._neighbours, mask)[0]
     while True:
         image = sum(1 << (datum.apply_perm(i + 1) - 1)
                     for i in range(datum.rank) if grown >> i & 1)
@@ -537,15 +509,14 @@ def levi_pieces(datum: RootDatum, suzuki_ree: bool) -> tuple[_LeviPiece, ...]:
     proper parabolic's plan is the piece of its own node set, and a plan is
     unsupported exactly when one of its pieces is.  A maximum over the
     pieces of every supported proper parabolic is therefore a maximum over
-    these pieces.  Whether a node set is one orbit is read off bitmasks of
-    the diagram, so only those node sets get a descent plan: 43 of the 254
-    proper parabolics of E8, 33 of 126 on E7 and 10 of 14 on D4.  Built once
-    per datum and kind of field.
+    these pieces.  Whether a node set is one orbit is read off its
+    components in :func:`rootdata._components`, so only those node sets get
+    a descent plan: 43 of the 254 proper parabolics of E8, 33 of 126 on E7
+    and 10 of 14 on D4.  Built once per datum and kind of field.
     """
-    neighbours = _neighbour_masks(datum)
     pieces = []
     for p in proper_parabolics(datum):
-        if _is_one_orbit(datum, neighbours, sum(1 << (n - 1) for n in p.nodes)):
+        if _is_one_orbit(datum, sum(1 << (n - 1) for n in p.nodes)):
             try:
                 pieces += _descent_plan(p, suzuki_ree)
             except UnsupportedGroupError:
@@ -641,12 +612,10 @@ def minimal_pim_candidates(spec: GroupSpec) -> list[Weight]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _doubling_parabolic(
         spec: GroupSpec) -> tuple[ParabolicSubset, tuple[tuple[int, int], ...]]:
     """The designated type-A parabolic of the factor-2 strengthening, and the
-    0-based index pairs whose equality is the escape pattern; built once per
-    group.
+    0-based index pairs whose equality is the escape pattern.
 
     For the unitary groups (twisted type A, ambient size 2n+k with k in
     {0,1}) a weight escapes exactly when ``a_i = a_{n+k+i}`` for all i < n.
@@ -681,20 +650,6 @@ def _doubling_parabolic(
     return ParabolicSubset(d, frozenset(range(1, size + 1))), pairs
 
 
-def _largest_independent_set(datum: RootDatum,
-                             candidates: list[int]) -> tuple[int, ...]:
-    """A largest set of pairwise non-adjacent nodes among ``candidates`` (in
-    increasing order), found exhaustively (rank <= 8).  Ties are broken by
-    the lexicographically smallest node tuple."""
-    adjacency = datum.adjacency()
-    for r in range(len(candidates), 0, -1):
-        for combo in itertools.combinations(candidates, r):
-            if all(b not in adjacency[a]
-                   for a, b in itertools.combinations(combo, 2)):
-                return combo
-    return ()
-
-
 @lru_cache(maxsize=None)
 def _independent_set_sizes(datum: RootDatum) -> tuple[int, ...]:
     """The size of a largest independent node set inside each node set,
@@ -709,7 +664,7 @@ def _independent_set_sizes(datum: RootDatum) -> tuple[int, ...]:
 
     and each entry reads two entries of smaller masks.
     """
-    closed = [(1 << i) | nb for i, nb in enumerate(_neighbour_masks(datum))]
+    closed = [(1 << i) | nb for i, nb in enumerate(datum._neighbours)]
     size = [0]
     for mask in range(1, 1 << datum.rank):
         low = mask & -mask
@@ -722,15 +677,29 @@ def independent_violating_set(spec: GroupSpec, weight: Weight) -> ParabolicSubse
     """Largest independent node set where the weight avoids {0, q-1}.
 
     Only defined for split groups.  Nodes with coefficient in {0, q-1} are
-    discarded; among the remaining nodes a maximum independent subset of the
-    Dynkin diagram is found exhaustively (rank <= 8).  Ties are broken by the
-    lexicographically smallest node tuple.
+    discarded; among the remaining free nodes a largest independent subset
+    of the Dynkin diagram is read off :func:`_independent_set_sizes`.  Ties
+    are broken by the lexicographically smallest node tuple: the nodes are
+    walked lowest first, and node v is taken when v, with a largest
+    independent set among the higher free nodes that are not its
+    neighbours, still reaches the size needed.
     """
     if not spec.is_split:
         raise UnsupportedGroupError(
             "the independent-set criterion is stated for split groups")
     q = spec.q
-    candidates = [i for i in range(1, spec.datum.rank + 1)
-                  if weight[i] not in (0, q - 1)]
-    best = _largest_independent_set(spec.datum, candidates)
-    return ParabolicSubset(spec.datum, frozenset(best))
+    datum = spec.datum
+    size = _independent_set_sizes(datum)
+    free = sum(1 << (i - 1) for i in range(1, datum.rank + 1)
+               if weight[i] not in (0, q - 1))
+    need = size[free]
+    nodes = []
+    while need:
+        low = free & -free
+        free ^= low
+        rest = free & ~datum._neighbours[low.bit_length() - 1]
+        if 1 + size[rest] == need:
+            nodes.append(low.bit_length())
+            need -= 1
+            free = rest
+    return ParabolicSubset(datum, frozenset(nodes))

@@ -1,6 +1,7 @@
 """Tests for the bound rules, certificates and the final classification."""
 
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -179,6 +180,40 @@ def reference_doubling(spec, weight):
     return wt.ParabolicSubset(d, frozenset(nodes)), not escapes
 
 
+def reference_components(datum, nodes):
+    """Oracle for ``ParabolicSubset.components``: the connected components
+    of a node set, grown as sets along the nonzero Cartan entries and
+    sorted, with no bitmask and nothing of :mod:`pimbounds.rootdata`'s
+    diagram."""
+    remaining = set(nodes)
+    comps = []
+    while remaining:
+        comp = {min(remaining)}
+        frontier = list(comp)
+        while frontier:
+            cur = frontier.pop()
+            for nb in remaining - comp:
+                if datum.cartan[cur - 1][nb - 1]:
+                    comp.add(nb)
+                    frontier.append(nb)
+        remaining -= comp
+        comps.append(tuple(sorted(comp)))
+    return tuple(sorted(comps))
+
+
+def largest_independent_set(datum, candidates):
+    """Oracle for ``weights.independent_violating_set`` and the independent
+    set table: a largest set of pairwise non-adjacent nodes among
+    ``candidates`` (in increasing order), found exhaustively.  Ties are
+    broken by the lexicographically smallest node tuple."""
+    for r in range(len(candidates), 0, -1):
+        for combo in itertools.combinations(candidates, r):
+            if all(not datum.cartan[a - 1][b - 1]
+                   for a, b in itertools.combinations(combo, 2)):
+                return combo
+    return ()
+
+
 def reference_descend_weight(spec, parabolic, weight):
     """Oracle for descend_weight and the piece projections of the group
     plans: the per-weight descent that classified the Levi components afresh
@@ -197,7 +232,7 @@ def reference_descend_weight(spec, parabolic, weight):
     if any(weight.coeffs[i] >= ranges[i] for i in range(spec.datum.rank)):
         raise ValueError("weight is not restricted for this group")
     datum = spec.datum
-    comps = parabolic.components()
+    comps = reference_components(datum, parabolic.nodes)
     comp_of_node = {}
     for comp in comps:
         for n in comp:
@@ -316,7 +351,10 @@ def _reference_table_step(spec, weight):
 
 
 def _searched_independent_set_size(spec, weight):
-    return len(wt.independent_violating_set(spec, weight).nodes)
+    q = spec.q
+    return len(largest_independent_set(
+        spec.datum, [i for i in range(1, spec.datum.rank + 1)
+                     if weight[i] not in (0, q - 1)]))
 
 
 def _outcome(fn, *args):
@@ -374,7 +412,7 @@ def _component_orbits(parabolic):
     in the order of their smallest component."""
     datum = parabolic.datum
     out = []
-    for comp in parabolic.components():
+    for comp in reference_components(datum, parabolic.nodes):
         if any(comp[0] in nodes for nodes in out):
             continue
         nodes = set(comp)
@@ -613,7 +651,7 @@ def test_best_bound_caches_orbit_lengths_per_reduced_point():
 
 def test_independent_set_table_matches_search():
     # The subset recursion of the table against the exhaustive search of
-    # ``weights._largest_independent_set``, on every split datum of ranks
+    # ``largest_independent_set``, on every split datum of ranks
     # 2-8 of ``verify tables``; each reachable mask gets one weight, with
     # random coefficients outside {0, q-1} on its nodes and in {0, q-1}
     # elsewhere.

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 
-from pimbounds import cli, rootdata
+import pytest
+
+from pimbounds import cli, degrees, rootdata
 
 
 def run(capsys, *argv):
@@ -126,6 +128,42 @@ def test_verify_tables_reports_a_wrong_stored_weyl_order(capsys, monkeypatch):
         "failed": "closure cardinality differs from the stored Weyl order",
         "family": "E8", "rank": 8,
         "closure": e8.weyl_order, "stored": wrong.weyl_order}
+
+
+def test_verify_reports_a_program_fault_as_internal(capsys, monkeypatch):
+    # A bare AssertionError is a fault in the program, not a counterexample.
+    def fault(tag):
+        raise AssertionError("simulated fault")
+
+    monkeypatch.setattr(degrees, "verify_induced_identity", fault)
+    code, out, err = run(capsys, "verify", "tables", "--json")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err == "internal error: AssertionError: simulated fault\n"
+
+
+def test_verify_reports_a_corrupt_dataset_as_a_violation(capsys, monkeypatch):
+    def corrupt(tag):
+        raise degrees.DatasetCorruptError(f"{tag} identity fails")
+
+    monkeypatch.setattr(degrees, "verify_induced_identity", corrupt)
+    code, blob = run_json(capsys, "verify", "tables", "--json")
+    assert code == cli.EXIT_VIOLATION == 1
+    assert blob == {"verified": False, "error": "U4 identity fails",
+                    "partial_report": {"rootdata": "ok"}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "B", "2", "--q", "4", "--twist", "2", "--weight", "1,0"),
+    ("info", "F4", "4", "--q", "2", "--twist", "2"),
+    ("info", "G2", "2", "--q", "3", "--twist", "2"),
+])
+def test_twisted_b2_g2_f4_need_a_suzuki_ree_field(capsys, argv):
+    # Their twisted forms exist only as the Suzuki and Ree groups.
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_USAGE == 2
+    assert out == ""
+    assert "need a Suzuki-Ree field parameter" in err
 
 
 def test_export_tables(capsys):

@@ -295,3 +295,28 @@ def test_suzuki_ree_specs():
     assert ree.field.q_squared == 3
     with pytest.raises(rd.UnsupportedGroupError):
         rd.GroupSpec(rd.build_root_datum("C", 2, 1), rd.SuzukiReeField(2, 1))
+
+
+def test_twisted_b2_g2_f4_need_a_suzuki_ree_field():
+    for family, rank in (("B", 2), ("G2", 2), ("F4", 4)):
+        with pytest.raises(rd.UnsupportedGroupError):
+            rd.group(family, rank, q=4, twist_order=2)
+        with pytest.raises(rd.UnsupportedGroupError):
+            rd.GroupSpec(rd.build_root_datum(family, rank, 2),
+                         rd.IntegerField(3))
+
+
+def test_rank_weyl_order_and_roots_from_the_invariant_degrees():
+    # |W| = prod d_i, N = sum (d_i - 1) and rank = #d_i, against the
+    # factorial formulas of the classical families.
+    for family, formula in (
+            ("A", lambda n: (math.factorial(n + 1), n * (n + 1) // 2)),
+            ("B", lambda n: (2 ** n * math.factorial(n), n * n)),
+            ("C", lambda n: (2 ** n * math.factorial(n), n * n)),
+            ("D", lambda n: (2 ** (n - 1) * math.factorial(n), n * (n - 1)))):
+        for rank in range(3, 9):
+            datum = rd.build_root_datum(family, rank)
+            assert (datum.weyl_order, datum.positive_root_count) == formula(rank)
+    for family, rank in (("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)):
+        with pytest.raises(rd.UnsupportedGroupError, match=f"has rank {rank}"):
+            rd.build_root_datum(family, rank + 1)

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pimbounds
-from pimbounds import bounds as bd, rootdata as rd, weights as wt
+from pimbounds import bounds as bd, cli, rootdata as rd, weights as wt
 from pimbounds.rootdata import GroupSpec, IntegerField, build_root_datum
 from pimbounds.weights import UnsupportedSubdiagramError, Weight
 from test_bounds import (
     SWEEP,
+    largest_independent_set,
+    reference_components,
     reference_descend_weight,
     reference_doubling,
     socle_trivial_on_borel,
@@ -86,6 +88,14 @@ def test_components_and_stability():
     assert sub.components() == ((1,), (3,), (4,))
     assert sub.is_twist_stable()
     assert not wt.ParabolicSubset(d4, frozenset({1})).is_twist_stable()
+
+
+def test_components_equal_set_walk_on_every_node_set():
+    for datum in cli._iter_small_data():
+        for mask in range(1, 1 << datum.rank):
+            nodes = frozenset(i + 1 for i in range(datum.rank) if mask >> i & 1)
+            assert (wt.ParabolicSubset(datum, nodes).components()
+                    == reference_components(datum, nodes)), (datum, nodes)
 
 
 def test_twist_stable_subsets_d4_triality():
@@ -335,12 +345,11 @@ def test_import_builds_no_descent_plan():
             "print(*(f.cache_info().currsize for f in (\n"
             "    weights._descent_plan, weights.proper_parabolics,\n"
             "    weights._node_orbits, weights.levi_pieces,\n"
-            "    weights.steinberg_weight, weights._independent_set_sizes,\n"
-            "    weights._doubling_parabolic, bounds._group_plan,\n"
+            "    weights._independent_set_sizes, bounds._group_plan,\n"
             "    bounds._torus_step, bounds._independent_step,\n"
             "    bounds._descent_step, charlattice.torus_orbits,\n"
             "    charlattice._alcove_plan, cli.build_parser)))")
-    assert _fresh_python(code).split() == ["0"] * 14
+    assert _fresh_python(code).split() == ["0"] * 12
 
 
 def test_descendants_build_no_alcove_plan():
@@ -536,11 +545,6 @@ def test_doubling_twisted_d():
     assert _doubling(spec, Weight((1, 1, 0, 0, 0))) == ([1, 2, 3], True)
 
 
-def test_doubling_parabolic_is_built_once_per_group():
-    first = wt._doubling_parabolic(rd.group("C", 3, q=3))
-    assert wt._doubling_parabolic(rd.group("C", 3, q=3)) is first
-
-
 def test_doubling_out_of_scope():
     for spec in (rd.special_linear(4, 3), rd.group("B", 2, q=3),
                  rd.group("G2", 2, q=3)):
@@ -560,6 +564,26 @@ def test_independent_violating_set():
     assert sorted(sub.nodes) == [2]  # nodes 1, 5 are at 0 and 4 is at q-1
     sub = wt.independent_violating_set(spec, Weight((0, 0, 0, 0, 0)))
     assert sorted(sub.nodes) == []
+
+
+def test_independent_violating_set_equals_search():
+    # The walk over the size table against the exhaustive search, tie-break
+    # included, on every split datum of ranks 2-8: the set depends only on
+    # which nodes avoid {0, q-1}, and every such mask gets one weight.
+    for datum in cli._iter_small_data():
+        if datum.rank < 2:
+            continue
+        for q in (3, 4):
+            spec = GroupSpec(datum, IntegerField(q))
+            for mask in range(1 << datum.rank):
+                coeffs = tuple(1 + (i + mask) % (q - 2) if mask >> i & 1
+                               else (0, q - 1)[(i + mask) % 2]
+                               for i in range(datum.rank))
+                free = [i + 1 for i in range(datum.rank) if mask >> i & 1]
+                got = wt.independent_violating_set(spec, Weight(coeffs))
+                assert (tuple(sorted(got.nodes))
+                        == largest_independent_set(datum, free)), (
+                    spec.describe(), coeffs)
 
 
 def test_independent_set_needs_split_group():
