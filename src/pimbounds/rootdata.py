@@ -463,6 +463,10 @@ class SuzukiReeField:
         return self.p ** self.e
 
 
+# The types of the Suzuki and Ree groups, with their characteristic.
+_SUZUKI_REE_PRIME = {("B", 2): 2, ("G2", 2): 3, ("F4", 4): 2}
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A root datum together with a field parameter."""
@@ -472,14 +476,14 @@ class GroupSpec:
 
     def __post_init__(self):
         fam, rank = self.datum.family, self.datum.rank
-        legal = {("B", 2): 2, ("G2", 2): 3, ("F4", 4): 2}
+        prime = _SUZUKI_REE_PRIME.get((fam, rank))
         if isinstance(self.field, SuzukiReeField):
-            if (fam, rank) not in legal or legal[(fam, rank)] != self.field.p:
+            if prime != self.field.p:
                 raise UnsupportedGroupError(
                     f"no Suzuki-Ree group of type {fam}{rank} with p={self.field.p}")
             if self.datum.twist_order != 2:
                 raise UnsupportedGroupError("Suzuki-Ree groups require twist order 2")
-        elif self.datum.twist_order == 2 and (fam, rank) in legal:
+        elif self.datum.twist_order == 2 and prime:
             # The twist of B2, G2 and F4 exchanges long and short roots, so
             # its groups are the Suzuki and Ree groups alone.
             raise UnsupportedGroupError(
