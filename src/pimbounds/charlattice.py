@@ -103,6 +103,7 @@ class _AlcovePlan:
     theta_column: tuple[tuple[int, int], ...]
     theta_form: tuple[int, ...]  # the highest coroot on simple coroots
     bonds: tuple[tuple[int, ...], ...]  # bond products between wall nodes
+    neighbours: tuple[int, ...]  # the bonded wall nodes of each, as a mask
     omega: tuple[tuple[int, ...], ...]  # Ω as permutations of Kac coordinates
     wall_orders: dict = field(default_factory=dict)  # zero-set mask -> |W_J|
     # Kac coordinates -> |W| / (|W_J| * |Ω_x|); they fix x and m.
@@ -187,9 +188,11 @@ def _alcove_plan(datum: RootDatum) -> _AlcovePlan:
 
     bonds = tuple(tuple(pairing(a, b) * pairing(b, a) if a != b else 0
                         for b in range(n + 1)) for a in range(n + 1))
+    neighbours = tuple(sum(1 << b for b, bond in enumerate(row) if bond)
+                       for row in bonds)
     plan = _AlcovePlan(datum._columns,
                        tuple((j, t) for j, t in enumerate(theta) if t),
-                       theta_form, bonds, omega=())
+                       theta_form, bonds, neighbours, omega=())
     # Ω ≅ P/Q is represented by 0 and the minuscule fundamental weights, the
     # nodes with coefficient 1 in the highest coroot.  Each permutes the Kac
     # coordinates; read the permutation off a point whose coordinates differ.
@@ -233,17 +236,15 @@ def _component_order(bonds, comp: list[int]) -> int:
 def _wall_stabilizer_order(plan: _AlcovePlan, kac: tuple[int, ...]) -> int:
     """|W_J| for J the walls through the alcove point, from its Kac
     coordinates: the product of the Weyl orders of the components of J in
-    the extended diagram, whose neighbour masks are read off the bonds.
-    Kept per zero-set mask of the plan."""
+    the extended diagram, found on the neighbour masks of the plan, which
+    are read off its bonds.  Kept per zero-set mask of the plan."""
     mask = sum(1 << j for j, s in enumerate(kac) if s == 0)
     order = plan.wall_orders.get(mask)
     if order is None:
-        neighbours = tuple(sum(1 << b for b, bond in enumerate(row) if bond)
-                           for row in plan.bonds)
         order = plan.wall_orders[mask] = math.prod(
             _component_order(plan.bonds,
                              [j for j in range(len(kac)) if comp >> j & 1])
-            for comp in _components(neighbours, mask))
+            for comp in _components(plan.neighbours, mask))
     return order
 
 
