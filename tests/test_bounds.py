@@ -1,6 +1,7 @@
 """Tests for the bound rules, certificates and the final classification."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -778,6 +779,23 @@ def test_best_bound_equals_reference():
             got = [json.dumps(bd.best_bound(spec, w).to_json())
                    for w in wt.enumerate_restricted_weights(spec)]
             assert got == want, (memo_state, spec.describe())
+
+
+def test_certificate_digest_is_pinned():
+    # Every certificate of the sweep, D4(8), A4(8) and E6(4), each weight in
+    # ``enumerate_restricted_weights`` order, serialised one JSON object per
+    # line with sorted keys and hashed as UTF-8.
+    digest = hashlib.sha256()
+    count = 0
+    for spec in SWEEP + [rd.group("D", 4, q=8), rd.group("A", 4, q=8),
+                         rd.group("E6", 6, q=4)]:
+        for w in wt.enumerate_restricted_weights(spec):
+            line = json.dumps(bd.best_bound(spec, w).to_json(), sort_keys=True)
+            digest.update((line + "\n").encode("utf-8"))
+            count += 1
+    assert count == 15674
+    assert digest.hexdigest() == (
+        "aa9e555898b9ca0d985dd05c9cd02a8f758561483b82336942aaf5e5cf388bde")
 
 
 def test_certificate_steinberg():
