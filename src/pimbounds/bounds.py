@@ -32,7 +32,10 @@ Levi pieces of the doubling step, for split groups the torus-orbit cache of
 :func:`charlattice.torus_orbits` with its modulus m = q-1, for split groups
 of rank >= 2 the size of a largest independent node set inside every node
 set, and for groups in the restriction bound's scope its two steps) is built
-once per group, on first use, and cached.  Each Levi piece holds the
+once per group, on first use, and cached.  The pieces themselves depend on
+the datum only: :func:`weights.levi_pieces` and the plan of the doubling
+parabolic read them from :func:`weights._levi_piece`, which builds each
+once per datum and orbit mask.  The plan's entry for a piece holds the
 projection of :func:`weights._piece_descent`, the one map from a group's
 coefficients to a piece's, which :func:`weights.descend_weight` applies
 too, linked to the plan of its descendant and that plan's table; the
@@ -299,8 +302,7 @@ def _doubling_step(spec: GroupSpec):
         parabolic, pairs = _doubling_parabolic(spec)
     except UnsupportedGroupError:
         return None, None
-    return pairs, _piece_entries(_descent_plan(parabolic, spec.is_suzuki_ree),
-                                 spec)
+    return pairs, _piece_entries(_descent_plan(parabolic), spec)
 
 
 @lru_cache(maxsize=None)
@@ -308,12 +310,11 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
     """The plan of a group, built on first use."""
     split = _is_split(spec)
     descends = _descends(spec)
-    suzuki_ree = spec.is_suzuki_ree
     escape_pairs, doubling_pieces = _doubling_step(spec)
     return _GroupPlan(
         group=spec.describe(),
         descent={},
-        q=None if suzuki_ree else spec.q,
+        q=None if spec.is_suzuki_ree else spec.q,
         steinberg=steinberg_weight(spec).coeffs,
         ranges=coefficient_ranges(spec),
         sl2=_is_sl2(spec),
@@ -321,7 +322,7 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
         hc_steps=_hc_steps(spec),
         descends=descends,
         table_steps=_table_steps(spec),
-        pieces=(_piece_entries(levi_pieces(spec.datum, suzuki_ree), spec)
+        pieces=(_piece_entries(levi_pieces(spec.datum), spec)
                 if descends else None),
         escape_pairs=escape_pairs,
         doubling_pieces=doubling_pieces,

@@ -125,7 +125,7 @@ def _cmd_orbit(args) -> int:
     payload = {
         "group": spec.describe(),
         "beta": list(beta.coeffs),
-        "modulus": max(spec.q - 1, 1),
+        "modulus": charlattice.torus_orbits(spec).m,
         "orbit_size": charlattice.orbit_size(spec, beta.coeffs),
     }
     if args.json:

@@ -535,9 +535,12 @@ def group(family: str, rank: int, *, q: int | None = None,
     if suzuki_ree_e is not None:
         if q is not None:
             raise ValueError("give either q or suzuki_ree_e, not both")
-        p = 3 if family == "G2" else 2
+        if (family, rank) not in _SUZUKI_REE_PRIME:
+            raise UnsupportedGroupError(
+                f"no Suzuki-Ree group of type {family}{rank}")
         datum = build_root_datum(family, rank, 2)
-        return GroupSpec(datum, SuzukiReeField(p, suzuki_ree_e))
+        return GroupSpec(datum, SuzukiReeField(_SUZUKI_REE_PRIME[family, rank],
+                                               suzuki_ree_e))
     if q is None:
         raise ValueError("a field size q is required")
     datum = build_root_datum(family, rank, twist_order)

@@ -8,21 +8,21 @@ the level of weights, together with the sieve that lists the weights whose
 projective cover could still have dimension equal to the order of a Sylow
 p-subgroup.
 
-Descent plans: the part of a descent that does not depend on the weight or
-on the field size (the components of the subdiagram, their Bourbaki order
-and induced twist, the Frobenius orbits of components and the descendant
-root data) is built once per root datum, node set and kind of field, on
-first use, and cached.  A plan is its tuple of pieces; an unsupported
-component raises instead, and nothing is cached for it.
-
-Levi pieces: one Frobenius orbit of components of a plan is a *piece*.  It
-depends on that orbit only, so it is also the single piece of its own node
-set, and :func:`levi_pieces` lists each supported piece of a datum once.
-The recursive bound in :mod:`pimbounds.bounds` runs over these pieces
-instead of over every proper parabolic.  A piece over a given field has one
-descendant group and one projection of coefficients
-(:func:`_piece_descent`); :func:`descend_weight`, the group plans of
-:mod:`pimbounds.bounds` and the candidate sieve all read that one map.
+Levi pieces: the part of a descent that does not depend on the weight or
+on the field size is a tuple of *pieces*, one per Frobenius orbit of the
+connected components of the node set (:func:`_frobenius_orbits`); a
+Frobenius-fixed component is an orbit of length 1.  A piece (its Bourbaki
+order, the twist induced on a fixed component and the descendant root
+datum) depends on its orbit only, so it is built once per root datum and
+orbit mask (:func:`_levi_piece`), on first use, and cached; an unsupported
+orbit raises instead, and nothing is cached for it.  A piece is also the
+single piece of its own node set, and :func:`levi_pieces` lists each
+supported piece of a datum once.  The recursive bound in
+:mod:`pimbounds.bounds` runs over these pieces instead of over every proper
+parabolic.  A piece over a given field has one descendant group and one
+projection of coefficients (:func:`_piece_descent`);
+:func:`descend_weight`, the group plans of :mod:`pimbounds.bounds` and the
+candidate sieve all read that one map.
 
 The candidate sieve reads each parabolic's verdict off the coefficients on
 its nodes (all maximal, or all zero); only whether a zero restriction is
@@ -139,12 +139,10 @@ class ParabolicSubset:
     def is_twist_stable(self) -> bool:
         return {self.datum.apply_perm(i) for i in self.nodes} == set(self.nodes)
 
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components of the induced subdiagram, sorted."""
-        mask = sum(1 << (n - 1) for n in self.nodes)
-        return tuple(tuple(i + 1 for i in range(comp.bit_length())
-                           if comp >> i & 1)
-                     for comp in _components(self.datum._neighbours, mask))
+    @property
+    def mask(self) -> int:
+        """The node set as a bitmask, bit i-1 for node i."""
+        return sum(1 << (n - 1) for n in self.nodes)
 
 
 @lru_cache(maxsize=None)
@@ -282,31 +280,21 @@ def _order_chain(comp, nb):
 
 
 def _induced_twist(datum: RootDatum, order: tuple[int, ...], family: str):
-    """Twist order and sanity check for the symmetry induced on a component.
+    """The order of the symmetry induced on a Frobenius-fixed component.
 
-    ``order`` lists original nodes in the Bourbaki numbering of the component;
-    the component must be stable under the diagram symmetry.  Returns the
-    order of the induced permutation.
+    ``order`` lists original nodes in the Bourbaki numbering of the
+    component.  The induced symmetry is trivial, or the flip of a type-A
+    chain; any other is outside the toolkit.  The twist order of a datum is
+    a prime, so a nontrivial induced symmetry has that order.
     """
-    perm = {node: datum.apply_perm(node) for node in order}
-    if set(perm.values()) != set(order):
-        raise ValueError("component is not stable under the symmetry")
-    if all(perm[n] == n for n in order):
+    image = tuple(datum.apply_perm(node) for node in order)
+    if image == order:
         return 1
-    # Order of the induced permutation.
-    k = 1
-    current = dict(perm)
-    while any(current[n] != n for n in order):
-        current = {n: perm[current[n]] for n in order}
-        k += 1
-    if family == "A" and k == 2:
-        positions = {node: idx for idx, node in enumerate(order)}
-        rank = len(order)
-        if all(positions[perm[n]] == rank - 1 - positions[n] for n in order):
-            return 2
+    if family == "A" and image == order[::-1]:
+        return 2
     raise UnsupportedSubdiagramError(
-        f"induced symmetry of order {k} on a component of type {family} "
-        f"is outside the toolkit")
+        f"induced symmetry of order {datum.twist_order} on a component of "
+        f"type {family} is outside the toolkit")
 
 
 # ---------------------------------------------------------------------------
@@ -350,68 +338,72 @@ def _check_datum(spec: GroupSpec, parabolic: ParabolicSubset) -> None:
 
 @dataclass(frozen=True, slots=True)
 class _LeviPiece:
-    """One Frobenius-fixed Levi component, or one orbit of components.
+    """One Frobenius orbit of a connected components of a Levi factor.
 
-    ``indices[k]`` lists the 0-based indices of the images of
-    ``original_nodes`` (in the Bourbaki order of the descendant) under the
-    k-th power of the Frobenius.  A ``"fixed"`` piece has only k = 0; an
-    ``"orbit"`` piece of a components has k = 0, ..., a-1.
+    ``datum`` is the root datum of the descendant.  ``indices[k]`` lists the
+    0-based indices of the images of ``original_nodes`` (in the Bourbaki
+    order of the descendant) under the k-th power of the Frobenius, for
+    k = 0, ..., a-1.  A Frobenius-fixed component is the orbit with a = 1.
     """
 
-    kind: str
     datum: RootDatum
     original_nodes: tuple[int, ...]
     indices: tuple[tuple[int, ...], ...]
 
 
+def _frobenius_orbits(datum: RootDatum, mask: int):
+    """The Frobenius orbits of the connected components of the twist-stable
+    node set ``mask``, as node masks in the order of their lowest node.
+    Each orbit is the component of the lowest node left, closed under the
+    diagram symmetry; the orbits are yielded as they are found."""
+    perm = datum.diagram_perm
+    for comp in _components(datum._neighbours, mask):
+        if comp & mask:
+            orbit, image = 0, comp
+            while image & ~orbit:
+                orbit |= image
+                image = sum(1 << (perm[i] - 1)
+                            for i in range(datum.rank) if orbit >> i & 1)
+            mask &= ~orbit
+            yield orbit
+
+
 @lru_cache(maxsize=None)
-def _descent_plan(parabolic: ParabolicSubset,
-                  suzuki_ree: bool) -> tuple[_LeviPiece, ...]:
+def _levi_piece(datum: RootDatum, orbit: int) -> _LeviPiece:
+    """The piece of one Frobenius orbit of components (a node mask), built
+    once per datum and orbit.
+
+    The component of the lowest node is classified and read along the
+    orbit; a fixed component keeps the symmetry that it induces.  The
+    symmetry of a Suzuki or Ree group exchanges long and short nodes, and an
+    orbit is read from its long component; the other twisted data are simply
+    laced.  Raises :class:`UnsupportedSubdiagramError` for an unsupported
+    orbit, and caches nothing for it.
+    """
+    comps = _components(datum._neighbours, orbit)
+    family, order = _classify_subdiagram(
+        datum, tuple(i + 1 for i in range(datum.rank) if comps[0] >> i & 1))
+    twist = 1
+    if len(comps) == 1:
+        twist = _induced_twist(datum, order, family)
+    elif not datum.long_nodes[order[0] - 1]:
+        order = tuple(map(datum.apply_perm, order))
+    indices = []
+    images = order
+    for _ in comps:
+        indices.append(tuple(n - 1 for n in images))
+        images = tuple(map(datum.apply_perm, images))
+    return _LeviPiece(build_root_datum(family, len(order), twist), order,
+                      tuple(indices))
+
+
+def _descent_plan(parabolic: ParabolicSubset) -> tuple[_LeviPiece, ...]:
     """The pieces of the descent through a valid node set, one per
     Frobenius orbit of its connected components.  Raises
-    :class:`UnsupportedSubdiagramError` for an unsupported component; a
-    supported plan is built once per node set and kind of field."""
+    :class:`UnsupportedSubdiagramError` at the first unsupported orbit."""
     datum = parabolic.datum
-    comps = parabolic.components()
-    comp_of_node = {n: comp for comp in comps for n in comp}
-    unprocessed = set(comps)
-    pieces = []
-    for comp in comps:
-        if comp not in unprocessed:
-            continue
-        orbit = [comp]
-        cur = comp_of_node[datum.apply_perm(comp[0])]
-        while cur != comp:
-            orbit.append(cur)
-            cur = comp_of_node[datum.apply_perm(cur[0])]
-        unprocessed.difference_update(orbit)
-        family, order = _classify_subdiagram(datum, comp)
-        if len(orbit) == 1:
-            twist = _induced_twist(datum, order, family)
-            if suzuki_ree and twist != 1:
-                # Only type A carries an induced twist, and no Suzuki-Ree
-                # parabolic has a twisted type-A component.
-                raise UnsupportedSubdiagramError(
-                    "unexpected twisted component for a Suzuki-Ree group")
-            sub = build_root_datum(family, len(order), twist)
-            pieces.append(_LeviPiece("fixed", sub, order,
-                                     (tuple(n - 1 for n in order),)))
-            continue
-        if suzuki_ree:
-            if len(orbit) != 2:
-                raise UnsupportedSubdiagramError(
-                    "Suzuki-Ree symmetries have order 2 on components")
-            # Read the orbit starting from the long representative.
-            if not datum.long_nodes[order[0] - 1]:
-                order = tuple(datum.apply_perm(n) for n in order)
-        indices = []
-        images = order
-        for _ in orbit:
-            indices.append(tuple(n - 1 for n in images))
-            images = tuple(datum.apply_perm(n) for n in images)
-        sub = build_root_datum(family, len(order), 1)
-        pieces.append(_LeviPiece("orbit", sub, order, tuple(indices)))
-    return tuple(pieces)
+    return tuple(_levi_piece(datum, orbit)
+                 for orbit in _frobenius_orbits(datum, parabolic.mask))
 
 
 @lru_cache(maxsize=64)
@@ -423,37 +415,34 @@ def _piece_descent(piece: _LeviPiece, spec: GroupSpec):
     """The descendant group of a piece of ``spec``, and the projection of the
     group's coefficients to the descendant's.
 
-    A fixed piece keeps its coefficients, so its projection is an
-    ``itemgetter`` over its indices.  An orbit piece of a components sums
-    them along the Frobenius orbit with multipliers q^k, k < a, and its
-    descendant lives over q^a; for the Suzuki and Ree groups the multipliers
-    are (1, p^e) and the field is p^(2e+1).  Each projection of a restricted
-    weight is restricted: a fixed piece copies coefficients below q, and an
-    orbit piece gives at most (q-1)(1 + q + ... + q^(a-1)) = q^a - 1 (at
+    A piece of a components sums their coefficients along the Frobenius
+    orbit with multipliers q^k, k < a, and its descendant lives over q^a;
+    for the Suzuki and Ree groups the multipliers are 1 and p^e and the
+    field is p^(2e+1).  With a = 1 the projection copies coefficients, as an
+    ``itemgetter`` over the indices.  Each projection of a restricted weight
+    is restricted: it is at most (q-1)(1 + q + ... + q^(a-1)) = q^a - 1 (at
     most p^(2e+1) - 1 for the Suzuki and Ree groups).
     """
     field = spec.field
-    if piece.kind == "fixed":
-        if spec.is_suzuki_ree:
-            field = _extension_field(field.q_squared)
+    a = len(piece.indices)
+    if spec.is_suzuki_ree:
+        multipliers, size = (1, field.q1)[:a], field.q_squared
+    else:
+        multipliers, size = tuple(field.q ** k for k in range(a)), field.q ** a
+    dspec = GroupSpec(piece.datum, _extension_field(size))
+    if a == 1:
         (indices,) = piece.indices
         if len(indices) > 1:
-            return GroupSpec(piece.datum, field), itemgetter(*indices)
+            return dspec, itemgetter(*indices)
         index = indices[0]  # an itemgetter of one index gives a scalar
-        return GroupSpec(piece.datum, field), lambda coeffs: (coeffs[index],)
-    if spec.is_suzuki_ree:
-        multipliers, dfield = (1, field.q1), _extension_field(field.q_squared)
-    else:
-        a = len(piece.indices)
-        multipliers = tuple(field.q ** k for k in range(a))
-        dfield = _extension_field(field.q ** a)
+        return dspec, lambda coeffs: (coeffs[index],)
     columns = tuple(zip(*piece.indices))
 
     def project(coeffs):
         return tuple([sum(map(mul, multipliers, map(coeffs.__getitem__, column)))
                       for column in columns])
 
-    return GroupSpec(piece.datum, dfield), project
+    return dspec, project
 
 
 def descend_weight(spec: GroupSpec, parabolic: ParabolicSubset,
@@ -470,37 +459,23 @@ def descend_weight(spec: GroupSpec, parabolic: ParabolicSubset,
     descendant lives over p^(2e+1).
 
     Checks the datum, the node set and the weight, in that order, then
-    reads the pieces of the cached plan and applies each piece's projection
-    (:func:`_piece_descent`), the one the group plans of
-    :mod:`pimbounds.bounds` hold.
+    applies the projection (:func:`_piece_descent`) of each piece of the
+    node set's plan, the one the group plans of :mod:`pimbounds.bounds`
+    hold.
     """
     _check_datum(spec, parabolic)
     _check_parabolic(parabolic)
     _check_weight(weight, coefficient_ranges(spec))
     out = []
-    for piece in _descent_plan(parabolic, spec.is_suzuki_ree):
+    for piece in _descent_plan(parabolic):
         dspec, project = _piece_descent(piece, spec)
         out.append(Descendant(dspec, Weight(project(weight.coeffs)),
                               piece.original_nodes))
     return tuple(out)
 
 
-def _is_one_orbit(datum: RootDatum, mask: int) -> bool:
-    """Is the twist-stable node set ``mask`` a single Frobenius orbit of
-    connected components?  Closes the component of its lowest node under
-    the diagram symmetry; the set is one orbit exactly when that closure is
-    all of it."""
-    grown = _components(datum._neighbours, mask)[0]
-    while True:
-        image = sum(1 << (datum.apply_perm(i + 1) - 1)
-                    for i in range(datum.rank) if grown >> i & 1)
-        if image | grown == grown:
-            return grown == mask
-        grown |= image
-
-
 @lru_cache(maxsize=None)
-def levi_pieces(datum: RootDatum, suzuki_ree: bool) -> tuple[_LeviPiece, ...]:
+def levi_pieces(datum: RootDatum) -> tuple[_LeviPiece, ...]:
     """The supported pieces of a datum, one per twist-stable node set that is
     a single Frobenius orbit of connected components, in the order of
     :func:`proper_parabolics`.
@@ -509,16 +484,17 @@ def levi_pieces(datum: RootDatum, suzuki_ree: bool) -> tuple[_LeviPiece, ...]:
     proper parabolic's plan is the piece of its own node set, and a plan is
     unsupported exactly when one of its pieces is.  A maximum over the
     pieces of every supported proper parabolic is therefore a maximum over
-    these pieces.  Whether a node set is one orbit is read off its
-    components in :func:`rootdata._components`, so only those node sets get
-    a descent plan: 43 of the 254 proper parabolics of E8, 33 of 126 on E7
-    and 10 of 14 on D4.  Built once per datum and kind of field.
+    these pieces.  Only the node sets with one orbit, whose first orbit
+    (:func:`_frobenius_orbits`) is the whole set, get a piece: 43 of the 254
+    proper parabolics of E8, 33 of 126 on E7 and 10 of 14 on D4.  Built
+    once per datum.
     """
     pieces = []
     for p in proper_parabolics(datum):
-        if _is_one_orbit(datum, sum(1 << (n - 1) for n in p.nodes)):
+        mask = p.mask
+        if next(_frobenius_orbits(datum, mask)) == mask:
             try:
-                pieces += _descent_plan(p, suzuki_ree)
+                pieces.append(_levi_piece(datum, mask))
             except UnsupportedGroupError:
                 pass
     return tuple(pieces)
@@ -533,9 +509,9 @@ def levi_pieces(datum: RootDatum, suzuki_ree: bool) -> tuple[_LeviPiece, ...]:
 # the two linear/unitary rank-2 groups over F_2.
 def _trivial_restriction_allowed(dspec: GroupSpec) -> bool:
     d = dspec.datum
-    if d.family == "A" and d.rank == 1 and not dspec.is_suzuki_ree:
+    if d.family == "A" and d.rank == 1:
         return dspec.field.exponent == 1
-    if d.family == "A" and d.rank == 2 and not dspec.is_suzuki_ree:
+    if d.family == "A" and d.rank == 2:
         return dspec.q == 2  # both the split and the twisted form
     return False
 
@@ -580,7 +556,7 @@ def minimal_pim_candidates(spec: GroupSpec) -> list[Weight]:
         if k not in trivial_allowed:
             trivial_allowed[k] = all(
                 _trivial_restriction_allowed(_piece_descent(piece, spec)[0])
-                for piece in _descent_plan(parabolics[k], spec.is_suzuki_ree))
+                for piece in _descent_plan(parabolics[k]))
         return trivial_allowed[k]
 
     node_orbits = _node_orbits(datum)

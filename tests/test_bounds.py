@@ -182,10 +182,9 @@ def reference_doubling(spec, weight):
 
 
 def reference_components(datum, nodes):
-    """Oracle for ``ParabolicSubset.components``: the connected components
-    of a node set, grown as sets along the nonzero Cartan entries and
-    sorted, with no bitmask and nothing of :mod:`pimbounds.rootdata`'s
-    diagram."""
+    """Oracle for ``rootdata._components``: the connected components of a
+    node set, grown as sets along the nonzero Cartan entries and sorted,
+    with no bitmask and nothing of :mod:`pimbounds.rootdata`'s diagram."""
     remaining = set(nodes)
     comps = []
     while remaining:
@@ -423,22 +422,21 @@ def _component_orbits(parabolic):
     return out
 
 
-def _plan_outcome(parabolic, suzuki_ree):
+def _plan_outcome(parabolic):
     """``(pieces, None)`` for a supported descent plan, ``((), (type,
     message))`` for one that raises."""
     try:
-        return wt._descent_plan(parabolic, suzuki_ree), None
+        return wt._descent_plan(parabolic), None
     except rd.UnsupportedGroupError as exc:
         return (), (type(exc), str(exc))
 
 
 def test_every_levi_piece_is_the_piece_of_its_own_node_set():
-    for datum, suzuki_ree in _structure_cases():
+    for datum, _ in _structure_cases():
         used = set()
         for parabolic in wt.proper_parabolics(datum):
-            pieces, unsupported = _plan_outcome(parabolic, suzuki_ree)
-            singles = [_plan_outcome(wt.ParabolicSubset(datum, nodes),
-                                     suzuki_ree)
+            pieces, unsupported = _plan_outcome(parabolic)
+            singles = [_plan_outcome(wt.ParabolicSubset(datum, nodes))
                        for nodes in _component_orbits(parabolic)]
             assert all(len(s_pieces) == (s_error is None)
                        for s_pieces, s_error in singles)
@@ -449,24 +447,42 @@ def test_every_levi_piece_is_the_piece_of_its_own_node_set():
                 used.update(pieces)
             else:
                 assert unsupported == errors[0]
-        pieces = wt.levi_pieces(datum, suzuki_ree)
+        pieces = wt.levi_pieces(datum)
         assert len(set(pieces)) == len(pieces)
-        assert set(pieces) == used, (datum.family, datum.rank, suzuki_ree)
+        assert set(pieces) == used, (datum.family, datum.rank, datum.twist_order)
 
 
-def reference_levi_pieces(datum, suzuki_ree):
+def test_frobenius_orbits_equal_the_component_orbits():
+    # The orbit walk against its restatement on every proper parabolic of
+    # every structure case.  The Suzuki-Ree flag of a case is read off its
+    # datum: twist 2 on a type of ``_SUZUKI_REE_PRIME``, the data on which
+    # ``GroupSpec`` takes a Suzuki-Ree field and refuses an integer one.
+    for datum, suzuki_ree in _structure_cases():
+        assert (datum.twist_order == 2 and (datum.family, datum.rank)
+                in rd._SUZUKI_REE_PRIME) is suzuki_ree, datum
+        for field in (rd.IntegerField(4), rd.SuzukiReeField(
+                rd._SUZUKI_REE_PRIME.get((datum.family, datum.rank), 2), 0)):
+            accepted = _outcome(GroupSpec, datum, field)[0] == "value"
+            assert accepted is (
+                suzuki_ree is isinstance(field, rd.SuzukiReeField)), (datum, field)
+        for parabolic in wt.proper_parabolics(datum):
+            orbits = [frozenset(i + 1 for i in range(datum.rank) if m >> i & 1)
+                      for m in wt._frobenius_orbits(datum, parabolic.mask)]
+            assert orbits == _component_orbits(parabolic), parabolic
+
+
+def reference_levi_pieces(datum):
     """The pieces as found before the one-orbit test: a descent plan for
     every proper parabolic, keeping each plan of exactly one piece."""
-    outcomes = (_plan_outcome(p, suzuki_ree) for p in wt.proper_parabolics(datum))
+    outcomes = (_plan_outcome(p) for p in wt.proper_parabolics(datum))
     return tuple(pieces[0] for pieces, _ in outcomes if len(pieces) == 1)
 
 
 def test_levi_pieces_equal_the_search_over_every_parabolic():
     cases = list(_structure_cases())
     assert len(cases) == 50
-    for datum, suzuki_ree in cases:
-        assert (wt.levi_pieces(datum, suzuki_ree)
-                == reference_levi_pieces(datum, suzuki_ree)), (datum, suzuki_ree)
+    for datum, _ in cases:
+        assert wt.levi_pieces(datum) == reference_levi_pieces(datum), datum
 
 
 def _descendants(spec, parabolic, weight):
@@ -501,11 +517,11 @@ def test_piece_projections_equal_descend_weight():
             if not bd._descends(spec):
                 assert table is None
                 continue
-            pieces = wt.levi_pieces(datum, suzuki_ree)
+            pieces = wt.levi_pieces(datum)
             assert len(table) == len(pieces)
             ranges = wt.coefficient_ranges(spec)
             for piece, entry in zip(pieces, table):
-                kinds.add((datum.family, datum.twist_order, piece.kind,
+                kinds.add((datum.family, datum.twist_order, len(piece.indices),
                            len(piece.original_nodes)))
                 nodes = frozenset(i + 1 for row in piece.indices for i in row)
                 parabolic = wt.ParabolicSubset(datum, nodes)
@@ -513,11 +529,11 @@ def test_piece_projections_equal_descend_weight():
                     coeffs = tuple(rng.randrange(r) for r in ranges)
                     assert (_projected([entry], coeffs) == _descendants(
                         spec, parabolic, Weight(coeffs))), (spec, nodes, coeffs)
-    assert ("A", 1, "fixed", 1) in kinds
-    # Orbit pieces of the twisted groups; the Suzuki-Ree groups do not
-    # descend.
+    assert ("A", 1, 1, 1) in kinds
+    # Pieces of several components in the twisted groups; the Suzuki-Ree
+    # groups do not descend.
     for family, twist in (("A", 2), ("D", 2), ("D", 3), ("E6", 2)):
-        assert any(k[:3] == (family, twist, "orbit") for k in kinds), family
+        assert any(k[:2] == (family, twist) and k[2] > 1 for k in kinds), family
 
 
 def test_doubling_step_equals_reference_doubling():

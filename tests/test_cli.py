@@ -166,6 +166,24 @@ def test_twisted_b2_g2_f4_need_a_suzuki_ree_field(capsys, argv):
     assert "need a Suzuki-Ree field parameter" in err
 
 
+def test_orbit_of_a_suzuki_ree_group_is_refused(capsys):
+    # The torus-orbit layer checks that the group is split before anything
+    # reads the field size.
+    code, out, err = run(capsys, "orbit", "B", "2", "--suzuki-ree-e", "1",
+                         "--beta", "0,0")
+    assert code == cli.EXIT_USAGE == 2
+    assert out == ""
+    assert "split groups only" in err
+
+
+@pytest.mark.parametrize("family, rank", [("A", "3"), ("C", "2")])
+def test_suzuki_ree_parameter_needs_a_suzuki_ree_type(capsys, family, rank):
+    code, out, err = run(capsys, "info", family, rank, "--suzuki-ree-e", "1")
+    assert code == cli.EXIT_USAGE == 2
+    assert out == ""
+    assert err == f"error: no Suzuki-Ree group of type {family}{rank}\n"
+
+
 def test_export_tables(capsys):
     code, blob = run_json(capsys, "export-tables")
     assert code == 0

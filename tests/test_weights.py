@@ -85,7 +85,8 @@ def test_enumeration_order_and_count():
 def test_components_and_stability():
     d4 = rd.build_root_datum("D", 4, 3)
     sub = wt.ParabolicSubset(d4, frozenset({1, 3, 4}))
-    assert sub.components() == ((1,), (3,), (4,))
+    assert sub.mask == 0b1101
+    assert rd._components(d4._neighbours, sub.mask) == [0b1, 0b100, 0b1000]
     assert sub.is_twist_stable()
     assert not wt.ParabolicSubset(d4, frozenset({1})).is_twist_stable()
 
@@ -94,8 +95,10 @@ def test_components_equal_set_walk_on_every_node_set():
     for datum in cli._iter_small_data():
         for mask in range(1, 1 << datum.rank):
             nodes = frozenset(i + 1 for i in range(datum.rank) if mask >> i & 1)
-            assert (wt.ParabolicSubset(datum, nodes).components()
-                    == reference_components(datum, nodes)), (datum, nodes)
+            assert wt.ParabolicSubset(datum, nodes).mask == mask
+            comps = tuple(tuple(i + 1 for i in range(datum.rank) if c >> i & 1)
+                          for c in rd._components(datum._neighbours, mask))
+            assert comps == reference_components(datum, nodes), (datum, nodes)
 
 
 def test_twist_stable_subsets_d4_triality():
@@ -343,7 +346,7 @@ def test_import_builds_no_descent_plan():
     code = ("import pimbounds, pimbounds.cli, pimbounds.bounds\n"
             "from pimbounds import bounds, charlattice, cli, weights\n"
             "print(*(f.cache_info().currsize for f in (\n"
-            "    weights._descent_plan, weights.proper_parabolics,\n"
+            "    weights._levi_piece, weights.proper_parabolics,\n"
             "    weights._node_orbits, weights.levi_pieces,\n"
             "    weights._independent_set_sizes, bounds._group_plan,\n"
             "    bounds._torus_step, bounds._independent_step,\n"
@@ -376,8 +379,8 @@ def test_levi_pieces_plan_only_one_orbit_node_sets(family, rank, pieces,
     # no other proper parabolic is.
     code = ("from pimbounds import rootdata, weights\n"
             f"datum = rootdata.build_root_datum({family!r}, {rank})\n"
-            "print(len(weights.levi_pieces(datum, False)),\n"
-            "      weights._descent_plan.cache_info().currsize,\n"
+            "print(len(weights.levi_pieces(datum)),\n"
+            "      weights._levi_piece.cache_info().currsize,\n"
             "      len(weights.proper_parabolics(datum)))")
     assert _fresh_python(code).split() == [str(pieces), str(pieces),
                                            str(parabolics)]
