@@ -338,12 +338,13 @@ def _check_datum(spec: GroupSpec, parabolic: ParabolicSubset) -> None:
 
 @dataclass(frozen=True, slots=True)
 class _LeviPiece:
-    """One Frobenius orbit of a connected components of a Levi factor.
+    """One Frobenius orbit of the connected components of a Levi factor.
 
     ``datum`` is the root datum of the descendant.  ``indices[k]`` lists the
     0-based indices of the images of ``original_nodes`` (in the Bourbaki
     order of the descendant) under the k-th power of the Frobenius, for
-    k = 0, ..., a-1.  A Frobenius-fixed component is the orbit with a = 1.
+    k = 0, ..., a-1, where a is the number of components in the orbit.  A
+    Frobenius-fixed component is the orbit with a = 1.
     """
 
     datum: RootDatum
@@ -415,7 +416,7 @@ def _piece_descent(piece: _LeviPiece, spec: GroupSpec):
     """The descendant group of a piece of ``spec``, and the projection of the
     group's coefficients to the descendant's.
 
-    A piece of a components sums their coefficients along the Frobenius
+    A piece whose orbit has a components sums their coefficients along the
     orbit with multipliers q^k, k < a, and its descendant lives over q^a;
     for the Suzuki and Ree groups the multipliers are 1 and p^e and the
     field is p^(2e+1).  With a = 1 the projection copies coefficients, as an
