@@ -27,24 +27,28 @@ or the scope of the restriction bound.
 Group plans: what the rules need to know about a group that does not depend
 on the weight (its name, its table of descent values, the Steinberg
 coefficients and the coefficient ranges, the scopes of the rules, the
-embedded minimum, the Levi pieces of plain descent, the escape pairs and
-Levi pieces of the doubling step, for split groups the torus-orbit cache of
-:func:`charlattice.torus_orbits` with its modulus m = q-1, for split groups
-of rank >= 2 the size of a largest independent node set inside every node
-set, and for groups in the restriction bound's scope its two steps) is built
-once per group, on first use, and cached.  The pieces themselves depend on
-the datum only: :func:`weights.levi_pieces` and the plan of the doubling
-parabolic read them from :func:`weights._levi_piece`, which builds each
-once per datum and orbit mask.  The plan's entry for a piece holds the
-projection of :func:`weights._piece_descent`, the one map from a group's
-coefficients to a piece's, which :func:`weights.descend_weight` applies
-too, linked to the plan of its descendant and that plan's table; the
-descendants' plans are built with the group's.  Chain steps are frozen,
-so each step that does not depend on the weight, or only on its value, is
-built once and shared.  The weight is checked once, at the public entries
-:func:`best_bound` and :func:`descent_bound`: a projection of a restricted
-weight is restricted, so the memoised recursion runs on coefficient tuples
-and builds no :class:`Weight`.  A weight then costs:
+embedded minimum, the Levi pieces of plain descent, the escape pairs of the
+doubling step with the index of its parabolic's piece, for split groups the
+torus-orbit cache of :func:`charlattice.torus_orbits` with its modulus
+m = q-1, for split groups of rank >= 2 the size of a largest independent
+node set inside every node set, and for groups in the restriction bound's
+scope its two steps) is built once per group, on first use, and cached.
+The pieces themselves depend on the datum only: :func:`weights.levi_pieces`
+reads them from :func:`weights._levi_piece`, which builds each once per
+datum and orbit mask.  The plan's entry for a piece holds the projection
+of :func:`weights._piece_descent`, the one map from a group's coefficients
+to a piece's, which :func:`weights.descend_weight` applies too, linked to
+the plan of its descendant and that plan's table; the descendants' plans
+are built with the group's.  The recursion :func:`_descent_value` is the
+one descent function: it reads each piece's value from the descendant's
+table, computing it there on a miss, and the doubling step reuses the value
+of its parabolic's piece.  So values live only in the tables of groups
+reached as descendants, and the value asked for at the top is not stored.
+Chain steps are frozen, so each step that does not depend on the weight, or
+only on its value, is built once and shared.  The weight is checked once,
+at the public entries :func:`best_bound` and :func:`descent_bound`: a
+projection of a restricted weight is restricted, so the recursion runs on
+coefficient tuples and builds no :class:`Weight`.  A weight then costs:
 
 * a check that it is restricted, and a tuple comparison for Steinberg;
 * its coefficients reduced mod m, and one dict read for the orbit length
@@ -254,15 +258,15 @@ class _GroupPlan:
     # Groups in the scope of the restriction bound: its steps on a trivial
     # and on a nontrivial Borel socle.
     hc_steps: tuple[ChainStep, ChainStep] | None
-    descends: bool  # the scope of parabolic descent
     # The embedded table steps, for the zero weight and for the others.
     table_steps: tuple[ChainStep, ChainStep] | None
     # The Levi pieces of plain descent; None when the group does not descend.
     pieces: tuple[_PieceEntry, ...] | None
     # The doubling step, when a designated parabolic exists: the 0-based
-    # index pairs whose equality is the escape pattern, and its Levi pieces.
+    # index pairs whose equality is the escape pattern, and the index in
+    # ``pieces`` of the parabolic's piece.
     escape_pairs: tuple[tuple[int, int], ...] | None
-    doubling_pieces: tuple[_PieceEntry, ...] | None
+    doubling: int | None
     # Split groups of rank >= 2: the independent-set size per node bitmask,
     # and the bit of each node.
     independent: tuple[int, ...] | None
@@ -295,22 +299,23 @@ def _table_steps(spec: GroupSpec) -> tuple[ChainStep, ChainStep] | None:
 
 
 def _doubling_step(spec: GroupSpec):
-    """The escape pairs and the Levi pieces of the designated doubling
-    parabolic, or ``(None, None)`` when the group has none.  That parabolic
-    is of type A, so its descent plan is supported."""
+    """The escape pairs of the designated doubling parabolic and the index
+    of its piece in :func:`weights.levi_pieces`, or ``(None, None)`` when
+    the group has none.  That parabolic is proper, of type A and one
+    Frobenius orbit, so it is a supported piece."""
     try:
         parabolic, pairs = _doubling_parabolic(spec)
     except UnsupportedGroupError:
         return None, None
-    return pairs, _piece_entries(_descent_plan(parabolic), spec)
+    (piece,) = _descent_plan(parabolic)
+    return pairs, levi_pieces(spec.datum).index(piece)
 
 
 @lru_cache(maxsize=None)
 def _group_plan(spec: GroupSpec) -> _GroupPlan:
     """The plan of a group, built on first use."""
     split = _is_split(spec)
-    descends = _descends(spec)
-    escape_pairs, doubling_pieces = _doubling_step(spec)
+    escape_pairs, doubling = _doubling_step(spec)
     return _GroupPlan(
         group=spec.describe(),
         descent={},
@@ -320,12 +325,11 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
         sl2=_is_sl2(spec),
         torus=torus_orbits(spec) if split else None,
         hc_steps=_hc_steps(spec),
-        descends=descends,
         table_steps=_table_steps(spec),
         pieces=(_piece_entries(levi_pieces(spec.datum), spec)
-                if descends else None),
+                if _descends(spec) else None),
         escape_pairs=escape_pairs,
-        doubling_pieces=doubling_pieces,
+        doubling=doubling,
         independent=(_independent_set_sizes(spec.datum)
                      if split and spec.datum.rank >= 2 else None),
         node_bits=tuple(1 << i for i in range(spec.datum.rank)),
@@ -370,9 +374,10 @@ def _hc_steps(spec: GroupSpec) -> tuple[ChainStep, ChainStep] | None:
 # ---------------------------------------------------------------------------
 
 class DescentMemo:
-    """Counts of the descent values asked for (``lookups``) and of those
-    computed (``misses``).  The values live in the ``descent`` table of each
-    group plan."""
+    """Counts of the reads of a descendant's descent table (``lookups``) and
+    of the values computed into one (``misses``).  The values live in the
+    ``descent`` table of each group plan, and only a group reached as a
+    descendant, through a Levi piece, has values in its table."""
 
     __slots__ = ("lookups", "misses")
 
@@ -400,24 +405,13 @@ def descent_bound(spec: GroupSpec, weight: Weight) -> int:
     bound, plain descent (the multiplier of a group bounds below the
     multiplier of any ambient group restricting to it), and the factor-2
     strengthening along the designated type-A parabolic of the classical
-    groups.  Values are memoised per group and weight.  Raises ValueError
-    for a weight that is not restricted for the group.
+    groups.  The value of each descendant weight is memoised in its group's
+    table; the value asked for here is computed afresh, and not stored.
+    Raises ValueError for a weight that is not restricted for the group.
     """
     plan = _group_plan(spec)
     _check_weight(weight, plan.ranges)
-    return _memo_descent(weight.coeffs, plan)
-
-
-def _memo_descent(coeffs: tuple[int, ...], plan: _GroupPlan) -> int:
-    """The body of :func:`descent_bound`, given the coefficients of a
-    restricted weight and the group's plan."""
-    memo = _DESCENT_MEMO
-    memo.lookups += 1
-    value = plan.descent.get(coeffs)
-    if value is None:
-        memo.misses += 1
-        value = plan.descent[coeffs] = _descent_value(coeffs, plan)
-    return value
+    return _descent_value(weight.coeffs, plan)
 
 
 class _PieceEntry(NamedTuple):
@@ -444,52 +438,45 @@ def _piece_entries(pieces, spec: GroupSpec) -> tuple[_PieceEntry, ...]:
     return tuple(entries)
 
 
-def _best_piece_value(pieces: tuple[_PieceEntry, ...],
-                      coeffs: tuple[int, ...]) -> int:
-    """The largest descent value over some pieces of a group at one
-    restricted weight.  Each piece reads its descendant's table, and
-    computes the value there on a miss; a projection of a restricted weight
-    is restricted, so it is not checked again."""
-    memo = _DESCENT_MEMO
-    memo.lookups += len(pieces)
-    best = 0
-    for project, table, dplan in pieces:
-        dcoeffs = project(coeffs)
-        value = table.get(dcoeffs)
-        if value is None:
-            memo.misses += 1
-            value = table[dcoeffs] = _descent_value(dcoeffs, dplan)
-        if value > best:
-            best = value
-    return best
-
-
 def _descent_value(coeffs: tuple[int, ...], plan: _GroupPlan) -> int:
-    """The uncached body of :func:`descent_bound`, on the coefficients of a
+    """The body of :func:`descent_bound`, on the coefficients of a
     restricted weight.
 
     Plain descent takes the best value over the Levi pieces of the group
     (see :func:`weights.levi_pieces`), which equals the best value over every
-    descendant of every supported proper parabolic.  The doubling step takes
-    twice the best value over the pieces of the designated parabolic, unless
-    the weight is equal on every escape pair (see
-    :func:`weights._doubling_parabolic`)."""
+    descendant of every supported proper parabolic.  Each piece reads its
+    descendant's table and computes the value there on a miss; a projection
+    of a restricted weight is restricted, so it is not checked again.  The
+    doubling step takes twice the value of the designated parabolic's piece,
+    which plain descent has just read, unless the weight is equal on every
+    escape pair (see :func:`weights._doubling_parabolic`)."""
     if coeffs == plan.steinberg:
         return 1
     if plan.sl2:
         return rank_one_multiplier(plan.q, coeffs[0])
     table = plan.table_step(coeffs)
     best = 1 if table is None else table.value
-    if not plan.descends:
+    pieces = plan.pieces
+    if pieces is None:
         return best  # every split group of rank >= 2 descends
     if plan.independent is not None:
         m = plan.torus.m
         mask = plan.node_mask(tuple([c % m for c in coeffs]))
         best = max(best, 2 ** plan.independent[mask])
-    best = max(best, _best_piece_value(plan.pieces, coeffs))
+    memo = _DESCENT_MEMO
+    memo.lookups += len(pieces)
+    values = []
+    for project, dtable, dplan in pieces:
+        dcoeffs = project(coeffs)
+        value = dtable.get(dcoeffs)
+        if value is None:
+            memo.misses += 1
+            value = dtable[dcoeffs] = _descent_value(dcoeffs, dplan)
+        values.append(value)
+    best = max([best, *values])
     pairs = plan.escape_pairs
     if pairs is not None and any(coeffs[i] != coeffs[j] for i, j in pairs):
-        best = max(best, 2 * _best_piece_value(plan.doubling_pieces, coeffs))
+        best = max(best, 2 * values[plan.doubling])
     return best
 
 
@@ -558,8 +545,8 @@ def best_bound(spec: GroupSpec, weight: Weight) -> BoundCertificate:
             # socle is trivial exactly when the mask is empty.
             if plan.hc_steps is not None:
                 steps.append(plan.hc_steps[mask != 0])
-    if plan.descends:
-        steps.append(_descent_step(_memo_descent(coeffs, plan)))
+    if plan.pieces is not None:
+        steps.append(_descent_step(_descent_value(coeffs, plan)))
     bound = max((s.value for s in steps), default=1)
     return BoundCertificate(plan.group, coeffs, bound, exact, tuple(steps))
 

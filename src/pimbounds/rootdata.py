@@ -101,27 +101,31 @@ def _long_nodes(family: str, rank: int) -> tuple[bool, ...]:
     return (True,) * rank
 
 
+def _type_name(family: str, rank: int) -> str:
+    """The name of a type as :meth:`GroupSpec.describe` gives it: the family
+    alone for an exceptional type, else the family and the rank."""
+    return family if family in _INVARIANT_DEGREES else f"{family}{rank}"
+
+
 def _diagram_perm(family: str, rank: int, twist: int) -> tuple[int, ...]:
+    """The diagram symmetry of order ``twist``, and the one rule for which
+    twists exist: order 1 everywhere; 2 on A (rank >= 2), D (rank >= 4),
+    E6, and on B2, G2 and F4 for the Suzuki and Ree groups; 3 on D4."""
     identity = tuple(range(1, rank + 1))
     if twist == 1:
         return identity
     if twist == 2:
-        if family == "A":
-            return tuple(rank + 1 - i for i in range(1, rank + 1))
-        if family == "D":
-            perm = list(identity)
-            perm[rank - 2], perm[rank - 1] = rank, rank - 1
-            return tuple(perm)
+        if (family == "A" and rank >= 2 or family == "B" and rank == 2
+                or family in ("G2", "F4")):
+            return identity[::-1]
+        if family == "D" and rank >= 4:
+            return identity[:-2] + (rank, rank - 1)
         if family == "E6":
             return (6, 2, 5, 4, 3, 1)
-        if family in ("B", "G2") and rank == 2:
-            return (2, 1)
-        if family == "F4":
-            return (4, 3, 2, 1)
     if twist == 3 and family == "D" and rank == 4:
         return (3, 2, 4, 1)
     raise UnsupportedGroupError(
-        f"no diagram symmetry of order {twist} for {family}{rank}")
+        f"no diagram symmetry of order {twist} for {_type_name(family, rank)}")
 
 
 def _split_degrees(family: str, rank: int) -> tuple[int, ...]:
@@ -217,8 +221,7 @@ class RootDatum:
 def build_root_datum(family: str, rank: int, twist_order: int = 1) -> RootDatum:
     """Construct the root datum for ``family``/``rank`` with a diagram twist.
 
-    Valid twists: 1 everywhere; 2 on A (rank >= 2), D (rank >= 4), E6, and on
-    B2/G2/F4 for the Suzuki and Ree groups; 3 on D4.
+    The valid twists are those of :func:`_diagram_perm`.
     """
     if family in _INVARIANT_DEGREES:
         if rank != len(_INVARIANT_DEGREES[family]):
@@ -235,21 +238,6 @@ def build_root_datum(family: str, rank: int, twist_order: int = 1) -> RootDatum:
             raise UnsupportedGroupError("D requires rank >= 3")
     else:
         raise UnsupportedGroupError(f"unknown family {family!r}")
-
-    if twist_order not in (1, 2, 3):
-        raise UnsupportedGroupError(f"unsupported twist order {twist_order}")
-    if twist_order == 2:
-        ok = (
-            (family == "A" and rank >= 2)
-            or (family == "D" and rank >= 4)
-            or family == "E6"
-            or (family == "B" and rank == 2)
-            or family in ("G2", "F4")
-        )
-        if not ok:
-            raise UnsupportedGroupError(f"no order-2 twist for {family}{rank}")
-    if twist_order == 3 and not (family == "D" and rank == 4):
-        raise UnsupportedGroupError("order-3 twist exists only for D4")
 
     standard = _standard_cartan(family, rank)
     # Stored convention: cartan[j][i] = <alpha_i, alpha_j^vee>, i.e. the
@@ -303,7 +291,7 @@ def _check_perm_preserves_cartan(datum: RootDatum) -> None:
             if a != b:
                 raise UnsupportedGroupError(
                     f"diagram permutation does not preserve the diagram of "
-                    f"{datum.family}{datum.rank}")
+                    f"{_type_name(datum.family, datum.rank)}")
 
 
 def simple_reflection_matrix(datum: RootDatum, i: int) -> tuple[tuple[int, ...], ...]:
@@ -480,15 +468,16 @@ class GroupSpec:
         if isinstance(self.field, SuzukiReeField):
             if prime != self.field.p:
                 raise UnsupportedGroupError(
-                    f"no Suzuki-Ree group of type {fam}{rank} with p={self.field.p}")
+                    f"no Suzuki-Ree group of type {_type_name(fam, rank)} "
+                    f"with p={self.field.p}")
             if self.datum.twist_order != 2:
                 raise UnsupportedGroupError("Suzuki-Ree groups require twist order 2")
         elif self.datum.twist_order == 2 and prime:
             # The twist of B2, G2 and F4 exchanges long and short roots, so
             # its groups are the Suzuki and Ree groups alone.
             raise UnsupportedGroupError(
-                f"the twisted groups of type {fam}{rank} are Suzuki or Ree "
-                f"groups and need a Suzuki-Ree field parameter")
+                f"the twisted groups of type {_type_name(fam, rank)} are "
+                f"Suzuki or Ree groups and need a Suzuki-Ree field parameter")
         # Every plan cache is keyed by a spec, so hash it once; ``replace``
         # and unpickling run ``__init__`` again and hash afresh.
         object.__setattr__(self, "_hash", hash((self.datum, self.field)))
@@ -522,7 +511,7 @@ class GroupSpec:
 
     def describe(self) -> str:
         d = self.datum
-        base = d.family if d.family in _INVARIANT_DEGREES else f"{d.family}{d.rank}"
+        base = _type_name(d.family, d.rank)
         if self.is_suzuki_ree:
             return f"2{base}(q^2={self.field.q_squared})"
         prefix = "" if d.twist_order == 1 else str(d.twist_order)
@@ -536,8 +525,9 @@ def group(family: str, rank: int, *, q: int | None = None,
         if q is not None:
             raise ValueError("give either q or suzuki_ree_e, not both")
         if (family, rank) not in _SUZUKI_REE_PRIME:
+            build_root_datum(family, rank)  # a type that does not exist says so
             raise UnsupportedGroupError(
-                f"no Suzuki-Ree group of type {family}{rank}")
+                f"no Suzuki-Ree group of type {_type_name(family, rank)}")
         datum = build_root_datum(family, rank, 2)
         return GroupSpec(datum, SuzukiReeField(_SUZUKI_REE_PRIME[family, rank],
                                                suzuki_ree_e))

@@ -69,6 +69,11 @@ class Weight:
         """Coefficient at a 1-based node."""
         return self.coeffs[node - 1]
 
+    def __iter__(self):
+        """The coefficients in node order (a 1-based ``__getitem__`` alone
+        would make Python iterate from index 0, the last coefficient)."""
+        return iter(self.coeffs)
+
 
 def coefficient_ranges(spec: GroupSpec) -> tuple[int, ...]:
     """Per-node coefficient range sizes for the restricted weights.
@@ -659,11 +664,13 @@ def independent_violating_set(spec: GroupSpec, weight: Weight) -> ParabolicSubse
     are broken by the lexicographically smallest node tuple: the nodes are
     walked lowest first, and node v is taken when v, with a largest
     independent set among the higher free nodes that are not its
-    neighbours, still reaches the size needed.
+    neighbours, still reaches the size needed.  Raises ValueError for a
+    weight that is not restricted for the group.
     """
     if not spec.is_split:
         raise UnsupportedGroupError(
             "the independent-set criterion is stated for split groups")
+    _check_weight(weight, coefficient_ranges(spec))
     q = spec.q
     datum = spec.datum
     size = _independent_set_sizes(datum)

@@ -544,7 +544,7 @@ def test_doubling_step_equals_reference_doubling():
     for spec in SWEEP:
         plan = bd._group_plan(spec)
         if reference_doubling(spec, wt.steinberg_weight(spec)) is None:
-            assert plan.escape_pairs is plan.doubling_pieces is None
+            assert plan.escape_pairs is plan.doubling is None
             continue
         doubling += 1
         for w in wt.enumerate_restricted_weights(spec):
@@ -552,9 +552,30 @@ def test_doubling_step_equals_reference_doubling():
             escapes = all(w.coeffs[i] == w.coeffs[j]
                           for i, j in plan.escape_pairs)
             assert applies is not escapes, (spec.describe(), w)
-            assert (_projected(plan.doubling_pieces, w.coeffs)
+            assert (_projected([plan.pieces[plan.doubling]], w.coeffs)
                     == _descendants(spec, parabolic, w)), (spec, w)
     assert doubling == 29
+
+
+def test_doubling_index_names_the_piece_of_the_doubling_parabolic():
+    # The doubling step reuses the value of one piece of plain descent: the
+    # piece of its designated parabolic, which is a single Frobenius orbit.
+    doubling = 0
+    for datum, suzuki_ree in _structure_cases():
+        if suzuki_ree:
+            continue
+        for q in (2, 3, 4):
+            spec = rd.GroupSpec(datum, rd.IntegerField(q))
+            plan = bd._group_plan(spec)
+            try:
+                parabolic, _ = wt._doubling_parabolic(spec)
+            except rd.UnsupportedGroupError:
+                assert plan.doubling is None
+                continue
+            doubling += 1
+            (piece,) = wt._descent_plan(parabolic)
+            assert wt.levi_pieces(datum)[plan.doubling] == piece, spec
+    assert doubling == 87
 
 
 def _linked_plans(plans):
@@ -563,7 +584,7 @@ def _linked_plans(plans):
     todo = list(plans)
     while todo:
         plan = todo.pop()
-        for entry in (plan.pieces or ()) + (plan.doubling_pieces or ()):
+        for entry in plan.pieces or ():
             if entry.plan not in seen:
                 seen.add(entry.plan)
                 todo.append(entry.plan)
@@ -579,8 +600,16 @@ def test_descent_memo_counts_a_fresh_sweep():
         for w in wt.enumerate_restricted_weights(spec):
             bd.best_bound(spec, w)
     plans = _linked_plans([bd._group_plan(spec) for spec in specs])
-    assert memo.misses == sum(len(plan.descent) for plan in plans) == 8774
-    assert memo.lookups == 92260
+    # Only the descendants' tables hold values, each computed once: every
+    # weight of A3(8), A2(8) and A1(8), 512 + 64 + 8 = 584.  The two queried
+    # groups store none.
+    assert memo.misses == sum(len(plan.descent) for plan in plans) == 584
+    # One read per Levi piece for each non-Steinberg weight of a group with
+    # pieces: 4,095 weights of D4(8) with 10 pieces, 4,095 of A4(8) with 9,
+    # 511 of A3(8) with 5 and 63 of A2(8) with 2, so 40,950 + 36,855 + 2,555
+    # + 126 = 80,486.  The doubling step reads no table: it reuses the value
+    # of its parabolic's piece.
+    assert memo.lookups == 80486
 
 
 def test_pieces_of_one_descendant_group_share_its_table():
@@ -604,7 +633,9 @@ def test_reset_drops_every_descent_value():
     assert all(not p.descent for p in _linked_plans([plan]))
     bd.descent_bound(spec, weight)
     assert memo.lookups >= memo.misses > 0
-    assert weight.coeffs in plan.descent
+    # The value asked for is not stored; the descendants' values are.
+    assert not plan.descent
+    assert any(p.descent for p in _linked_plans([plan]))
 
 
 def test_equal_specs_hash_once_and_share_one_plan():

@@ -166,6 +166,27 @@ def test_twisted_b2_g2_f4_need_a_suzuki_ree_field(capsys, argv):
     assert "need a Suzuki-Ree field parameter" in err
 
 
+_NEEDS_SUZUKI_REE = "are Suzuki or Ree groups and need a Suzuki-Ree field parameter"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("info", "E7", "7", "--q", "4", "--twist", "2"),
+     "no diagram symmetry of order 2 for E7"),
+    (("info", "F4", "4", "--q", "2", "--twist", "2"),
+     f"the twisted groups of type F4 {_NEEDS_SUZUKI_REE}"),
+    (("info", "G2", "2", "--q", "3", "--twist", "2"),
+     f"the twisted groups of type G2 {_NEEDS_SUZUKI_REE}"),
+    (("info", "E6", "6", "--suzuki-ree-e", "1"),
+     "no Suzuki-Ree group of type E6"),
+    (("info", "F4", "3", "--suzuki-ree-e", "1"), "F4 has rank 4"),
+])
+def test_messages_name_exceptional_types_as_describe_does(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_USAGE == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_orbit_of_a_suzuki_ree_group_is_refused(capsys):
     # The torus-orbit layer checks that the group is split before anything
     # reads the field size.

@@ -215,6 +215,37 @@ def test_invalid_twists_rejected():
         rd.build_root_datum("G2", 3)
 
 
+def _has_twist(family, rank, twist):
+    """The twists of the toolkit, restated: 1 everywhere; 2 on A (rank >= 2),
+    D (rank >= 4), E6, and on B2, G2 and F4 for the Suzuki and Ree groups;
+    3 on D4."""
+    if twist == 1:
+        return True
+    if twist == 2:
+        return ((family == "A" and rank >= 2) or (family == "D" and rank >= 4)
+                or (family, rank) in (("E6", 6), ("B", 2), ("G2", 2), ("F4", 4)))
+    return twist == 3 and (family, rank) == ("D", 4)
+
+
+def test_diagram_symmetry_decides_every_twist():
+    # The one twist rule, against its restatement, with the message naming
+    # each type as ``GroupSpec.describe`` does.
+    types = [(f, n) for f in "ABCD" for n in range(1, 9)
+             if not (f in "BC" and n < 2 or f == "D" and n < 3)]
+    types += [(f, int(f[1])) for f in ("E6", "E7", "E8", "F4", "G2")]
+    for family, rank in types:
+        name = family if family[0] in "EFG" else f"{family}{rank}"
+        for twist in range(5):
+            if _has_twist(family, rank, twist):
+                datum = rd.build_root_datum(family, rank, twist)
+                assert datum.twist_order == twist
+                continue
+            with pytest.raises(rd.UnsupportedGroupError) as info:
+                rd.build_root_datum(family, rank, twist)
+            assert str(info.value) == (
+                f"no diagram symmetry of order {twist} for {name}")
+
+
 def sl_order(n, q):
     """Independent oracle for |SL(n, q)|."""
     return q ** (n * (n - 1) // 2) * math.prod(q ** i - 1 for i in range(2, n + 1))

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pimbounds
-from pimbounds import bounds as bd, cli, rootdata as rd, weights as wt
+from pimbounds import (
+    bounds as bd,
+    charlattice as cl,
+    cli,
+    rootdata as rd,
+    weights as wt,
+)
 from pimbounds.rootdata import GroupSpec, IntegerField, build_root_datum
 from pimbounds.weights import UnsupportedSubdiagramError, Weight
 from test_bounds import (
@@ -66,6 +72,17 @@ def test_weight_coefficients_are_nonnegative_integers():
     assert Weight(()).coeffs == ()
     with pytest.raises(ValueError, match="dominant"):
         Weight((1, -1))
+
+
+def test_weight_iterates_over_its_coefficients():
+    # A 1-based ``__getitem__`` alone would iterate from index 0 and give
+    # (3, 1, 2, 3); the orbit layer reads a weight by iterating over it.
+    assert tuple(Weight((1, 2, 3))) == (1, 2, 3)
+    assert tuple(Weight(())) == ()
+    spec = rd.group("A", 3, q=5)
+    assert (cl.orbit_size(spec, Weight((1, 2, 3)))
+            == cl.orbit_size(spec, (1, 2, 3)) == 6)
+    assert cl.orbit(spec, Weight((1, 2, 3))) == cl.orbit(spec, (1, 2, 3))
 
 
 def test_enumeration_order_and_count():
@@ -587,6 +604,18 @@ def test_independent_violating_set_equals_search():
                 assert (tuple(sorted(got.nodes))
                         == largest_independent_set(datum, free)), (
                     spec.describe(), coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [(9, 9, 9), (1, 2, 3, 4), (1, 2)])
+def test_independent_set_checks_the_weight(coeffs):
+    # The check and the message of ``best_bound``.
+    spec, weight = rd.group("A", 3, q=5), Weight(coeffs)
+    with pytest.raises(ValueError) as expected:
+        bd.best_bound(spec, weight)
+    with pytest.raises(ValueError) as got:
+        wt.independent_violating_set(spec, weight)
+    assert type(got.value) is type(expected.value) is ValueError
+    assert str(got.value) == str(expected.value)
 
 
 def test_independent_set_needs_split_group():
