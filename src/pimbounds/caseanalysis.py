@@ -11,14 +11,18 @@ probes:
 
 Each driver returns a :class:`CaseVerdict` whose elimination log records, for
 every surviving candidate decomposition and every sign convention, which
-probe rules it out.  All arithmetic is exact.
+probe rules it out.  The facts of the character tables come from the
+datasets of ``degrees`` alone: the drivers select families by their kind,
+and :func:`_eliminate_candidates` disposes of the dataset's inspected sums
+and tests every other candidate against its embedded class values.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .degrees import DegreePolynomial, X, dataset
+from .degrees import DegreePolynomial, X, cyclotomic_residue_report, dataset
 from .rootdata import factor_prime_power
 
 
@@ -166,19 +170,23 @@ class CaseVerdict:
         }
 
 
-def _eliminate_candidates(candidates, x, probes, label) -> list[Elimination]:
+def _eliminate_candidates(candidates, x, probes, label,
+                          inspected) -> list[Elimination]:
     """Eliminate every candidate under every sign convention, or raise.
 
-    ``candidates`` is a list of ``(families_with_mult, preeliminated)`` where
-    ``preeliminated`` is an optional Elimination that disposes of the
-    candidate outright (e.g. a table-inspection datum).
+    ``candidates`` is a list of ``families_with_mult`` tuples.  A candidate
+    whose key, its (name, multiplicity) pairs with nonzero multiplicity, is
+    in ``inspected`` (the dataset's table inspections) is disposed of
+    outright; every other one must fail one of ``probes``.
     """
     eliminations = []
-    for families_with_mult, pre in candidates:
+    for families_with_mult in candidates:
         key = tuple(
             (fam.name, mult) for fam, mult in families_with_mult if mult)
-        if pre is not None:
-            eliminations.append(pre)
+        if key in inspected:
+            eliminations.append(Elimination(
+                candidate=key, probe="table_inspection", sign_convention=None,
+                detail="embedded non-vanishing datum excludes this sum"))
             continue
         uses_global_sign = any(
             mult and any(v.kind == "global_sign" for v in fam.class_values.values())
@@ -221,79 +229,53 @@ def u4_verify(p: int) -> CaseVerdict:
     Establishes that no sum of the Steinberg character and further ordinary
     characters of the shape forced by the degree bound can equal the character
     of a projective module of dimension p^6, by enumerating all integer
-    decompositions and ruling each out with embedded class values.  Every
-    elimination is performed under both sign conventions for the one character
-    value on which the sources disagree.
+    decompositions and ruling each out with embedded class values or table
+    inspections.  Every elimination is performed under both sign conventions
+    for the one character value on which the sources disagree.
     """
     _require_odd_prime(p)
     data = dataset("U4")
     tau = data.family("tau")
-    chi16, chi17, chi19 = (data.family(n) for n in ("chi16", "chi17", "chi19"))
+    extras = tuple(data.family(n) for n in ("chi16", "chi17", "chi19"))
     f_bound = p ** 6 - tau.degree.evaluate(p)
     expected_f = (X ** 3 * (X - 1) * (X ** 2 + 1)).evaluate(p)
     if f_bound != expected_f:
         raise CaseAnalysisError("degree bound mismatch for the U4 analysis")
 
-    # Regular characters small enough to appear alongside tau.
+    # Regular characters small enough to appear alongside tau, in table order.
     small = [fam for fam in data.families
-             if fam.regular and fam.degree.evaluate(p) <= f_bound]
-    small_classes = sorted(fam.class_label for fam in small)
-    if small_classes != ["A12", "A14", "A6"]:
+             if fam.kind == "regular" and fam.degree.evaluate(p) <= f_bound]
+    small_classes = [fam.class_label for fam in small]
+    if small_classes != ["A6", "A12", "A14"]:
         raise CaseAnalysisError(
             f"unexpected degree filter result {small_classes} for p={p}")
 
-    candidates = []
-    # The regular character attached to class A6 is excluded by an embedded
-    # non-vanishing datum (there are non-semisimple elements where the would-be
-    # projective character cannot vanish).
-    a6 = data.by_class("A6")
-    if not a6.excluded_by_inspection:
-        raise CaseAnalysisError("missing inspection flag on the A6 row")
-    candidates.append((
-        ((tau, 1), (a6, 1)),
-        Elimination(candidate=((tau.name, 1), (a6.name, 1)),
-                    probe="table_inspection",
-                    sign_convention=None,
-                    detail="embedded non-vanishing datum excludes this row"),
-    ))
-
-    extras = (chi16, chi17, chi19)
+    # Structural expectations for the decomposition searches; deg(chi13)
+    # equals the degree bound, so case A6 leaves nothing to decompose.
+    expected = {
+        "A6": [(0, 0, 0)],
+        "A12": [(0, 0, p * (p - 1)), (0, 1, 0)],
+        "A14": [(0, 0, 2 * p * p - 2 * p + 1), (1, 1, 0), (0, 2, 1),
+                (1, 0, p * (p - 1)), (0, 1, p * (p - 1) + 1)],
+    }
     extra_sizes = [fam.degree.evaluate(p) for fam in extras]
+    candidates = []
     cases = {}
-    for gamma in (data.by_class("A12"), data.by_class("A14")):
+    for gamma in small:
         remainder = f_bound - gamma.degree.evaluate(p)
         solutions = enumerate_decompositions(remainder, extra_sizes)
+        if solutions != sorted(expected[gamma.class_label]):
+            raise CaseAnalysisError(
+                f"unexpected solutions in case {gamma.class_label}: {solutions}")
         cases[gamma.class_label] = solutions
-        for sol in solutions:
-            fams = ((tau, 1), (gamma, 1)) + tuple(zip(extras, sol))
-            pre = None
-            if gamma.class_label == "A12" and sol == (0, 1, 0):
-                # Excluded by an embedded table inspection: this particular
-                # three-term sum fails to vanish on a non-semisimple class.
-                pre = Elimination(
-                    candidate=tuple((f.name, m) for f, m in fams if m),
-                    probe="table_inspection",
-                    sign_convention=None,
-                    detail="embedded non-vanishing datum excludes this sum")
-            candidates.append((fams, pre))
+        candidates += [((tau, 1), (gamma, 1)) + tuple(zip(extras, sol))
+                       for sol in solutions]
 
-    # Structural expectations for the two decomposition searches.
-    if sorted(cases["A12"]) != sorted([(0, 0, p * (p - 1)), (0, 1, 0)]):
-        raise CaseAnalysisError(f"unexpected solutions in case A12: {cases['A12']}")
-    expected_a14 = sorted([
-        (0, 0, 2 * p * p - 2 * p + 1),
-        (1, 1, 0),
-        (0, 2, 1),
-        (1, 0, p * (p - 1)),
-        (0, 1, p * (p - 1) + 1),
-    ])
-    if sorted(cases["A14"]) != expected_a14:
-        raise CaseAnalysisError(f"unexpected solutions in case A14: {cases['A14']}")
-
+    label = f"U4(p={p})"
     eliminations = _eliminate_candidates(
-        candidates, p, ("A10A11", "regular_unipotent"), f"U4(p={p})")
+        candidates, p, ("A10A11", "regular_unipotent"), label, data.inspected)
     return CaseVerdict(
-        label=f"U4(p={p})",
+        label=label,
         outcome="NoSolution",
         candidates_considered=len(candidates),
         eliminations=tuple(eliminations),
@@ -317,8 +299,6 @@ def d4_verify(p: int) -> CaseVerdict:
     recomputed residues are nonzero, so no decomposition exists.
     """
     _require_odd_prime(p)
-    from .degrees import cyclotomic_residue_report
-
     data = dataset("D4")
     tau = data.family("tau")
     T = p ** 12 - tau.degree.evaluate(p)
@@ -430,31 +410,24 @@ def ree_verify(f: int) -> CaseVerdict:
                          "(f = 0 gives the small group with a known answer)")
     t = 3 ** f
     data = dataset("REE2G2")
-    d1 = data.family("tau").degree_at(t)
-    d4 = data.family("gamma").degree_at(t)
-    d5 = data.family("xi5").degree_at(t)
-    d6 = data.family("xi6").degree_at(t)
-    d7 = data.family("xi7").degree_at(t)
-    steinberg = data.family("St").degree_at(t)
-    remainder = steinberg - d1 - d4
-    solutions = enumerate_decompositions(remainder, (d5, d7, d6))
+    tau, gamma = data.family("tau"), data.family("gamma")
+    extras = tuple(data.family(name) for name in ("xi5", "xi7", "xi6"))
+    remainder = (data.family("St").degree_at(t) - tau.degree_at(t)
+                 - gamma.degree_at(t))
+    solutions = enumerate_decompositions(
+        remainder, [fam.degree_at(t) for fam in extras])
     replay = _ree_symbolic_replay()
-    eliminations = []
     if any(a > 2 for a, _, _ in solutions):
         raise CaseAnalysisError(
             f"multiplicity bound violated at f={f}: {solutions}")
-    survivors = []
-    for a, b, c in solutions:
-        key = (("xi5", a), ("xi7", b), ("xi6", c))
-        if a != b + c:
-            # Embedded class value: the candidate character cannot vanish on
-            # the distinguished class unless a = b + c.
-            eliminations.append(Elimination(
-                candidate=key, probe="class_Y_value",
-                sign_convention=None,
-                detail=f"a={a} differs from b+c={b + c}"))
-        else:
-            survivors.append((a, b, c))
+    # The class-Y values of the dataset sum to t(b + c - a) on the candidate
+    # with multiplicities (a, b, c): the probe rules out every candidate
+    # unless a = b + c, and ``_eliminate_candidates`` raises on a survivor.
+    label = f"REE2G2(f={f})"
+    candidates = [((tau, 1), (gamma, 1)) + tuple(zip(extras, sol))
+                  for sol in solutions]
+    eliminations = _eliminate_candidates(
+        candidates, t, ("Y",), label, data.inspected)
     # Any survivor would have a = b + c in {1, 2}; the replayed linear
     # relation is nonzero there, so none can exist.  Record the five symbolic
     # eliminations evaluated at this t.
@@ -468,11 +441,8 @@ def ree_verify(f: int) -> CaseVerdict:
             probe="linear_relation",
             sign_convention=None,
             detail=f"relation value {value} != 0 at t={t}"))
-    if survivors:
-        raise CaseAnalysisError(
-            f"unexpected surviving decompositions at f={f}: {survivors}")
     return CaseVerdict(
-        label=f"REE2G2(f={f})",
+        label=label,
         outcome="NoSolution",
         candidates_considered=len(solutions),
         eliminations=tuple(eliminations),

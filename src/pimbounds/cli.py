@@ -65,12 +65,15 @@ def _build_spec(args) -> GroupSpec:
         suzuki_ree_e=args.suzuki_ree_e)
 
 
-def _parse_weight(text: str, rank: int) -> weights.Weight:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    coeffs = tuple(int(p) for p in parts)
+def _parse_coordinates(text: str, rank: int) -> tuple[int, ...]:
+    coeffs = tuple(int(p) for p in text.replace(",", " ").split())
     if len(coeffs) != rank:
         raise ValueError(f"expected {rank} coefficients, got {len(coeffs)}")
-    return weights.Weight(coeffs)
+    return coeffs
+
+
+def _parse_weight(text: str, rank: int) -> weights.Weight:
+    return weights.Weight(_parse_coordinates(text, rank))
 
 
 def _emit(payload: dict, as_json: bool, lines=None) -> None:
@@ -121,15 +124,15 @@ def _cmd_info(args) -> int:
 
 def _cmd_orbit(args) -> int:
     spec = _build_spec(args)
-    beta = _parse_weight(args.beta, spec.datum.rank)
+    beta = _parse_coordinates(args.beta, spec.datum.rank)
     payload = {
         "group": spec.describe(),
-        "beta": list(beta.coeffs),
+        "beta": list(beta),
         "modulus": charlattice.torus_orbits(spec).m,
-        "orbit_size": charlattice.orbit_size(spec, beta.coeffs),
+        "orbit_size": charlattice.orbit_size(spec, beta),
     }
     if args.json:
-        orb = charlattice.orbit(spec, beta.coeffs)
+        orb = charlattice.orbit(spec, beta)
         payload["orbit"] = sorted(list(v) for v in orb)
     _emit(payload, args.json)
     return EXIT_OK
@@ -169,7 +172,7 @@ def _cmd_candidates(args) -> int:
 def _cmd_export_tables(args) -> int:
     payload = {
         "datasets": {tag: degrees.dataset(tag).to_json()
-                     for tag in ("U4", "D4", "REE2G2")},
+                     for tag in degrees.DATASETS},
         "weyl_groups": _weyl_table(),
         "natural_representation_irreducibility": _natural_rep_table(),
     }

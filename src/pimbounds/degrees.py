@@ -14,12 +14,20 @@ Three datasets are embedded:
 * ``REE2G2`` -- character degrees of the rank-1 Ree groups of type G2 in the
                 integer parameter t = 3^f (where the field size satisfies
                 q^2 = 3 t^2, so q*sqrt(3) = 3t and q/sqrt(3) = t).
+
+:data:`DATASETS` maps each tag to its builder.  A dataset is the only
+statement of its character-table facts: each family has one ``kind`` (one of
+``_KINDS``), its values at class probes are :class:`ProbeValue` entries, and
+the sums excluded by inspecting an external character table are the keys of
+``CharacterFamilyData.inspected``.  The case analyses in ``caseanalysis``
+read all three from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 
@@ -53,10 +61,6 @@ class DegreePolynomial:
     @classmethod
     def constant(cls, c: int) -> "DegreePolynomial":
         return cls((c,))
-
-    @classmethod
-    def x(cls) -> "DegreePolynomial":
-        return cls((0, 1))
 
     @classmethod
     def monomial(cls, k: int, c: int = 1) -> "DegreePolynomial":
@@ -233,7 +237,7 @@ def _coerce(value):
 
 
 # Convenient aliases used across the package.
-X = DegreePolynomial.x()
+X = DegreePolynomial.monomial(1)
 ONE = DegreePolynomial.constant(1)
 
 
@@ -285,6 +289,11 @@ class ProbeValue:
             raise ValueError(f"unknown probe value kind {self.kind!r}")
 
 
+# The kinds of character family: regular characters, constituents of the
+# permutation character 1_U^G, cuspidal unipotent characters, and the rest.
+_KINDS = ("regular", "in_1UG", "cuspidal_unipotent", "other")
+
+
 @dataclass(frozen=True)
 class CharacterFamily:
     """A family of irreducible characters sharing one degree."""
@@ -294,14 +303,15 @@ class CharacterFamily:
     # Some degrees are integer-valued polynomials with a constant denominator
     # (2 or 4); ``degree`` then stores the numerator.
     denominator: int = 1
-    regular: bool = False
-    in_1ug: bool = False
-    cuspidal_unipotent: bool = False
-    other: bool = False
+    # One of ``_KINDS``; a family of none of the first three kinds is "other".
+    kind: str = "other"
     class_label: str | None = None
     centralizer_order: DegreePolynomial | None = None
     class_values: Mapping[str, ProbeValue] = field(default_factory=dict)
-    excluded_by_inspection: bool = False
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown character family kind {self.kind!r}")
 
     def degree_at(self, x: int) -> int:
         """Integer degree at a concrete parameter value."""
@@ -312,32 +322,29 @@ class CharacterFamily:
         return value // self.denominator
 
     def flags(self) -> dict:
-        return {
-            "regular": self.regular,
-            "in_1UG": self.in_1ug,
-            "cuspidal_unipotent": self.cuspidal_unipotent,
-            "other": self.other,
-        }
+        return {kind: self.kind == kind for kind in _KINDS}
 
 
 @dataclass(frozen=True)
 class CharacterFamilyData:
+    """One dataset: its character families and its table inspections.
+
+    ``inspected`` holds the candidate sums excluded by inspection of an
+    external character table, each as its tuple of (name, multiplicity)
+    pairs with nonzero multiplicity, in the order of the candidate.
+    """
+
     tag: str
     variable: str
     families: tuple[CharacterFamily, ...]
     group_order: DegreePolynomial | None = None
+    inspected: frozenset[tuple[tuple[str, int], ...]] = frozenset()
 
     def family(self, name: str) -> CharacterFamily:
         for fam in self.families:
             if fam.name == name:
                 return fam
         raise KeyError(f"no character family named {name!r} in dataset {self.tag}")
-
-    def by_class(self, label: str) -> CharacterFamily:
-        for fam in self.families:
-            if fam.class_label == label:
-                return fam
-        raise KeyError(f"no family with class label {label!r} in dataset {self.tag}")
 
     def to_json(self) -> dict:
         return {
@@ -409,18 +416,13 @@ def _u4_dataset() -> CharacterFamilyData:
             # no value is embedded for the A10/A11 probe.
             values = {"regular_unipotent": exact0}
         families.append(
-            fam(name, deg, regular=True, class_label=cls, centralizer_order=cent,
-                class_values=values,
-                # The row whose degree equals p^6 - tau(1) is excluded from the
-                # case analysis by a non-vanishing fact read off an external
-                # character table; carried as a data flag, not recomputed.
-                excluded_by_inspection=(cls == "A6"))
-        )
+            fam(name, deg, kind="regular", class_label=cls,
+                centralizer_order=cent, class_values=values))
 
     # Principal-series constituents of the relevant induced character.
-    families.append(fam("sigma", (p ** 2) * (p ** 2 + 1), in_1ug=True))
+    families.append(fam("sigma", (p ** 2) * (p ** 2 + 1), kind="in_1UG"))
     families.append(
-        fam("tau", (p ** 3) * (p ** 2 - p + 1), in_1ug=True,
+        fam("tau", (p ** 3) * (p ** 2 - p + 1), kind="in_1UG",
             class_values={
                 "A10A11": ProbeValue("per_char", p),
                 "regular_unipotent": exact0,
@@ -429,18 +431,18 @@ def _u4_dataset() -> CharacterFamilyData:
 
     # Non-regular characters outside the principal block data above.
     families.append(
-        fam("chi16", (p - 1) * (p ** 2 - p + 1) * (p ** 2 + 1), other=True,
+        fam("chi16", (p - 1) * (p ** 2 - p + 1) * (p ** 2 + 1),
             class_values={
                 "A10A11": ProbeValue("per_char", ONE),
                 "regular_unipotent": ProbeValue("exact", -ONE),
             })
     )
     families.append(
-        fam("chi17", p * (p - 1) ** 2 * (p ** 2 + 1), other=True,
+        fam("chi17", p * (p - 1) ** 2 * (p ** 2 + 1),
             class_values={"A10A11": exact0, "regular_unipotent": exact0})
     )
     families.append(
-        fam("chi19", (p - 1) * (p ** 2 + 1), other=True,
+        fam("chi19", (p - 1) * (p ** 2 + 1),
             class_values={
                 "A10A11": ProbeValue("per_char", ONE),
                 # The sources disagree on the sign of the value at the regular
@@ -449,7 +451,16 @@ def _u4_dataset() -> CharacterFamilyData:
                 "regular_unipotent": ProbeValue("global_sign", ONE),
             })
     )
-    return CharacterFamilyData("U4", "p", tuple(families), group_order=order_u4)
+    # Two sums are excluded by a non-vanishing fact read off an external
+    # character table, not recomputed: each fails to vanish on a
+    # non-semisimple class.  The first is tau plus the row whose degree
+    # equals p^6 - tau(1); the second is case A12 with one chi17.
+    inspected = frozenset({
+        (("tau", 1), ("chi13", 1)),
+        (("tau", 1), ("chi15", 1), ("chi17", 1)),
+    })
+    return CharacterFamilyData("U4", "p", tuple(families), group_order=order_u4,
+                               inspected=inspected)
 
 
 def _d4_dataset() -> CharacterFamilyData:
@@ -474,17 +485,17 @@ def _d4_dataset() -> CharacterFamilyData:
         ("s15", "chi15", (p - 1) * (p ** 3 - 1) * (p ** 8 + p ** 4 + 1)),
     ]
     families = [
-        CharacterFamily(name=name, degree=deg, regular=True, class_label=cls)
+        CharacterFamily(name=name, degree=deg, kind="regular", class_label=cls)
         for cls, name, deg in rows
     ]
     # Principal-series pieces of the induced identity and the distinguished
     # principal-series constituent tau.
-    families.append(CharacterFamily("rho1p", (p ** 7) * phi12, in_1ug=True))
+    families.append(CharacterFamily("rho1p", (p ** 7) * phi12, kind="in_1UG"))
     families.append(CharacterFamily(
-        "rho2p", (p ** 3) * (p ** 3 + 1) ** 2, denominator=2, in_1ug=True))
+        "rho2p", (p ** 3) * (p ** 3 + 1) ** 2, denominator=2, kind="in_1UG"))
     families.append(CharacterFamily(
-        "rho2", (p ** 3) * (p + 1) ** 2 * phi12, denominator=2, in_1ug=True))
-    families.append(CharacterFamily("tau", (p ** 7) * phi12, in_1ug=True))
+        "rho2", (p ** 3) * (p + 1) ** 2 * phi12, denominator=2, kind="in_1UG"))
+    families.append(CharacterFamily("tau", (p ** 7) * phi12, kind="in_1UG"))
     # Cuspidal unipotent degrees.  The second one is stated in the source with
     # the factor p^4-p^2+1; that form is not divisible by p^2+p+1, which
     # contradicts the divisibility property the argument rests on (and the
@@ -492,17 +503,14 @@ def _d4_dataset() -> CharacterFamilyData:
     # The embedded degree therefore uses the factor p^4+p^2+1.
     families.append(CharacterFamily(
         "e1", (p ** 3) * (p ** 3 - 1) ** 2, denominator=2,
-        cuspidal_unipotent=True))
+        kind="cuspidal_unipotent"))
     families.append(CharacterFamily(
         "e2", (p ** 3) * (p - 1) ** 2 * (p ** 4 + p ** 2 + 1), denominator=4,
-        cuspidal_unipotent=True))
+        kind="cuspidal_unipotent"))
     # Non-regular characters in the outer series.
-    families.append(CharacterFamily(
-        "e3", (p ** 3 - 1) * (p ** 2 + p + 1) * phi12, other=True))
-    families.append(CharacterFamily(
-        "e4", p * (p ** 3 - 1) ** 2 * phi12, other=True))
-    families.append(CharacterFamily(
-        "e5", (p ** 3 - 1) * (p ** 8 + p ** 4 + 1), other=True))
+    families.append(CharacterFamily("e3", (p ** 3 - 1) * (p ** 2 + p + 1) * phi12))
+    families.append(CharacterFamily("e4", p * (p ** 3 - 1) ** 2 * phi12))
+    families.append(CharacterFamily("e5", (p ** 3 - 1) * (p ** 8 + p ** 4 + 1)))
     return CharacterFamilyData("D4", "p", tuple(families), group_order=order)
 
 
@@ -527,36 +535,34 @@ def _ree2g2_dataset() -> CharacterFamilyData:
     d7_num = t * (q2 - 1) * (q2 + 3 * t + 1)
     m = t  # the value q / sqrt(3) appearing in the class-Y column
     fams = (
-        CharacterFamily("St", q6, regular=True,
+        CharacterFamily("St", q6, kind="regular",
                         class_values={"Y": ProbeValue("exact", DegreePolynomial())}),
-        CharacterFamily("tau", d1, in_1ug=True,
+        CharacterFamily("tau", d1, kind="in_1UG",
                         class_values={"Y": ProbeValue("exact", ONE)}),
-        CharacterFamily("d2", d2, in_1ug=True),
-        CharacterFamily("d3", d3, regular=True),
-        CharacterFamily("gamma", d4, regular=True,
+        CharacterFamily("d2", d2, kind="in_1UG"),
+        CharacterFamily("d3", d3, kind="regular"),
+        CharacterFamily("gamma", d4, kind="regular",
                         class_values={"Y": ProbeValue("exact", -ONE)}),
-        CharacterFamily("xi5", d5, other=True,
-                        class_values={"Y": ProbeValue("exact", -m)}),
-        CharacterFamily("xi6", d6_num, denominator=2, other=True,
+        CharacterFamily("xi5", d5, class_values={"Y": ProbeValue("exact", -m)}),
+        CharacterFamily("xi6", d6_num, denominator=2,
                         class_values={"Y": ProbeValue("exact", m)}),
-        CharacterFamily("xi7", d7_num, denominator=2, other=True,
+        CharacterFamily("xi7", d7_num, denominator=2,
                         class_values={"Y": ProbeValue("exact", m)}),
     )
     order = q6 * (q2 - 1) * (q6 + 1)
     return CharacterFamilyData("REE2G2", "t", fams, group_order=order)
 
 
-_DATASETS = {}
+# The builder of each embedded dataset, by tag.
+DATASETS = {"U4": _u4_dataset, "D4": _d4_dataset, "REE2G2": _ree2g2_dataset}
 
 
+@lru_cache(maxsize=None)
 def dataset(tag: str) -> CharacterFamilyData:
-    """Return the embedded dataset for ``tag`` in {"U4", "D4", "REE2G2"}."""
-    if tag not in {"U4", "D4", "REE2G2"}:
+    """Return the embedded dataset for one tag of :data:`DATASETS`."""
+    if tag not in DATASETS:
         raise KeyError(f"unknown dataset tag {tag!r}")
-    if tag not in _DATASETS:
-        _DATASETS[tag] = {"U4": _u4_dataset, "D4": _d4_dataset,
-                          "REE2G2": _ree2g2_dataset}[tag]()
-    return _DATASETS[tag]
+    return DATASETS[tag]()
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +615,7 @@ def verify_regular_degree_identities() -> list[dict]:
     order = data.group_order
     reports = []
     for fam in data.families:
-        if not fam.regular or fam.centralizer_order is None:
+        if fam.kind != "regular" or fam.centralizer_order is None:
             continue
         index = order.divexact(fam.centralizer_order)
         k_cent, _ = fam.centralizer_order.shift_p_part()
@@ -630,7 +636,7 @@ def cyclotomic_residue_report(p_range: Iterable[int] = (3, 5, 7, 11, 13)) -> dic
 
     Verifies, as polynomial identities, that x^2+x+1 divides each of the five
     auxiliary degrees e1..e5; computes f1 = T - deg(chi12) and
-    f2 = T - deg(chi15) with T = x^12 - x^11 + x^9 - x^7, reduces both modulo
+    f2 = T - deg(chi15) with T = x^12 - deg(tau), reduces both modulo
     x^2+x+1 (by long division and, independently, by exponent folding), and
     checks that the residues are nonzero at every odd prime in ``p_range``.
     The residues once claimed for these two quantities (-5 and 2p-11) are
@@ -647,7 +653,7 @@ def cyclotomic_residue_report(p_range: Iterable[int] = (3, 5, 7, 11, 13)) -> dic
             raise DatasetCorruptError(
                 f"{name} is not divisible by x^2+x+1 (remainder {rem!r})")
         divisible[name] = True
-    T = p ** 12 - p ** 11 + p ** 9 - p ** 7
+    T = p ** 12 - data.family("tau").degree
     f1 = T - data.family("chi12").degree
     f2 = T - data.family("chi15").degree
     residues = {}

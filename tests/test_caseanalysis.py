@@ -1,10 +1,14 @@
 """Tests for the exhaustive decomposition searches and their eliminations."""
 
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
 
 from pimbounds import caseanalysis as ca
+from pimbounds import degrees as dg
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +66,7 @@ def test_enumerate_randomized_cross_check():
 def test_u4_verify_structure():
     verdict = ca.u4_verify(3)
     assert verdict.outcome == "NoSolution"
-    assert verdict.data["case_solution_counts"] == {"A12": 2, "A14": 5}
+    assert verdict.data["case_solution_counts"] == {"A6": 1, "A12": 2, "A14": 5}
     # 1 (A6 case) + 2 (A12 case) + 5 (A14 case)
     assert verdict.candidates_considered == 8
     probes = {e.probe for e in verdict.eliminations}
@@ -72,6 +76,15 @@ def test_u4_verify_structure():
     inspections = [e for e in verdict.eliminations
                    if e.probe == "table_inspection"]
     assert len(inspections) == 2
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_u4_inspections_are_exactly_the_dataset_entries(p):
+    # Every inspected sum of the dataset is a candidate of the analysis, so
+    # no entry is dead, and no other candidate is disposed of by inspection.
+    eliminated = {e.candidate for e in ca.u4_verify(p).eliminations
+                  if e.probe == "table_inspection"}
+    assert eliminated == dg.dataset("U4").inspected
 
 
 def test_u4_verify_sign_conventions_both_run():
@@ -155,18 +168,45 @@ def test_ree_verify_small_fields():
         assert verdict.data["solution_count_before_class_filter"] == 2
         assert all(verdict.data["symbolic_checks"].values())
         probes = {e.probe for e in verdict.eliminations}
-        assert probes == {"class_Y_value", "linear_relation"}
+        assert probes == {"Y", "linear_relation"}
 
 
 def test_ree_verify_class_filter_eliminates_both_solutions():
     verdict = ca.ree_verify(1)
-    by_class = [e for e in verdict.eliminations if e.probe == "class_Y_value"]
+    by_class = [e for e in verdict.eliminations if e.probe == "Y"]
     assert len(by_class) == 2
     for e in by_class:
         mults = dict(e.candidate)
-        assert mults["xi5"] != mults["xi7"] + mults["xi6"]
+        assert mults.get("xi5", 0) != mults.get("xi7", 0) + mults.get("xi6", 0)
+
+
+@pytest.mark.parametrize("t", [3, 9, 27])
+def test_ree_class_y_column_rules_out_exactly_a_not_b_plus_c(t):
+    # Oracle: the class-Y values sum to t(b + c - a) on the candidate
+    # tau + gamma + a xi5 + b xi7 + c xi6, so it vanishes iff a = b + c.
+    data = dg.dataset("REE2G2")
+    tau, gamma, xi5, xi7, xi6 = (
+        data.family(n) for n in ("tau", "gamma", "xi5", "xi7", "xi6"))
+    for a, b, c in itertools.product(range(3), repeat=3):
+        fams = ((tau, 1), (gamma, 1), (xi5, a), (xi7, b), (xi6, c))
+        assert ca._probe_eliminates(fams, "Y", t, 1) == (a != b + c)
 
 
 def test_ree_verify_rejects_f0():
     with pytest.raises(ValueError):
         ca.ree_verify(0)
+
+
+def test_case_verdicts_digest_is_pinned():
+    # Every verdict of the three analyses and the residue report, serialised
+    # as one JSON document with sorted keys and hashed as UTF-8.
+    blob = {
+        "u4": [ca.u4_verify(p).to_json() for p in (3, 5, 7, 11, 13)],
+        "d4": [ca.d4_verify(p).to_json() for p in (3, 5, 7, 11, 13)],
+        "ree": [ca.ree_verify(f).to_json() for f in (1, 2)],
+        "residues": dg.cyclotomic_residue_report(),
+    }
+    digest = hashlib.sha256(
+        json.dumps(blob, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == (
+        "30ada07848e708cc343cb5e88c22d51764c023168751b5036ba5e60df545966a")

@@ -47,6 +47,19 @@ def test_orbit_command(capsys):
     assert blob["modulus"] == 3
 
 
+def test_orbit_takes_negative_character_coordinates(capsys):
+    # -1 and 3 agree mod q - 1 = 4, so they name the same torus character.
+    code, neg = run_json(capsys, "orbit", "A", "2", "--q", "5",
+                         "--beta=-1,0", "--json")
+    assert code == 0
+    code, pos = run_json(capsys, "orbit", "A", "2", "--q", "5",
+                         "--beta", "3,0", "--json")
+    assert code == 0
+    assert neg["beta"] == [-1, 0]
+    assert neg["orbit_size"] == pos["orbit_size"] == 3
+    assert neg["orbit"] == pos["orbit"]
+
+
 def test_orbit_scan_command(capsys):
     code, blob = run_json(capsys, "orbit-scan", "C", "2", "--q", "4", "--json")
     assert code == 0
@@ -226,6 +239,8 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert cli.main(["orbit", "A", "3", "--q", "4", "--beta", "1,2"]) == 2
     capsys.readouterr()
+    assert cli.main(["orbit", "A", "2", "--q", "5", "--beta=-1,0,2"]) == 2
+    assert "expected 2 coefficients, got 3" in capsys.readouterr().err
     assert cli.main(["orbit-scan", "E8", "8", "--q", "7",
                      "--budget", "10"]) == 2
     capsys.readouterr()

@@ -120,8 +120,7 @@ def test_u4_degrees_at_p3():
     assert data.family("sigma").degree_at(p) == p ** 2 * (p ** 2 + 1)
     assert data.family("chi10").degree_at(p) == (
         (p - 1) ** 2 * (p ** 2 - p + 1) * (p ** 2 + 1))
-    assert data.by_class("A6").excluded_by_inspection
-    assert not data.by_class("A12").excluded_by_inspection
+    assert (("tau", 1), ("chi13", 1)) in data.inspected
 
 
 def test_half_integral_degrees_are_integral_at_odd_values():
@@ -159,6 +158,8 @@ def test_ree_degrees_sum_of_squares_is_group_order():
 def test_probe_value_kinds_validated():
     with pytest.raises(ValueError):
         dg.ProbeValue("sometimes", ONE)
+    with pytest.raises(ValueError, match="unknown character family kind"):
+        dg.CharacterFamily("synthetic", X, kind="sometimes")
 
 
 def test_to_json_roundtrip_structure():
@@ -206,7 +207,7 @@ def test_regular_degree_identities_all_rows():
 def test_regular_degree_identity_numeric_oracle():
     # Check one row fully numerically: class A9 at p = 5.
     data = dg.dataset("U4")
-    fam = data.by_class("A9")
+    fam = next(f for f in data.families if f.class_label == "A9")
     p = 5
     cent = fam.centralizer_order.evaluate(p)
     order = data.group_order.evaluate(p)
