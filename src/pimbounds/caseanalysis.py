@@ -437,7 +437,9 @@ def ree_verify(f: int) -> CaseVerdict:
             raise CaseAnalysisError(
                 f"linear relation vanishes at t={t} for (b, c)=({b}, {c})")
         eliminations.append(Elimination(
-            candidate=(("xi5", b + c), ("xi7", b), ("xi6", c)),
+            candidate=(("tau", 1), ("gamma", 1)) + tuple(
+                (fam.name, mult) for fam, mult in zip(extras, (b + c, b, c))
+                if mult),
             probe="linear_relation",
             sign_convention=None,
             detail=f"relation value {value} != 0 at t={t}"))

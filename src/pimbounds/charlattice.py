@@ -57,6 +57,7 @@ from .rootdata import (
     GroupSpec,
     RootDatum,
     UnsupportedGroupError,
+    _classify,
     _components,
     _weyl_order,
     factor_prime_power,
@@ -94,7 +95,8 @@ class _AlcovePlan:
     """Per-datum data for orbit sizes from alcove stabilizers.
 
     Node 0 of the extended diagram is the affine wall <x, theta^vee> = m;
-    node i >= 1 is the wall x_i = 0.
+    node i >= 1 is the wall x_i = 0.  The root of node 0 is theta, the
+    highest short root, so it is short unless the datum is simply laced.
     """
 
     # The nonzero entries (j, c), in fundamental-weight coordinates, of each
@@ -104,6 +106,7 @@ class _AlcovePlan:
     theta_form: tuple[int, ...]  # the highest coroot on simple coroots
     bonds: tuple[tuple[int, ...], ...]  # bond products between wall nodes
     neighbours: tuple[int, ...]  # the bonded wall nodes of each, as a mask
+    long: tuple[bool, ...]  # whether the root of each wall node is long
     omega: tuple[tuple[int, ...], ...]  # Ω as permutations of Kac coordinates
     wall_orders: dict = field(default_factory=dict)  # zero-set mask -> |W_J|
     # Kac coordinates -> |W| / (|W_J| * |Ω_x|); they fix x and m.
@@ -192,7 +195,8 @@ def _alcove_plan(datum: RootDatum) -> _AlcovePlan:
                        for row in bonds)
     plan = _AlcovePlan(datum._columns,
                        tuple((j, t) for j, t in enumerate(theta) if t),
-                       theta_form, bonds, neighbours, omega=())
+                       theta_form, bonds, neighbours,
+                       (all(datum.long_nodes), *datum.long_nodes), omega=())
     # Ω ≅ P/Q is represented by 0 and the minuscule fundamental weights, the
     # nodes with coefficient 1 in the highest coroot.  Each permutes the Kac
     # coordinates; read the permutation off a point whose coordinates differ.
@@ -208,43 +212,19 @@ def _alcove_plan(datum: RootDatum) -> _AlcovePlan:
     return replace(plan, omega=tuple(omega))
 
 
-def _component_order(bonds, comp: list[int]) -> int:
-    """|W| for one connected finite-type subdiagram of the extended diagram.
-
-    ``weights._classify_subdiagram`` cannot serve here: it works on the nodes
-    of a :class:`RootDatum`, which has no affine node 0, and it derives the
-    Bourbaki order of the nodes, which |W| does not need.  Only bond products
-    are available for node 0, and they fix the order of the Weyl group.
-    """
-    k = len(comp)
-    degree = {a: sum(1 for b in comp if bonds[a][b]) for a in comp}
-    multiple = [(a, b) for a in comp for b in comp if a < b and bonds[a][b] > 1]
-    if multiple:
-        a, b = multiple[0]
-        if bonds[a][b] == 3:
-            return _weyl_order("G2", 2)
-        if k == 4 and degree[a] == degree[b] == 2:
-            return _weyl_order("F4", 4)
-        return _weyl_order("B", k)
-    branch = [a for a in comp if degree[a] == 3]
-    if not branch:
-        return _weyl_order("A", k)
-    leaves = sum(1 for b in comp if bonds[branch[0]][b] and degree[b] == 1)
-    return _weyl_order("D", k) if leaves >= 2 else _weyl_order(f"E{k}", k)
-
-
 def _wall_stabilizer_order(plan: _AlcovePlan, kac: tuple[int, ...]) -> int:
     """|W_J| for J the walls through the alcove point, from its Kac
     coordinates: the product of the Weyl orders of the components of J in
-    the extended diagram, found on the neighbour masks of the plan, which
-    are read off its bonds.  Kept per zero-set mask of the plan."""
+    the extended diagram, each typed by :func:`rootdata._classify` on the
+    neighbour masks, bonds and root lengths of the plan.  Kept per zero-set
+    mask of the plan."""
     mask = sum(1 << j for j, s in enumerate(kac) if s == 0)
     order = plan.wall_orders.get(mask)
     if order is None:
+        types = (_classify(plan.neighbours, plan.bonds, plan.long, comp)
+                 for comp in _components(plan.neighbours, mask))
         order = plan.wall_orders[mask] = math.prod(
-            _component_order(plan.bonds,
-                             [j for j in range(len(kac)) if comp >> j & 1])
-            for comp in _components(plan.neighbours, mask))
+            _weyl_order(family, len(nodes)) for family, nodes in types)
     return order
 
 

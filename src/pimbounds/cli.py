@@ -384,7 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit = sub.add_parser("orbit", help="Weyl orbit of one torus character")
     _add_group_arguments(p_orbit)
     p_orbit.add_argument("--beta", required=True,
-                         help="comma-separated character coordinates")
+                         help="comma-separated character coordinates; give "
+                              "a negative first coordinate as --beta=-1,0, "
+                              "since --beta -1,0 reads -1,0 as an option")
     p_orbit.add_argument("--json", action="store_true")
 
     p_scan = sub.add_parser("orbit-scan", help="scan all torus characters")

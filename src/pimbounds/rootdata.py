@@ -89,16 +89,24 @@ def _standard_cartan(family: str, rank: int):
     raise UnsupportedGroupError(f"unknown family {family!r}")
 
 
-def _long_nodes(family: str, rank: int) -> tuple[bool, ...]:
-    if family == "B":
-        return tuple(i < rank - 1 for i in range(rank))
-    if family == "C":
-        return tuple(i == rank - 1 for i in range(rank))
-    if family == "F4":
-        return (True, True, False, False)
-    if family == "G2":
-        return (False, True)
-    return (True,) * rank
+def _long_nodes(cartan: tuple[tuple[int, ...], ...]) -> tuple[bool, ...]:
+    """Which simple roots are long, read off a Cartan matrix in the stored
+    convention.  For bonded nodes i and j,
+    |alpha_j|^2 / |alpha_i|^2 = cartan[i][j] / cartan[j][i], so the walk
+    over the bonds from node 1 finds each node shorter than (-1), as long as
+    (0) or longer than (+1) node 1; a connected diagram of finite type has
+    at most two root lengths, and the long nodes are those of the top level.
+    """
+    level = {0: 0}
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j, c in enumerate(cartan[i]):
+            if c and j not in level:
+                level[j] = level[i] + (c < cartan[j][i]) - (c > cartan[j][i])
+                todo.append(j)
+    top = max(level.values())
+    return tuple(level[k] == top for k in range(len(cartan)))
 
 
 def _type_name(family: str, rank: int) -> str:
@@ -192,11 +200,19 @@ class RootDatum:
         return tuple(orbit)
 
     @cached_property
+    def _bonds(self) -> tuple[tuple[int, ...], ...]:
+        # The bond product cartan[i][j] * cartan[j][i] of nodes i+1 and j+1
+        # (0 for no bond and on the diagonal).  Built once, on first use.
+        c = self.cartan
+        return tuple(tuple(c[i][j] * c[j][i] if i != j else 0
+                           for j in range(self.rank)) for i in range(self.rank))
+
+    @cached_property
     def _neighbours(self) -> tuple[int, ...]:
         # The Dynkin diagram: the neighbours of node i as a bitmask (bit j-1
         # for node j), at index i-1.  Built once, on first use.
-        return tuple(sum(1 << j for j, c in enumerate(row) if c and j != i)
-                     for i, row in enumerate(self.cartan))
+        return tuple(sum(1 << j for j, b in enumerate(row) if b)
+                     for row in self._bonds)
 
     @cached_property
     def _columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -210,11 +226,7 @@ class RootDatum:
         """Order of s_i s_j, read off the Cartan matrix."""
         if i == j:
             return 1
-        prod = self.cartan[i - 1][j - 1] * self.cartan[j - 1][i - 1]
-        try:
-            return {0: 2, 1: 3, 2: 4, 3: 6}[prod]
-        except KeyError:  # pragma: no cover - impossible for crystallographic data
-            raise ValueError(f"invalid Cartan entry product {prod}")
+        return {0: 2, 1: 3, 2: 4, 3: 6}[self._bonds[i - 1][j - 1]]
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +267,7 @@ def build_root_datum(family: str, rank: int, twist_order: int = 1) -> RootDatum:
         positive_root_count=sum(d - 1 for d in _split_degrees(family, rank)),
         weyl_order=_weyl_order(family, rank),
         min_nonlinear_degree=_min_nonlinear_degree(family, rank),
-        long_nodes=_long_nodes(family, rank),
+        long_nodes=_long_nodes(cartan),
     )
     _check_perm_preserves_cartan(datum)
     return datum
@@ -281,17 +293,65 @@ def _components(neighbours: tuple[int, ...], mask: int) -> list[int]:
     return comps
 
 
+def _walk(nb: dict[int, list[int]], prev: int | None, node: int) -> list[int]:
+    """The path that starts at ``node`` and leaves ``prev`` behind, through
+    nodes of at most two neighbours ``nb``, to its far end."""
+    path = [node]
+    while True:
+        ahead = [k for k in nb[node] if k != prev]
+        if not ahead:
+            return path
+        prev, node = node, ahead[0]
+        path.append(node)
+
+
+def _classify(neighbours: tuple[int, ...], bonds: tuple[tuple[int, ...], ...],
+              long: tuple[bool, ...],
+              mask: int) -> tuple[str, tuple[int, ...]]:
+    """The type of a connected node set of a Dynkin diagram of finite type,
+    and its nodes in the Bourbaki numbering of that type.
+
+    Bit k of ``mask`` is node k, with the neighbours ``neighbours[k]`` (a
+    bitmask), the bond products ``bonds[k]`` and a long root when
+    ``long[k]``.  Returns ``(family, order)``, ``order`` listing the nodes k
+    in the Bourbaki numbering of the family.  This is the one classifier of
+    subdiagrams: of a root datum's diagram for the Levi pieces of
+    :mod:`pimbounds.weights`, and of the extended diagram for the alcove
+    stabilizers of :mod:`pimbounds.charlattice`.  A branch node makes a
+    simply laced diagram of type D or E.  A chain is read from its lowest
+    end; with a triple bond it is G2, short node first; with a double bond
+    it is C when one node is long (short nodes first, so a B2 reads as
+    C2), B when one is short and F4 otherwise (long nodes first).
+    """
+    nodes = [k for k in range(len(neighbours)) if mask >> k & 1]
+    nb = {k: [j for j in nodes if neighbours[k] >> j & 1] for k in nodes}
+    center = next((k for k in nodes if len(nb[k]) == 3), None)
+    if center is not None:
+        short, middle, far = sorted(
+            (_walk(nb, center, k) for k in nb[center]), key=len)
+        if len(middle) == 1:
+            return "D", (*far[::-1], center, short[0], middle[0])
+        return f"E{len(nodes)}", (middle[1], short[0], middle[0], center, *far)
+    chain = _walk(nb, None, next(k for k in nodes if len(nb[k]) < 2))
+    bond = max((bonds[i][j] for i, j in zip(chain, chain[1:])), default=1)
+    if bond == 1:
+        return "A", tuple(chain)
+    longs = sum(long[k] for k in chain)
+    family = ("G2" if bond == 3 else "C" if longs == 1
+              else "B" if longs == len(chain) - 1 else "F4")
+    if long[chain[0]] == (family in ("C", "G2")):
+        chain.reverse()
+    return family, tuple(chain)
+
+
 def _check_perm_preserves_cartan(datum: RootDatum) -> None:
-    """The diagram symmetry must preserve Coxeter data (not lengths)."""
-    n = datum.rank
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            a = datum.coxeter_order(i, j)
-            b = datum.coxeter_order(datum.apply_perm(i), datum.apply_perm(j))
-            if a != b:
-                raise UnsupportedGroupError(
-                    f"diagram permutation does not preserve the diagram of "
-                    f"{_type_name(datum.family, datum.rank)}")
+    """The diagram symmetry must preserve the bonds (not the lengths)."""
+    bonds, perm = datum._bonds, [k - 1 for k in datum.diagram_perm]
+    if any(bonds[i][j] != bonds[perm[i]][perm[j]]
+           for i in range(datum.rank) for j in range(datum.rank)):
+        raise UnsupportedGroupError(
+            f"diagram permutation does not preserve the diagram of "
+            f"{_type_name(datum.family, datum.rank)}")
 
 
 def simple_reflection_matrix(datum: RootDatum, i: int) -> tuple[tuple[int, ...], ...]:

@@ -15,9 +15,12 @@ Frobenius-fixed component is an orbit of length 1.  A piece (its Bourbaki
 order, the twist induced on a fixed component and the descendant root
 datum) depends on its orbit only, so it is built once per root datum and
 orbit mask (:func:`_levi_piece`), on first use, and cached; an unsupported
-orbit raises instead, and nothing is cached for it.  A piece is also the
-single piece of its own node set, and :func:`levi_pieces` lists each
-supported piece of a datum once.  The recursive bound in
+orbit raises instead, and nothing is cached for it.  Its type and Bourbaki
+order come from :func:`rootdata._classify`, the one classifier of Dynkin
+subdiagrams, which :mod:`pimbounds.charlattice` reads for its wall sets
+too.  A piece is also the single piece of its own node set, and
+:func:`levi_pieces` lists each supported piece of a datum once, found from
+the connected node sets.  The recursive bound in
 :mod:`pimbounds.bounds` runs over these pieces instead of over every proper
 parabolic.  A piece over a given field has one descendant group and one
 projection of coefficients (:func:`_piece_descent`);
@@ -44,6 +47,7 @@ from .rootdata import (
     IntegerField,
     RootDatum,
     UnsupportedGroupError,
+    _classify,
     _components,
     build_root_datum,
 )
@@ -175,113 +179,8 @@ def twisted_bn_rank(datum: RootDatum) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Subdiagram classification
+# Induced symmetries
 # ---------------------------------------------------------------------------
-
-
-def _classify_subdiagram(datum: RootDatum, comp: tuple[int, ...]):
-    """Classify a connected subdiagram and order its nodes Bourbaki-style.
-
-    Returns ``(family, order)`` where ``order`` lists the original node labels
-    in the Bourbaki numbering of the classified family.  Rank-2 subdiagrams
-    with a double bond are canonicalised to family C (short node first).
-    """
-    m = len(comp)
-    neighbours = datum._neighbours
-    nb = {i: [j for j in sorted(comp) if neighbours[i - 1] >> (j - 1) & 1]
-          for i in comp}
-
-    def bond(i, j):
-        return datum.cartan[i - 1][j - 1] * datum.cartan[j - 1][i - 1]
-
-    bonds = {frozenset((i, j)): bond(i, j)
-             for i in comp for j in nb[i] if i < j}
-    if m == 1:
-        return "A", (comp[0],)
-    if any(v == 3 for v in bonds.values()):
-        if m != 2:
-            raise UnsupportedSubdiagramError("triple bond in a larger subdiagram")
-        short = next(i for i in comp if not datum.long_nodes[i - 1])
-        other = next(i for i in comp if i != short)
-        return "G2", (short, other)
-
-    degrees = {i: len(nb[i]) for i in comp}
-    branch_nodes = [i for i in comp if degrees[i] >= 3]
-
-    if any(v == 2 for v in bonds.values()):
-        if branch_nodes:
-            raise UnsupportedSubdiagramError("double bond with a branch node")
-        if sum(1 for v in bonds.values() if v == 2) > 1:
-            raise UnsupportedSubdiagramError("two double bonds in one chain")
-        chain = _order_chain(comp, nb)
-        longs = [i for i in chain if datum.long_nodes[i - 1]]
-        shorts = [i for i in chain if not datum.long_nodes[i - 1]]
-        if m == 2 or len(longs) == 1:
-            # Family C: short nodes first, the unique long node last.
-            if datum.long_nodes[chain[0] - 1]:
-                chain = chain[::-1]
-            return "C", tuple(chain)
-        if len(shorts) == 1:
-            # Family B: long nodes first, the unique short node last.
-            if not datum.long_nodes[chain[0] - 1]:
-                chain = chain[::-1]
-            return "B", tuple(chain)
-        if len(longs) == 2 and len(shorts) == 2 and m == 4:
-            # The full F4 diagram (only possible inside F4 itself).
-            if not datum.long_nodes[chain[0] - 1]:
-                chain = chain[::-1]
-            return "F4", tuple(chain)
-        raise UnsupportedSubdiagramError("unrecognised non-simply-laced chain")
-
-    # Simply laced.
-    if not branch_nodes:
-        chain = _order_chain(comp, nb)
-        return "A", tuple(chain)
-    if len(branch_nodes) > 1 or degrees[branch_nodes[0]] > 3:
-        raise UnsupportedSubdiagramError("subdiagram is not of finite type")
-    center = branch_nodes[0]
-    arms = []
-    for start in nb[center]:
-        arm = [start]
-        prev = center
-        while True:
-            ext = [x for x in nb[arm[-1]] if x != prev]
-            if not ext:
-                break
-            prev = arm[-1]
-            arm.append(ext[0])
-        arms.append(arm)
-    arms.sort(key=len)
-    lengths = tuple(len(a) for a in arms)
-    if lengths[0] != 1:
-        raise UnsupportedSubdiagramError("subdiagram is not of finite type")
-    if lengths[1] == 1:
-        # Type D: long arm 1..k, then center, then the two short arms.
-        long_arm = arms[2][::-1]
-        order = tuple(long_arm) + (center, arms[0][0], arms[1][0])
-        return "D", order
-    if lengths[1] == 2 and lengths[2] in (2, 3, 4):
-        # Types E6/E7/E8 in Bourbaki numbering: node 2 is the length-1 arm,
-        # nodes 1,3 the length-2 arm, node 4 the center, 5.. the long arm.
-        family = {2: "E6", 3: "E7", 4: "E8"}[lengths[2]]
-        short2 = arms[1]
-        order = (short2[1], arms[0][0], short2[0], center) + tuple(arms[2])
-        return family, order
-    raise UnsupportedSubdiagramError("subdiagram is not of finite type")
-
-
-def _order_chain(comp, nb):
-    ends = [i for i in comp if len(nb[i]) <= 1]
-    if len(comp) == 1:
-        return list(comp)
-    start = min(ends)
-    chain = [start]
-    prev = None
-    while len(chain) < len(comp):
-        nxt = [x for x in nb[chain[-1]] if x != prev]
-        prev = chain[-1]
-        chain.append(nxt[0])
-    return chain
 
 
 def _induced_twist(datum: RootDatum, order: tuple[int, ...], family: str):
@@ -362,16 +261,23 @@ def _frobenius_orbits(datum: RootDatum, mask: int):
     node set ``mask``, as node masks in the order of their lowest node.
     Each orbit is the component of the lowest node left, closed under the
     diagram symmetry; the orbits are yielded as they are found."""
-    perm = datum.diagram_perm
     for comp in _components(datum._neighbours, mask):
         if comp & mask:
-            orbit, image = 0, comp
-            while image & ~orbit:
-                orbit |= image
-                image = sum(1 << (perm[i] - 1)
-                            for i in range(datum.rank) if orbit >> i & 1)
+            orbit = _closure(datum, comp)
             mask &= ~orbit
             yield orbit
+
+
+def _closure(datum: RootDatum, mask: int) -> int:
+    """The least node set that holds ``mask`` and is stable under the
+    diagram symmetry, as a mask."""
+    perm = datum.diagram_perm
+    closed, image = 0, mask
+    while image & ~closed:
+        closed |= image
+        image = sum(1 << (perm[i] - 1)
+                    for i in range(datum.rank) if closed >> i & 1)
+    return closed
 
 
 @lru_cache(maxsize=None)
@@ -379,16 +285,18 @@ def _levi_piece(datum: RootDatum, orbit: int) -> _LeviPiece:
     """The piece of one Frobenius orbit of components (a node mask), built
     once per datum and orbit.
 
-    The component of the lowest node is classified and read along the
-    orbit; a fixed component keeps the symmetry that it induces.  The
-    symmetry of a Suzuki or Ree group exchanges long and short nodes, and an
-    orbit is read from its long component; the other twisted data are simply
-    laced.  Raises :class:`UnsupportedSubdiagramError` for an unsupported
-    orbit, and caches nothing for it.
+    The component of the lowest node is classified by
+    :func:`rootdata._classify`, the one classifier of Dynkin subdiagrams,
+    and read along the orbit; a fixed component keeps the symmetry that it
+    induces.  The symmetry of a Suzuki or Ree group exchanges long and short
+    nodes, and an orbit is read from its long component; the other twisted
+    data are simply laced.  Raises :class:`UnsupportedSubdiagramError` for
+    an unsupported orbit, and caches nothing for it.
     """
     comps = _components(datum._neighbours, orbit)
-    family, order = _classify_subdiagram(
-        datum, tuple(i + 1 for i in range(datum.rank) if comps[0] >> i & 1))
+    family, order = _classify(datum._neighbours, datum._bonds,
+                              datum.long_nodes, comps[0])
+    order = tuple(k + 1 for k in order)
     twist = 1
     if len(comps) == 1:
         twist = _induced_twist(datum, order, family)
@@ -482,28 +390,60 @@ def descend_weight(spec: GroupSpec, parabolic: ParabolicSubset,
 
 @lru_cache(maxsize=None)
 def levi_pieces(datum: RootDatum) -> tuple[_LeviPiece, ...]:
-    """The supported pieces of a datum, one per twist-stable node set that is
-    a single Frobenius orbit of connected components, in the order of
-    :func:`proper_parabolics`.
+    """The supported pieces of a datum, one per twist-stable proper node set
+    that is a single Frobenius orbit of connected components, in the order
+    of :func:`proper_parabolics`.
 
     A piece depends only on its orbit of components, so every piece of a
     proper parabolic's plan is the piece of its own node set, and a plan is
     unsupported exactly when one of its pieces is.  A maximum over the
     pieces of every supported proper parabolic is therefore a maximum over
-    these pieces.  Only the node sets with one orbit, whose first orbit
-    (:func:`_frobenius_orbits`) is the whole set, get a piece: 43 of the 254
-    proper parabolics of E8, 33 of 126 on E7 and 10 of 14 on D4.  Built
-    once per datum.
+    these pieces.  The node sets with one orbit are the closures under the
+    diagram symmetry of the connected node sets: each component of a
+    closure holds an image of the connected set, so the closure of any
+    component is the whole closure.  So they are found from the connected
+    node sets (:func:`_connected_sets`), without listing the proper
+    parabolics: 43 of the 254 of E8, 33 of 126 on E7, 10 of 14 on D4 and
+    209 of 2^20 - 2 on A20.  Built once per datum.
     """
+    orbits = _node_orbits(datum)
+
+    def position(mask: int) -> int:
+        # The index of the node set in ``proper_parabolics``, plus one.
+        return sum(1 << k for k, orbit in enumerate(orbits)
+                   if mask >> (min(orbit) - 1) & 1)
+
+    sets = {_closure(datum, c) for c in _connected_sets(datum._neighbours)}
+    sets.discard((1 << datum.rank) - 1)
     pieces = []
-    for p in proper_parabolics(datum):
-        mask = p.mask
-        if next(_frobenius_orbits(datum, mask)) == mask:
-            try:
-                pieces.append(_levi_piece(datum, mask))
-            except UnsupportedGroupError:
-                pass
+    for mask in sorted(sets, key=position):
+        try:
+            pieces.append(_levi_piece(datum, mask))
+        except UnsupportedGroupError:
+            pass
     return tuple(pieces)
+
+
+def _connected_sets(neighbours: tuple[int, ...]) -> set[int]:
+    """Every connected node set of a diagram, as masks, grown from the
+    single nodes one neighbouring node at a time."""
+    found = set()
+    grown = {1 << k for k in range(len(neighbours))}
+    while grown:
+        found |= grown
+        larger = set()
+        for mask in grown:
+            reach = 0
+            for k, nb in enumerate(neighbours):
+                if mask >> k & 1:
+                    reach |= nb
+            reach &= ~mask
+            while reach:
+                low = reach & -reach
+                larger.add(mask | low)
+                reach ^= low
+        grown = larger
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,15 @@ def largest_independent_set(datum, candidates):
     return ()
 
 
+def _classify_nodes(datum, comp):
+    """``rootdata._classify`` on a connected set of 1-based nodes, with the
+    Bourbaki order in 1-based nodes."""
+    family, order = rd._classify(datum._neighbours, datum._bonds,
+                                 datum.long_nodes,
+                                 sum(1 << (n - 1) for n in comp))
+    return family, tuple(k + 1 for k in order)
+
+
 def reference_descend_weight(spec, parabolic, weight):
     """Oracle for descend_weight and the piece projections of the group
     plans: the per-weight descent that classified the Levi components afresh
@@ -246,7 +255,7 @@ def reference_descend_weight(spec, parabolic, weight):
         image = comp_of_node[datum.apply_perm(comp[0])]
         if image == comp:
             unprocessed.discard(comp)
-            family, order = wt._classify_subdiagram(datum, comp)
+            family, order = _classify_nodes(datum, comp)
             twist = wt._induced_twist(datum, order, family)
             if suzuki_ree:
                 if twist == 1:
@@ -276,7 +285,7 @@ def reference_descend_weight(spec, parabolic, weight):
         for c in orbit:
             unprocessed.discard(c)
         a = len(orbit)
-        family, order = wt._classify_subdiagram(datum, comp)
+        family, order = _classify_nodes(datum, comp)
         if suzuki_ree:
             if a != 2:
                 raise UnsupportedSubdiagramError(

@@ -180,6 +180,26 @@ def test_ree_verify_class_filter_eliminates_both_solutions():
         assert mults.get("xi5", 0) != mults.get("xi7", 0) + mults.get("xi6", 0)
 
 
+def test_ree_eliminations_name_candidates_one_way():
+    # Every elimination, by class Y or by the linear relation, names the
+    # whole candidate tau + gamma + a xi5 + b xi7 + c xi6 by its nonzero
+    # multiplicities in that order; the linear relation covers a = b + c
+    # for the five (b, c) with 0 < b + c <= 2.
+    order = ("tau", "gamma", "xi5", "xi7", "xi6")
+    for f in (1, 2):
+        linear = set()
+        for e in ca.ree_verify(f).eliminations:
+            assert e.candidate[:2] == (("tau", 1), ("gamma", 1))
+            assert all(mult for _, mult in e.candidate)
+            names = [name for name, _ in e.candidate]
+            assert names == sorted(names, key=order.index)
+            if e.probe == "linear_relation":
+                mults = dict(e.candidate)
+                linear.add(tuple(mults.get(n, 0) for n in order[2:]))
+        assert linear == {(b + c, b, c) for b, c in
+                          ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
+
+
 @pytest.mark.parametrize("t", [3, 9, 27])
 def test_ree_class_y_column_rules_out_exactly_a_not_b_plus_c(t):
     # Oracle: the class-Y values sum to t(b + c - a) on the candidate
@@ -209,4 +229,4 @@ def test_case_verdicts_digest_is_pinned():
     digest = hashlib.sha256(
         json.dumps(blob, sort_keys=True).encode("utf-8")).hexdigest()
     assert digest == (
-        "30ada07848e708cc343cb5e88c22d51764c023168751b5036ba5e60df545966a")
+        "f3cd0e6862ed852e9eb0f65173c59c235e45710a57993c3f02e31d0eb3bb7a3d")

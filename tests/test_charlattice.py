@@ -1,11 +1,12 @@
 """Tests for torus-character orbits and mod-l reflection representations."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pimbounds import charlattice as cl, cli, rootdata as rd, weights as wt
+from pimbounds import charlattice as cl, cli, rootdata as rd
 
 
 # ---------------------------------------------------------------------------
@@ -186,24 +187,47 @@ def test_orbit_size_equals_enumerated_orbit(datum, q, data):
     assert cl.orbit_size(spec, beta) == len(cl.orbit(spec, beta))
 
 
+def reference_component_order(bonds, comp):
+    """|W| for one connected finite-type subdiagram of an extended diagram,
+    from its bond products and degrees alone: the wall classifier of the
+    alcove code before ``rootdata._classify`` served it."""
+    k = len(comp)
+    degree = {a: sum(1 for b in comp if bonds[a][b]) for a in comp}
+    multiple = [(a, b) for a in comp for b in comp if a < b and bonds[a][b] > 1]
+    if multiple:
+        a, b = multiple[0]
+        if bonds[a][b] == 3:
+            return rd._weyl_order("G2", 2)
+        if k == 4 and degree[a] == degree[b] == 2:
+            return rd._weyl_order("F4", 4)
+        return rd._weyl_order("B", k)
+    branch = [a for a in comp if degree[a] == 3]
+    if not branch:
+        return rd._weyl_order("A", k)
+    leaves = sum(1 for b in comp if bonds[branch[0]][b] and degree[b] == 1)
+    return rd._weyl_order("D", k) if leaves >= 2 else rd._weyl_order(f"E{k}", k)
+
+
 @pytest.mark.parametrize("family, ranks", [
     ("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)),
-    ("D", range(4, 9)), ("E6", (6,)), ("E7", (7,)), ("E8", (8,)),
+    ("D", range(3, 9)), ("E6", (6,)), ("E7", (7,)), ("E8", (8,)),
     ("F4", (4,)), ("G2", (2,))])
 def test_wall_classifier_agrees_with_subdiagram_classifier(family, ranks):
-    # The alcove code classifies wall sets by bonds alone; on the ordinary
-    # nodes it must give the Weyl order of weights._classify_subdiagram.
+    # The wall classifier that reads bonds and degrees alone
+    # (``reference_component_order``) against ``rootdata._classify`` on
+    # every proper wall set of the extended diagram, node 0 included, on a
+    # fresh plan: |W_J| is the product over the components of J.
     for rank in ranks:
         datum = rd.build_root_datum(family, rank)
-        bonds = cl._alcove_plan(datum).bonds
-        for size in range(1, rank + 1):
-            for nodes in itertools.combinations(range(1, rank + 1), size):
-                mask = sum(1 << (n - 1) for n in nodes)
-                for bits in rd._components(datum._neighbours, mask):
-                    comp = tuple(n for n in nodes if bits >> (n - 1) & 1)
-                    sub_family, order = wt._classify_subdiagram(datum, comp)
-                    assert (cl._component_order(bonds, list(comp))
-                            == rd._weyl_order(sub_family, len(order))), comp
+        plan = cl._alcove_plan.__wrapped__(datum)
+        assert plan.long[0] is (family in ("A", "D", "E6", "E7", "E8"))
+        for mask in range(1, (1 << (rank + 1)) - 1):
+            kac = tuple(int(not mask >> j & 1) for j in range(rank + 1))
+            comps = rd._components(plan.neighbours, mask)
+            assert cl._wall_stabilizer_order(plan, kac) == math.prod(
+                reference_component_order(
+                    plan.bonds, [j for j in range(rank + 1) if c >> j & 1])
+                for c in comps), (family, rank, mask)
 
 
 def roots_with_coroots(datum):

@@ -60,6 +60,16 @@ def test_orbit_takes_negative_character_coordinates(capsys):
     assert neg["orbit"] == pos["orbit"]
 
 
+def test_help_names_the_form_of_a_negative_beta(capsys, monkeypatch):
+    # argparse reads "--beta -1,0" as an option and exits 2; the help names
+    # the "=" form, which runs.
+    monkeypatch.setenv("COLUMNS", "200")
+    assert cli.main(["orbit", "--help"]) == 0
+    assert "--beta=-1,0" in capsys.readouterr().out
+    assert cli.main(["orbit", "A", "2", "--q", "5", "--beta=-1,0"]) == 0
+    assert cli.main(["orbit", "A", "2", "--q", "5", "--beta", "-1,0"]) == 2
+
+
 def test_orbit_scan_command(capsys):
     code, blob = run_json(capsys, "orbit-scan", "C", "2", "--q", "4", "--json")
     assert code == 0

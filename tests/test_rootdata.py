@@ -1,6 +1,7 @@
 """Tests for root data, reflection matrices and order polynomials."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import pickle
@@ -68,6 +69,88 @@ def test_long_short_node_flags():
     assert rd.build_root_datum("G2", 2).long_nodes == (False, True)
     assert rd.build_root_datum("F4", 4).long_nodes == (True, True, False, False)
     assert rd.build_root_datum("E8", 8).long_nodes == (True,) * 8
+
+
+def reference_long_nodes(family, rank):
+    """The long simple roots of each family in Bourbaki numbering, as a
+    table per family: the statement that ``_long_nodes`` replaced by
+    reading the lengths off the Cartan matrix."""
+    if family == "B":
+        return tuple(i < rank - 1 for i in range(rank))
+    if family == "C":
+        return tuple(i == rank - 1 for i in range(rank))
+    if family == "F4":
+        return (True, True, False, False)
+    if family == "G2":
+        return (False, True)
+    return (True,) * rank
+
+
+def all_small_twisted_data():
+    """Every datum of ``all_small_data`` with each diagram symmetry."""
+    for datum in all_small_data():
+        for twist in (1, 2, 3):
+            try:
+                yield rd.build_root_datum(datum.family, datum.rank, twist)
+            except rd.UnsupportedGroupError:
+                pass
+
+
+def test_long_nodes_equal_the_family_table():
+    data = list(all_small_twisted_data())
+    # 33 split data and 17 twisted: ²A2-²A8, ²D4-²D8, ³D4, ²E6, ²B2, ²F4, ²G2.
+    assert len(data) == 33 + 17
+    for datum in data:
+        assert datum.long_nodes == reference_long_nodes(
+            datum.family, datum.rank), datum
+
+
+def test_classifier_orders_read_the_standard_cartan_matrix():
+    # Every connected node set of every datum up to rank 8: read in the
+    # classifier's order, the Cartan matrix on the set is the stored form
+    # (the transpose) of the standard matrix of the classified type, so the
+    # family, the rank, the Bourbaki order and the root lengths all agree.
+    seen = set()
+    for datum in all_small_data():
+        for mask in range(1, 1 << datum.rank):
+            if len(rd._components(datum._neighbours, mask)) != 1:
+                continue
+            family, order = rd._classify(datum._neighbours, datum._bonds,
+                                         datum.long_nodes, mask)
+            assert sorted(order) == [k for k in range(datum.rank)
+                                     if mask >> k & 1]
+            standard = rd._standard_cartan(family, len(order))
+            assert [[datum.cartan[i][j] for j in order] for i in order] == [
+                [standard[b][a] for b in range(len(order))]
+                for a in range(len(order))], (datum, mask)
+            seen.add((family, len(order)))
+    assert ("B", 2) not in seen and ("C", 2) in seen  # a B2 reads as C2
+    assert {"A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2"} == {
+        family for family, _ in seen}
+
+
+def test_classifier_outputs_digest_is_pinned():
+    # The type and order of all 1,611 connected node sets of A1-A12,
+    # B2-B12, C2-C12, D3-D12, E6-E8, F4 and G2, as the per-family
+    # classifier gave them before ``_classify`` (0-based orders); the
+    # Cartan oracle above cannot tell orders that differ by a diagram
+    # automorphism.
+    data = ([("A", r) for r in range(1, 13)]
+            + [(family, r) for family in "BC" for r in range(2, 13)]
+            + [("D", r) for r in range(3, 13)]
+            + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)])
+    lines = []
+    for family, rank in data:
+        datum = rd.build_root_datum(family, rank)
+        for mask in range(1, 1 << rank):
+            if len(rd._components(datum._neighbours, mask)) == 1:
+                sub, order = rd._classify(datum._neighbours, datum._bonds,
+                                          datum.long_nodes, mask)
+                lines.append(f"{family}{rank} {mask} {sub} {order}")
+    assert len(lines) == 1611
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == (
+        "a92ae6e962e9794d5f15e817435e1db200d4ce515774c5034250fe5347e6674c")
 
 
 def test_coxeter_relations_all_families():

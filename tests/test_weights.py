@@ -403,6 +403,18 @@ def test_levi_pieces_plan_only_one_orbit_node_sets(family, rank, pieces,
                                            str(parabolics)]
 
 
+def test_levi_pieces_grow_from_connected_node_sets(monkeypatch):
+    # A20 has 2^20 - 2 proper parabolics and 209 pieces, one per connected
+    # proper node set; the pieces are found without listing the parabolics.
+    def refuse(datum):
+        raise AssertionError("levi_pieces listed the proper parabolics")
+
+    monkeypatch.setattr(wt, "proper_parabolics", refuse)
+    pieces = wt.levi_pieces.__wrapped__(build_root_datum("A", 20))
+    assert len(pieces) == 20 * 21 // 2 - 1
+    assert [len(p.original_nodes) for p in pieces[:3]] == [1, 1, 2]
+
+
 # ---------------------------------------------------------------------------
 # Structural predicates
 # ---------------------------------------------------------------------------
