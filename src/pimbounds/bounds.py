@@ -18,11 +18,13 @@ Rules available:
 Every bound comes wrapped in a :class:`BoundCertificate` recording the chain
 of rules that produced it.
 
-Each rule's scope is one predicate and each small-group minimum one entry
-of :func:`known_minimum`.  Both bound cascades and the Sylow classification
-read them, so each "no" of the classification comes from the exact rank-1
+Each rule's scope is one predicate and each small-group fact one entry of
+:func:`known_minimum`.  Both bound cascades, the Sylow classification and,
+through :func:`best_bound`, the candidate sieve of :mod:`pimbounds.weights`
+read them.  So each "no" of the classification comes from the exact rank-1
 values, a case analysis of :mod:`pimbounds.caseanalysis`, the embedded minima
-or the scope of the restriction bound.
+or the scope of the restriction bound, and a "yes" for SL(3, 2), SU(3, 2)
+or Sz(2) from an embedded 1-PIM of multiplier 1.
 
 Group plans: what the rules need to know about a group that does not depend
 on the weight (its name, its table of descent values, the Steinberg
@@ -30,9 +32,11 @@ coefficients and the coefficient ranges, the scopes of the rules, the
 embedded minimum, the Levi pieces of plain descent, the escape pairs of the
 doubling step with the index of its parabolic's piece, for split groups the
 torus-orbit cache of :func:`charlattice.torus_orbits` with its modulus
-m = q-1, for split groups of rank >= 2 the size of a largest independent
-node set inside every node set, and for groups in the restriction bound's
-scope its two steps) is built once per group, on first use, and cached.
+m = q-1, for split groups of rank >= 2 the sizes of the largest
+independent node sets, per datum and filled on first use by the leaf
+rule of :func:`weights._independent_set_sizes`, and for groups in the
+restriction bound's scope its two steps) is built once per group, on
+first use, and cached.
 The pieces themselves depend on the datum only: :func:`weights.levi_pieces`
 reads them from :func:`weights._levi_piece`, which builds each once per
 datum and orbit mask.  The plan's entry for a piece holds the projection
@@ -55,7 +59,7 @@ coefficient tuples and builds no :class:`Weight`.  A weight then costs:
   of that reduced point (the alcove walk of :mod:`pimbounds.charlattice`
   only on the point's first use);
 * one bitmask of the nodes with a coefficient outside {0, q-1}, which
-  indexes the independent-set table and, empty or not, picks the
+  keys the independent-set sizes and, empty or not, picks the
   restriction step (the general Borel-socle criterion,
   ``socle_trivial_on_borel``, is a test oracle in ``tests/test_bounds.py``);
 * one projection and one read of the descendant's table per Levi piece,
@@ -192,14 +196,41 @@ class KnownMinimum:
 
 
 def known_minimum(spec: GroupSpec) -> KnownMinimum | None:
-    """Embedded lower bound for non-Steinberg multipliers, if one exists."""
+    """Embedded lower bound for non-Steinberg multipliers, if one exists.
+
+    Three entries record a 1-PIM of multiplier 1 (``zero_weight_value=1``),
+    from one argument: if G has a subgroup H of order |G|_{p'}, then the
+    permutation module k[G/H] = Ind_H^G k is projective (k is a projective
+    kH-module, since p does not divide |H|), has dimension |G|_p and maps
+    onto k, so the projective cover of k is a summand of it.  Every
+    projective module has dimension divisible by |G|_p, so that cover has
+    dimension |G|_p, and the multiplier of the zero weight is 1.
+
+    * SL(3, 2), p = 2: it is isomorphic to PSL(2, 7), and the stabiliser
+      of a point of the projective line over F_7 is a subgroup 7:3 of
+      order 21.  Its 1-PIM is the permutation module on those 8 points.
+    * SU(3, 2) = 3^(1+2):Q8, p = 2: the normal subgroup 3^(1+2) of order
+      27.
+    * Sz(2) = C5:C4, p = 2: the normal subgroup C5.
+
+    The other values follow from the counting identity
+    |G|_{p'} = sum over the restricted weights of dim L(λ)·c(λ), which holds
+    because the group algebra is the sum of the PIMs P(λ), each dim L(λ)
+    times, and from c(λ) = c(λ*), since the dual of P(λ) is P(λ*).  The
+    simple modules of SL(3, 2) and of SU(3, 2) in characteristic 2 have
+    dimensions 1, 3, 3 and 8 (the zero weight, (1, 0), (0, 1) = (1, 0)* and
+    the Steinberg weight), so 21 = 1 + 3c + 3c + 8 gives c = 2 for SL(3, 2)
+    and 27 = 1 + 3c + 3c + 8 gives c = 3 for SU(3, 2).  Sz(2) has only the
+    zero weight and the Steinberg weight (5 = 1 + 4), so its minimum over
+    the non-Steinberg modules is the 1-PIM's.
+    """
     d = spec.datum
     fam, rank, twist = d.family, d.rank, d.twist_order
     if spec.is_suzuki_ree:
         if fam == "B":
             if spec.field.q_squared > 2:
                 return KnownMinimum(4, "suzuki-minimum")
-            return None
+            return KnownMinimum(1, "small-group-table", zero_weight_value=1)
         if fam == "F4" and spec.field.e == 0:
             return KnownMinimum(14, "small-group-table")
         return None
@@ -215,6 +246,9 @@ def known_minimum(spec: GroupSpec) -> KnownMinimum | None:
             return KnownMinimum(3, "small-group-table", zero_weight_value=2)
         if k == 1 and p > 3:
             return KnownMinimum(3, "rank2-prime-field")
+    if fam == "A" and rank == 2 and q == 2:  # SL(3, 2) and SU(3, 2)
+        return KnownMinimum(2 if twist == 1 else 3, "small-group-table",
+                            zero_weight_value=1)
     if fam == "A" and rank == 2 and twist == 1 and k == 1 and p > 2:
         return KnownMinimum(2, "rank2-prime-field")
     if fam == "G2" and twist == 1:
@@ -267,9 +301,9 @@ class _GroupPlan:
     # ``pieces`` of the parabolic's piece.
     escape_pairs: tuple[tuple[int, int], ...] | None
     doubling: int | None
-    # Split groups of rank >= 2: the independent-set size per node bitmask,
-    # and the bit of each node.
-    independent: tuple[int, ...] | None
+    # Split groups of rank >= 2: the independent-set sizes of the datum,
+    # keyed by node bitmask and filled on first use, and the bit of each node.
+    independent: dict[int, int] | None
     node_bits: tuple[int, ...]
 
     def table_step(self, coeffs: tuple[int, ...]) -> ChainStep | None:
@@ -598,19 +632,18 @@ def _case_analysis(spec: GroupSpec) -> str | None:
 def classify_dim_equal_sylow(spec: GroupSpec) -> SylowDimensionVerdict:
     """Decide whether a non-Steinberg PIM of dimension |G|_p can exist.
 
-    "yes" is returned exactly for the three known families of exceptions:
-    SL(2, p) (the projective cover of the trivial module; for p = 7 note the
-    exceptional isomorphism with the simple group of order 168, which also
-    appears below as the linear group of degree 3 over F_2), SL(3, 2), and
-    the smallest Ree group of type G2 (the automorphism group of SL(2, 8)).
-    "no" comes, in this order, from the exact rank-1 values over a proper
-    extension field, an exhaustive case analysis (:func:`_case_analysis`),
-    the embedded minimum of :func:`known_minimum` (the smaller of its two
-    values is the reason) or the scope of the restriction bound.  Otherwise
-    the answer is "undecided".
+    "yes" is returned, with the zero weight as witness, for SL(2, p) (the
+    projective cover of the trivial module; PSL(2, 7) is isomorphic to
+    SL(3, 2), a "yes" in characteristic 2), for the smallest Ree group of
+    type G2 (the automorphism group of SL(2, 8)) and for each group whose
+    entry in :func:`known_minimum` gives the 1-PIM multiplier 1: SL(3, 2),
+    SU(3, 2) and Sz(2).  "no" comes, in this order, from the exact rank-1
+    values over a proper extension field, an exhaustive case analysis
+    (:func:`_case_analysis`), the embedded minimum of :func:`known_minimum`
+    (the smaller of its two values is the reason) or the scope of the
+    restriction bound.  Otherwise the answer is "undecided".
     """
     d = spec.datum
-    suzuki_ree = spec.is_suzuki_ree
 
     def verdict(answer, reason, witnesses=()):
         return SylowDimensionVerdict(spec.describe(), answer, (reason,),
@@ -619,12 +652,7 @@ def classify_dim_equal_sylow(spec: GroupSpec) -> SylowDimensionVerdict:
     if _is_sl2(spec) and factor_prime_power(spec.q)[1] == 1:
         return verdict("yes", "for SL(2, p) the projective cover of the trivial "
                        "module has multiplier 2^1 - 1 = 1", [(0,)])
-    if _is_split(spec) and d.family == "A" and d.rank == 2 and spec.q == 2:
-        return verdict("yes", "for SL(3, 2) the projective cover of the trivial "
-                       "module has dimension 8 = |G|_p (this group is also the "
-                       "projective special linear group of degree 2 over F_7)",
-                       [(0, 0)])
-    if suzuki_ree and d.family == "G2" and spec.field.e == 0:
+    if spec.is_suzuki_ree and d.family == "G2" and spec.field.e == 0:
         return verdict("yes", "the smallest Ree group of type G2 is the "
                        "automorphism group of SL(2, 8); its 1-PIM has "
                        "dimension |G|_p", [(0, 0)])
@@ -636,12 +664,13 @@ def classify_dim_equal_sylow(spec: GroupSpec) -> SylowDimensionVerdict:
         return verdict("no", analysis)
     table = known_minimum(spec)
     if table is not None:
+        if table.zero_weight_value == 1:
+            return verdict("yes", "the projective cover of the trivial module "
+                           "has multiplier 1 (embedded exact value)",
+                           [(0,) * d.rank])
         least = min(table.value, table.zero_weight_value or table.value)
         return verdict("no", f"every non-Steinberg multiplier is >= {least}")
     if _hc_in_scope(spec):
         return verdict("no", "the restriction bound gives multiplier >= 2 for "
                        "every non-Steinberg restricted weight")
-    if suzuki_ree and d.family == "B":
-        return verdict("undecided", "the smallest Suzuki group is solvable; "
-                       "no evidence embedded")
     return verdict("undecided", "no evidence embedded")

@@ -27,12 +27,12 @@ projection of coefficients (:func:`_piece_descent`);
 :func:`descend_weight`, the group plans of :mod:`pimbounds.bounds` and the
 candidate sieve all read that one map.
 
-The candidate sieve reads each parabolic's verdict off the coefficients on
-its nodes (all maximal, or all zero); only whether a zero restriction is
-allowed depends on the Levi factor, and that is read once per parabolic off
-the descendant groups of its pieces.  Since every orbit of the diagram
-symmetry on the nodes is such a parabolic, the sieve only examines the
-weights that are all maximal or all zero on each orbit.
+The candidate sieve is descent at value 1: a weight survives when its
+projection to every Levi piece has certified bound 1 in
+:func:`bounds.best_bound`, which holds every small-group fact the sieve
+relies on.  It builds the weights one orbit of the diagram symmetry on the
+nodes at a time and drops a partial weight at the first piece inside the
+assigned orbits that fails, so it never runs over every proper parabolic.
 """
 
 from __future__ import annotations
@@ -160,17 +160,6 @@ def _node_orbits(datum: RootDatum) -> tuple[frozenset[int], ...]:
     their least node, found once per datum."""
     return tuple(dict.fromkeys(frozenset(datum.perm_orbit(i))
                                for i in range(1, datum.rank + 1)))
-
-
-@lru_cache(maxsize=None)
-def proper_parabolics(datum: RootDatum) -> tuple[ParabolicSubset, ...]:
-    """The twist-stable nonempty proper node sets (unions of some, but not
-    all, diagram-symmetry orbits), built once per datum."""
-    orbits = _node_orbits(datum)
-    return tuple(
-        ParabolicSubset(datum, frozenset(
-            n for k, orb in enumerate(orbits) if mask >> k & 1 for n in orb))
-        for mask in range(1, (1 << len(orbits)) - 1))
 
 
 def twisted_bn_rank(datum: RootDatum) -> int:
@@ -391,8 +380,9 @@ def descend_weight(spec: GroupSpec, parabolic: ParabolicSubset,
 @lru_cache(maxsize=None)
 def levi_pieces(datum: RootDatum) -> tuple[_LeviPiece, ...]:
     """The supported pieces of a datum, one per twist-stable proper node set
-    that is a single Frobenius orbit of connected components, in the order
-    of :func:`proper_parabolics`.
+    that is a single Frobenius orbit of connected components, ordered by the
+    bitmask with bit k set when the node set holds the k-th orbit of
+    :func:`_node_orbits`.
 
     A piece depends only on its orbit of components, so every piece of a
     proper parabolic's plan is the piece of its own node set, and a plan is
@@ -402,14 +392,14 @@ def levi_pieces(datum: RootDatum) -> tuple[_LeviPiece, ...]:
     diagram symmetry of the connected node sets: each component of a
     closure holds an image of the connected set, so the closure of any
     component is the whole closure.  So they are found from the connected
-    node sets (:func:`_connected_sets`), without listing the proper
-    parabolics: 43 of the 254 of E8, 33 of 126 on E7, 10 of 14 on D4 and
-    209 of 2^20 - 2 on A20.  Built once per datum.
+    node sets (:func:`_connected_sets`), without listing the 2^(relative
+    rank) - 2 proper parabolics: 43 of the 254 of E8, 33 of 126 on E7, 10
+    of 14 on D4 and 209 of 2^20 - 2 on A20.  Built once per datum.
     """
     orbits = _node_orbits(datum)
 
     def position(mask: int) -> int:
-        # The index of the node set in ``proper_parabolics``, plus one.
+        # The node set as a mask over the orbits.
         return sum(1 << k for k, orbit in enumerate(orbits)
                    if mask >> (min(orbit) - 1) & 1)
 
@@ -450,83 +440,70 @@ def _connected_sets(neighbours: tuple[int, ...]) -> set[int]:
 # Minimal-candidate sieve
 # ---------------------------------------------------------------------------
 
-# Levi factors on which a trivial restriction is still compatible with
-# projectivity of the Borel socle: rank-1 groups over the prime field, and
-# the two linear/unitary rank-2 groups over F_2.
-def _trivial_restriction_allowed(dspec: GroupSpec) -> bool:
-    d = dspec.datum
-    if d.family == "A" and d.rank == 1:
-        return dspec.field.exponent == 1
-    if d.family == "A" and d.rank == 2:
-        return dspec.q == 2  # both the split and the twisted form
-    return False
-
-
 def minimal_pim_candidates(spec: GroupSpec) -> list[Weight]:
-    """Weights surviving the parabolic projectivity sieve.
+    """Weights whose projective cover may have dimension |G|_p: the
+    non-Steinberg, nonzero weights whose projection to every Levi piece
+    has certified bound 1.
 
-    A non-Steinberg weight survives when, for every twist-stable nonempty
-    proper node set J, either the restriction to the Levi of J is Steinberg,
-    or every Levi component after descent is one of the small groups on which
-    the trivial module is projective-compatible and carries the zero weight
-    there.  The zero weight and the Steinberg weight are excluded from the
-    output.  Requires relative rank >= 2 (otherwise there is no proper
-    parabolic above the Borel) and a concrete field parameter.
+    Parabolic descent (the rule of :func:`bounds.descent_bound`) bounds the
+    multiplier of G at a weight below by the multiplier of each Levi piece
+    at the projected weight.  A weight of multiplier 1 therefore has
+    :func:`bounds.best_bound` equal to 1 on every piece of
+    :func:`levi_pieces` (a Steinberg projection has bound exactly 1).  So
+    the sieve is descent at value 1: it keeps too much when a bound is not
+    sharp, and never too little.  A piece that the toolkit does not support
+    is not listed and lets every weight through.  The zero weight and the
+    Steinberg weight are excluded from the output, which is sorted.
+    Requires relative rank >= 2 (otherwise there is no proper parabolic
+    above the Borel) and a concrete field parameter.
 
-    Both conditions are read off the coefficients on J: the restriction is
-    Steinberg when they are all maximal, and every descendant weight is zero
-    when they all vanish.  Whether every descendant is one of the small
-    groups depends on J only, and is read once per J off the descendant
-    groups of its plan's pieces.
-
-    Each orbit O of the diagram symmetry on the nodes is itself such a J,
-    proper because the relative rank is at least 2.  So the sieve on O alone
-    is a necessary condition: a survivor is all maximal on every O, or all
-    zero on an O whose Levi allows a trivial restriction.  Only those
-    patterns, at most 2^(relative rank) of them, are run through the other
-    node sets, in lexicographic order: 256 weights instead of 6,561 on
-    E8(3).  The verdicts of the orbits are found first, in the order of
-    :func:`proper_parabolics`, so an unsupported orbit Levi raises its
+    The weights are built one orbit of the diagram symmetry on the nodes
+    (:func:`_node_orbits`) at a time, trying every coefficient block of the
+    orbit.  Once the orbits up to the k-th are assigned, the pieces whose
+    nodes lie inside them are checked, and a partial weight that fails one
+    is dropped with all its extensions.  Each orbit is itself a piece, so on
+    E8(3), where the A1(3) piece has bound 2 at the coefficient 1, only the
+    coefficients 0 and 2 are kept at each node.  Each verdict is cached per
+    descendant group and coefficient tuple.  The pieces of the orbits are
+    built first, in order, so an unsupported orbit raises its
     :class:`UnsupportedSubdiagramError` even when no weight survives.
     """
+    from .bounds import best_bound  # bounds imports this module
+
     datum = spec.datum
     if twisted_bn_rank(datum) < 2:
         raise UnsupportedGroupError(
             f"{spec.describe()} has no proper parabolic above a Borel subgroup")
+    orbits = [sorted(n - 1 for n in orbit) for orbit in _node_orbits(datum)]
+    for orbit in orbits:
+        _levi_piece(datum, sum(1 << i for i in orbit))
+    # checks[k]: the descendant group and projection of each piece whose
+    # last orbit is the k-th.
+    last = {i: k for k, orbit in enumerate(orbits) for i in orbit}
+    checks = [[] for _ in orbits]
+    for piece in levi_pieces(datum):
+        k = max(last[i] for nodes in piece.indices for i in nodes)
+        checks[k].append(_piece_descent(piece, spec))
+    verdicts = {}
+
+    def has_bound_one(coeffs, dspec, project) -> bool:
+        key = dspec, project(coeffs)
+        if key not in verdicts:
+            verdicts[key] = best_bound(dspec, Weight(key[1])).bound == 1
+        return verdicts[key]
+
+    ranges = coefficient_ranges(spec)
+    patterns = [(0,) * datum.rank]
+    for orbit, pieces in zip(orbits, checks):
+        blocks = [dict(zip(orbit, block)) for block in
+                  itertools.product(*(range(ranges[i]) for i in orbit))]
+        grown = (tuple(block.get(i, c) for i, c in enumerate(pattern))
+                 for block in blocks for pattern in patterns)
+        patterns = [coeffs for coeffs in grown
+                    if all(has_bound_one(coeffs, *check) for check in pieces)]
     top = steinberg_weight(spec).coeffs
-    parabolics = proper_parabolics(datum)
-    node_sets = [tuple(n - 1 for n in sorted(p.nodes)) for p in parabolics]
-    trivial_allowed: dict[int, bool] = {}
-
-    def allows_trivial(k: int) -> bool:
-        if k not in trivial_allowed:
-            trivial_allowed[k] = all(
-                _trivial_restriction_allowed(_piece_descent(piece, spec)[0])
-                for piece in _descent_plan(parabolics[k]))
-        return trivial_allowed[k]
-
-    node_orbits = _node_orbits(datum)
-    orbits = [k for k, p in enumerate(parabolics) if p.nodes in node_orbits]
-    patterns = [top]
-    for k in orbits:
-        if allows_trivial(k):
-            patterns += [tuple(0 if i in node_sets[k] else c
-                               for i, c in enumerate(coeffs))
-                         for coeffs in patterns]
-    others = [k for k in range(len(parabolics)) if k not in orbits]
-    survivors = []
-    for coeffs in sorted(patterns):
-        if coeffs == top or not any(coeffs):
-            continue
-        for k in others:
-            nodes = node_sets[k]
-            if all(coeffs[i] == top[i] for i in nodes):
-                continue  # Steinberg restriction on this Levi
-            if not (allows_trivial(k) and not any(coeffs[i] for i in nodes)):
-                break
-        else:
-            survivors.append(Weight(coeffs))
-    return survivors
+    return [Weight(coeffs) for coeffs in sorted(patterns)
+            if coeffs != top and any(coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -572,27 +549,48 @@ def _doubling_parabolic(
     return ParabolicSubset(d, frozenset(range(1, size + 1))), pairs
 
 
-@lru_cache(maxsize=None)
-def _independent_set_sizes(datum: RootDatum) -> tuple[int, ...]:
-    """The size of a largest independent node set inside each node set,
-    indexed by the bitmask of the set (bit i-1 for node i): 2^rank entries,
-    built once per datum.
+class _IndependentSetSizes(dict):
+    """The size of a largest independent node set inside each node set of
+    one diagram, keyed by the bitmask of the set (bit i-1 for node i), each
+    found by the leaf rule the first time it is read.
 
-    A largest independent set inside m either leaves out the lowest node v
-    of m, or holds v and none of its neighbours, so with closed(v) the mask
-    of v and its neighbours
-
-        size[m] = max(size[m - v], 1 + size[m & ~closed(v)]),
-
-    and each entry reads two entries of smaller masks.
+    A Dynkin diagram is a tree, and the subgraph it induces on a node set is
+    a forest.  A leaf or an isolated node v of a forest lies in some largest
+    independent set: a largest set without v holds the one neighbour u of
+    v, or it could take v too, and exchanging u for v keeps it independent.
+    So the leaf rule takes such a v, drops its neighbour, and repeats.  It
+    walks the nodes deepest first in a breadth-first tree of the diagram
+    from node 1.  When a node of the set has its turn, each of its children
+    in the set has been taken or dropped, so unless a taken child dropped
+    it, it is a leaf or an isolated node of what is left, and it is taken:
+    one pass of bit operations for each node set.
     """
-    closed = [(1 << i) | nb for i, nb in enumerate(datum._neighbours)]
-    size = [0]
-    for mask in range(1, 1 << datum.rank):
-        low = mask & -mask
-        size.append(max(size[mask ^ low],
-                        1 + size[mask & ~closed[low.bit_length() - 1]]))
-    return tuple(size)
+
+    __slots__ = ("deepest_first",)
+
+    def __init__(self, neighbours: tuple[int, ...]):
+        super().__init__()
+        order, seen = [0], 1
+        for node in order:
+            new = neighbours[node] & ~seen
+            seen |= new
+            order += [k for k in range(len(neighbours)) if new >> k & 1]
+        self.deepest_first = [(1 << k, neighbours[k]) for k in reversed(order)]
+
+    def __missing__(self, mask: int) -> int:
+        taken = 0
+        for bit, near in self.deepest_first:
+            if mask & bit and not near & taken:
+                taken |= bit
+        self[mask] = size = taken.bit_count()
+        return size
+
+
+@lru_cache(maxsize=None)
+def _independent_set_sizes(datum: RootDatum) -> _IndependentSetSizes:
+    """The independent-set sizes of a datum's node sets, one mapping per
+    datum, empty until a node set is read."""
+    return _IndependentSetSizes(datum._neighbours)
 
 
 def independent_violating_set(spec: GroupSpec, weight: Weight) -> ParabolicSubset:
@@ -600,12 +598,13 @@ def independent_violating_set(spec: GroupSpec, weight: Weight) -> ParabolicSubse
 
     Only defined for split groups.  Nodes with coefficient in {0, q-1} are
     discarded; among the remaining free nodes a largest independent subset
-    of the Dynkin diagram is read off :func:`_independent_set_sizes`.  Ties
-    are broken by the lexicographically smallest node tuple: the nodes are
-    walked lowest first, and node v is taken when v, with a largest
-    independent set among the higher free nodes that are not its
-    neighbours, still reaches the size needed.  Raises ValueError for a
-    weight that is not restricted for the group.
+    of the Dynkin diagram is read off :func:`_independent_set_sizes`, which
+    also gives the sizes that the tie-break reads.  Ties are broken by the
+    lexicographically smallest node tuple: the nodes are walked lowest
+    first, and node v is taken when v, with a largest independent set among
+    the higher free nodes that are not its neighbours, still reaches the
+    size needed.  Raises ValueError for a weight that is not restricted for
+    the group.
     """
     if not spec.is_split:
         raise UnsupportedGroupError(

@@ -8,7 +8,9 @@ preceded descent plans; the embedded-value invocations were recorded before
 the bound cascades shared their scope predicates and table step.  The
 ``info``, ``export-tables`` and ``verify`` invocations were recorded before
 the Dynkin-diagram facts (components, independent sets, Weyl constants)
-were kept in one place in ``rootdata``.  Refactors must keep every output
+were kept in one place in ``rootdata``.  The three invocations
+``bound A 2 --q 2 --weight {0,0|1,0|0,1} --json`` were recorded again when
+the embedded table gained SL(3, 2).  Refactors must keep every output
 identical.
 To record the file again, for a change that is meant to alter an output::
 

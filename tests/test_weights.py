@@ -1,6 +1,7 @@
 """Tests for restricted weights, descent, and the candidate sieve."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from pimbounds.weights import UnsupportedSubdiagramError, Weight
 from test_bounds import (
     SWEEP,
     largest_independent_set,
+    proper_parabolics,
     reference_components,
     reference_descend_weight,
     reference_doubling,
@@ -120,7 +122,7 @@ def test_components_equal_set_walk_on_every_node_set():
 
 def test_twist_stable_subsets_d4_triality():
     d4 = rd.build_root_datum("D", 4, 3)
-    subsets = sorted(tuple(sorted(s.nodes)) for s in wt.proper_parabolics(d4))
+    subsets = sorted(tuple(sorted(s.nodes)) for s in proper_parabolics(d4))
     assert subsets == [(1, 3, 4), (2,)]
     assert wt.twisted_bn_rank(d4) == 2
 
@@ -328,18 +330,19 @@ def reference_twist_stable_subsets(datum):
 
 
 def test_proper_parabolics_are_the_twist_stable_subsets():
+    # The oracle ``proper_parabolics`` of the tests, built from the orbits,
+    # against the search over every node set.
     for datum in _ORACLE_DATA:
-        parabolics = wt.proper_parabolics(datum)
+        parabolics = proper_parabolics(datum)
         assert len(set(parabolics)) == len(parabolics)
         assert set(parabolics) == {
             p for p in reference_twist_stable_subsets(datum)
             if 0 < len(p.nodes) < datum.rank}
-        assert wt.proper_parabolics(datum) is parabolics
 
 
 def test_descent_accepts_an_equal_copy_of_the_datum():
     # build_root_datum("A", 2) and build_root_datum("A", 2, 1) are distinct
-    # objects; the cached parabolics of one serve a group built on the other.
+    # objects; the cached pieces of one serve a group built on the other.
     copy = build_root_datum("A", 2)
     spec = rd.group("A", 2, q=3)
     assert copy == spec.datum and copy is not spec.datum
@@ -347,7 +350,7 @@ def test_descent_accepts_an_equal_copy_of_the_datum():
     same = wt.ParabolicSubset(spec.datum, frozenset({1}))
     assert (wt.descend_weight(spec, parabolic, Weight((2, 1)))
             == reference_descend_weight(spec, same, Weight((2, 1))))
-    wt.proper_parabolics(copy)
+    wt.levi_pieces(copy)
     assert len(wt.minimal_pim_candidates(spec)) == 2
 
 
@@ -363,13 +366,13 @@ def test_import_builds_no_descent_plan():
     code = ("import pimbounds, pimbounds.cli, pimbounds.bounds\n"
             "from pimbounds import bounds, charlattice, cli, weights\n"
             "print(*(f.cache_info().currsize for f in (\n"
-            "    weights._levi_piece, weights.proper_parabolics,\n"
-            "    weights._node_orbits, weights.levi_pieces,\n"
+            "    weights._levi_piece, weights._node_orbits,\n"
+            "    weights.levi_pieces,\n"
             "    weights._independent_set_sizes, bounds._group_plan,\n"
             "    bounds._torus_step, bounds._independent_step,\n"
             "    bounds._descent_step, charlattice.torus_orbits,\n"
             "    charlattice._alcove_plan, cli.build_parser)))")
-    assert _fresh_python(code).split() == ["0"] * 12
+    assert _fresh_python(code).split() == ["0"] * 11
 
 
 def test_descendants_build_no_alcove_plan():
@@ -398,18 +401,14 @@ def test_levi_pieces_plan_only_one_orbit_node_sets(family, rank, pieces,
             f"datum = rootdata.build_root_datum({family!r}, {rank})\n"
             "print(len(weights.levi_pieces(datum)),\n"
             "      weights._levi_piece.cache_info().currsize,\n"
-            "      len(weights.proper_parabolics(datum)))")
+            "      2 ** weights.twisted_bn_rank(datum) - 2)")
     assert _fresh_python(code).split() == [str(pieces), str(pieces),
                                            str(parabolics)]
 
 
-def test_levi_pieces_grow_from_connected_node_sets(monkeypatch):
+def test_levi_pieces_grow_from_connected_node_sets():
     # A20 has 2^20 - 2 proper parabolics and 209 pieces, one per connected
     # proper node set; the pieces are found without listing the parabolics.
-    def refuse(datum):
-        raise AssertionError("levi_pieces listed the proper parabolics")
-
-    monkeypatch.setattr(wt, "proper_parabolics", refuse)
     pieces = wt.levi_pieces.__wrapped__(build_root_datum("A", 20))
     assert len(pieces) == 20 * 21 // 2 - 1
     assert [len(p.original_nodes) for p in pieces[:3]] == [1, 1, 2]
@@ -472,9 +471,20 @@ def test_candidates_all_have_trivial_borel_socle():
             assert socle_trivial_on_borel(spec, w)
 
 
+def reference_trivial_restriction_allowed(dspec):
+    """The hand rule of the sieve before it was descent at value 1: the Levi
+    factors on which a trivial restriction was allowed, rank-1 groups over
+    the prime field and the linear and unitary rank-2 groups over F_2."""
+    d = dspec.datum
+    if d.family == "A" and d.rank == 1:
+        return dspec.field.exponent == 1
+    return d.family == "A" and d.rank == 2 and dspec.q == 2
+
+
 def reference_candidates(spec):
     """The sieve as it stood before it read coefficients directly: every
-    weight through ``descend_weight`` on every proper parabolic."""
+    weight through ``descend_weight`` on every proper parabolic, with the
+    hand rule of ``reference_trivial_restriction_allowed``."""
     if wt.twisted_bn_rank(spec.datum) < 2:
         raise rd.UnsupportedGroupError(
             f"{spec.describe()} has no proper parabolic above a Borel subgroup")
@@ -485,18 +495,42 @@ def reference_candidates(spec):
         if not any(weight.coeffs) or weight == st:
             continue
         ok = True
-        for parabolic in wt.proper_parabolics(spec.datum):
+        for parabolic in proper_parabolics(spec.datum):
             if all(weight[n] == ranges[n - 1] - 1 for n in parabolic.nodes):
                 continue
             descendants = wt.descend_weight(spec, parabolic, weight)
             if not all(not any(d.weight.coeffs)
-                       and wt._trivial_restriction_allowed(d.spec)
+                       and reference_trivial_restriction_allowed(d.spec)
                        for d in descendants):
                 ok = False
                 break
         if ok:
             survivors.append(weight)
     return survivors
+
+
+def brute_force_candidates(spec):
+    """Descent at value 1 over every restricted weight: the nonzero,
+    non-Steinberg weights whose descendant through the node set of every
+    Levi piece has ``best_bound`` 1.  The node set of each orbit of the
+    diagram symmetry is descended first, so an unsupported one raises."""
+    datum = spec.datum
+    if wt.twisted_bn_rank(datum) < 2:
+        raise rd.UnsupportedGroupError(
+            f"{spec.describe()} has no proper parabolic above a Borel subgroup")
+    zero = Weight((0,) * datum.rank)
+    for i in range(1, datum.rank + 1):
+        wt.descend_weight(spec, wt.ParabolicSubset(
+            datum, frozenset(datum.perm_orbit(i))), zero)
+    node_sets = [wt.ParabolicSubset(datum, frozenset(
+        i + 1 for nodes in piece.indices for i in nodes))
+        for piece in wt.levi_pieces(datum)]
+    st = wt.steinberg_weight(spec)
+    return [weight for weight in wt.enumerate_restricted_weights(spec)
+            if any(weight.coeffs) and weight != st
+            and all(bd.best_bound(d.spec, d.weight).bound == 1
+                    for parabolic in node_sets
+                    for d in wt.descend_weight(spec, parabolic, weight))]
 
 
 def _sieve_outcome(sieve, spec):
@@ -526,6 +560,42 @@ def test_candidates_equal_reference_sieve():
         assert got == (UnsupportedSubdiagramError,
                        "induced symmetry of order 2 on a component of type C "
                        "is outside the toolkit")
+
+
+def test_candidates_equal_descent_at_value_one():
+    checked = 0
+    for spec in SWEEP:
+        if wt.twisted_bn_rank(spec.datum) < 2:
+            continue
+        got = _sieve_outcome(wt.minimal_pim_candidates, spec)
+        assert got == _sieve_outcome(brute_force_candidates, spec), (
+            spec.describe())
+        checked += 1
+    assert checked == 62
+
+
+def test_candidates_and_bound_on_rank_40():
+    # The sieve and the independent-set rule on A40 cost polynomially in
+    # the rank.  Each datum's independent-set sizes hold only the node sets
+    # met: none of the nodes over F_2, and for (1, ..., 1) over F_3 the full
+    # node set of each type-A descendant.
+    code = ("import json\n"
+            "from pimbounds import cli, rootdata, weights\n"
+            "cli.main(['candidates', 'A', '40', '--q', '2', '--json'])\n"
+            "cli.main(['bound', 'A', '40', '--q', '3', '--weight',\n"
+            "          ','.join(['1'] * 40), '--json'])\n"
+            "print(all(set(weights._independent_set_sizes(\n"
+            "    rootdata.build_root_datum('A', n))) <= {0, (1 << n) - 1}\n"
+            "    for n in range(2, 41)))")
+    out = _fresh_python(code)
+    decoder = json.JSONDecoder()
+    candidates, end = decoder.raw_decode(out)
+    bound, end2 = decoder.raw_decode(out[end:].lstrip())
+    assert candidates == {"candidates": [], "count": 0, "group": "A40(q=2)"}
+    assert bound["group"] == "A40(q=3)"
+    steps = {step["rule"]: step["value"] for step in bound["steps"]}
+    assert steps["independent-set"] == 2 ** 20
+    assert out[end:].lstrip()[end2:].split() == ["True"]
 
 
 def test_candidates_need_relative_rank_two():
