@@ -31,8 +31,10 @@ The candidate sieve is descent at value 1: a weight survives when its
 projection to every Levi piece has certified bound 1 in
 :func:`bounds.best_bound`, which holds every small-group fact the sieve
 relies on.  It builds the weights one orbit of the diagram symmetry on the
-nodes at a time and drops a partial weight at the first piece inside the
-assigned orbits that fails, so it never runs over every proper parabolic.
+nodes at a time, tries only the zero and maximal blocks of an orbit whose
+piece has bound at least 2 elsewhere, and drops a partial weight at the
+first piece inside the assigned orbits that fails, so it never runs over
+every proper parabolic, nor over every block of such an orbit.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import ge, itemgetter, mul
+from operator import add, ge, itemgetter, mul
 
 from .rootdata import (
     GroupSpec,
@@ -458,32 +460,44 @@ def minimal_pim_candidates(spec: GroupSpec) -> list[Weight]:
     above the Borel) and a concrete field parameter.
 
     The weights are built one orbit of the diagram symmetry on the nodes
-    (:func:`_node_orbits`) at a time, trying every coefficient block of the
-    orbit.  Once the orbits up to the k-th are assigned, the pieces whose
-    nodes lie inside them are checked, and a partial weight that fails one
-    is dropped with all its extensions.  Each orbit is itself a piece, so on
-    E8(3), where the A1(3) piece has bound 2 at the coefficient 1, only the
-    coefficients 0 and 2 are kept at each node.  Each verdict is cached per
-    descendant group and coefficient tuple.  The pieces of the orbits are
-    built first, in order, so an unsupported orbit raises its
-    :class:`UnsupportedSubdiagramError` even when no weight survives.
+    (:func:`_node_orbits`) at a time.  Each orbit is itself a piece, of
+    relative rank 1, and its coefficient blocks are filtered by that piece
+    alone first.  The projection of an orbit's blocks to its piece is one to
+    one and sends the zero and maximal blocks to the zero and Steinberg
+    weights.  So when :func:`bounds.one_only_at_ends` holds for the piece,
+    as for every A1(q^a) and for ²A2(q) with q = 2 or q an odd prime, only
+    those two blocks are tried; otherwise every block is.  On E8(3), where
+    the A1(3) piece has bound 2 at the coefficient 1, only the coefficients
+    0 and 2 are kept at each node.  The kept blocks are joined to the
+    partial weights of the orbits before, and once the orbits up to the
+    k-th are assigned, the other pieces whose nodes lie inside them are
+    checked; a partial weight that fails one is dropped with all its
+    extensions.  Each verdict is cached per descendant group and
+    coefficient tuple.  The pieces of the orbits are built first, in order,
+    so an unsupported orbit raises its :class:`UnsupportedSubdiagramError`
+    even when no weight survives.
+
+    Cost: every orbit piece but a ²A2(q) with no embedded minimum tries two
+    blocks, whatever q is, so at most 2^(relative rank) partial weights are
+    met.  A ²A2(q) orbit, q = 4, 8, 9, 16, ..., has bound 1 at all q^2
+    blocks, and each of them survives the orbit.
     """
-    from .bounds import best_bound  # bounds imports this module
+    from .bounds import best_bound, one_only_at_ends  # bounds imports this
 
     datum = spec.datum
     if twisted_bn_rank(datum) < 2:
         raise UnsupportedGroupError(
             f"{spec.describe()} has no proper parabolic above a Borel subgroup")
     orbits = [sorted(n - 1 for n in orbit) for orbit in _node_orbits(datum)]
-    for orbit in orbits:
-        _levi_piece(datum, sum(1 << i for i in orbit))
-    # checks[k]: the descendant group and projection of each piece whose
-    # last orbit is the k-th.
+    own = [_levi_piece(datum, sum(1 << i for i in orbit)) for orbit in orbits]
+    # checks[k]: the descendant group and projection of each piece, other
+    # than an orbit's own, whose last orbit is the k-th.
     last = {i: k for k, orbit in enumerate(orbits) for i in orbit}
     checks = [[] for _ in orbits]
     for piece in levi_pieces(datum):
-        k = max(last[i] for nodes in piece.indices for i in nodes)
-        checks[k].append(_piece_descent(piece, spec))
+        if piece not in own:
+            k = max(last[i] for nodes in piece.indices for i in nodes)
+            checks[k].append(_piece_descent(piece, spec))
     verdicts = {}
 
     def has_bound_one(coeffs, dspec, project) -> bool:
@@ -494,10 +508,18 @@ def minimal_pim_candidates(spec: GroupSpec) -> list[Weight]:
 
     ranges = coefficient_ranges(spec)
     patterns = [(0,) * datum.rank]
-    for orbit, pieces in zip(orbits, checks):
-        blocks = [dict(zip(orbit, block)) for block in
-                  itertools.product(*(range(ranges[i]) for i in orbit))]
-        grown = (tuple(block.get(i, c) for i, c in enumerate(pattern))
+    for orbit, piece, pieces in zip(orbits, own, checks):
+        dspec, project = _piece_descent(piece, spec)
+        if one_only_at_ends(dspec):
+            blocks = [[0] * len(orbit), [ranges[i] - 1 for i in orbit]]
+        else:
+            blocks = itertools.product(*(range(ranges[i]) for i in orbit))
+        # Each block as a weight that is zero outside the orbit, so that
+        # adding it to a partial weight assigns the orbit.
+        blocks = [block for block in (
+            tuple(dict(zip(orbit, b)).get(i, 0) for i in range(datum.rank))
+            for b in blocks) if has_bound_one(block, dspec, project)]
+        grown = (tuple(map(add, block, pattern))
                  for block in blocks for pattern in patterns)
         patterns = [coeffs for coeffs in grown
                     if all(has_bound_one(coeffs, *check) for check in pieces)]
@@ -549,48 +571,41 @@ def _doubling_parabolic(
     return ParabolicSubset(d, frozenset(range(1, size + 1))), pairs
 
 
-class _IndependentSetSizes(dict):
-    """The size of a largest independent node set inside each node set of
-    one diagram, keyed by the bitmask of the set (bit i-1 for node i), each
-    found by the leaf rule the first time it is read.
+@lru_cache(maxsize=None)
+def _deepest_first(datum: RootDatum) -> tuple[tuple[int, int], ...]:
+    """The nodes of a datum deepest first in a breadth-first tree of its
+    diagram from node 1, each as its bit and the mask of its neighbours:
+    the walk of :func:`_independent_set_size`, built once per datum."""
+    neighbours = datum._neighbours
+    order, seen = [0], 1
+    for node in order:
+        new = neighbours[node] & ~seen
+        seen |= new
+        order += [k for k in range(len(neighbours)) if new >> k & 1]
+    return tuple((1 << k, neighbours[k]) for k in reversed(order))
+
+
+def _independent_set_size(deepest_first: tuple[tuple[int, int], ...],
+                          mask: int) -> int:
+    """The size of a largest independent node set inside the node set
+    ``mask`` (bit i-1 for node i), by the leaf rule along the walk of
+    :func:`_deepest_first`.
 
     A Dynkin diagram is a tree, and the subgraph it induces on a node set is
     a forest.  A leaf or an isolated node v of a forest lies in some largest
     independent set: a largest set without v holds the one neighbour u of
     v, or it could take v too, and exchanging u for v keeps it independent.
-    So the leaf rule takes such a v, drops its neighbour, and repeats.  It
-    walks the nodes deepest first in a breadth-first tree of the diagram
-    from node 1.  When a node of the set has its turn, each of its children
-    in the set has been taken or dropped, so unless a taken child dropped
-    it, it is a leaf or an isolated node of what is left, and it is taken:
-    one pass of bit operations for each node set.
+    So the leaf rule takes such a v, drops its neighbour, and repeats.  When
+    a node of the set has its turn in the deepest-first walk, each of its
+    children in the set has been taken or dropped, so unless a taken child
+    dropped it, it is a leaf or an isolated node of what is left, and it is
+    taken: one pass of bit operations over the nodes.
     """
-
-    __slots__ = ("deepest_first",)
-
-    def __init__(self, neighbours: tuple[int, ...]):
-        super().__init__()
-        order, seen = [0], 1
-        for node in order:
-            new = neighbours[node] & ~seen
-            seen |= new
-            order += [k for k in range(len(neighbours)) if new >> k & 1]
-        self.deepest_first = [(1 << k, neighbours[k]) for k in reversed(order)]
-
-    def __missing__(self, mask: int) -> int:
-        taken = 0
-        for bit, near in self.deepest_first:
-            if mask & bit and not near & taken:
-                taken |= bit
-        self[mask] = size = taken.bit_count()
-        return size
-
-
-@lru_cache(maxsize=None)
-def _independent_set_sizes(datum: RootDatum) -> _IndependentSetSizes:
-    """The independent-set sizes of a datum's node sets, one mapping per
-    datum, empty until a node set is read."""
-    return _IndependentSetSizes(datum._neighbours)
+    taken = 0
+    for bit, near in deepest_first:
+        if mask & bit and not near & taken:
+            taken |= bit
+    return taken.bit_count()
 
 
 def independent_violating_set(spec: GroupSpec, weight: Weight) -> ParabolicSubset:
@@ -598,12 +613,12 @@ def independent_violating_set(spec: GroupSpec, weight: Weight) -> ParabolicSubse
 
     Only defined for split groups.  Nodes with coefficient in {0, q-1} are
     discarded; among the remaining free nodes a largest independent subset
-    of the Dynkin diagram is read off :func:`_independent_set_sizes`, which
-    also gives the sizes that the tie-break reads.  Ties are broken by the
-    lexicographically smallest node tuple: the nodes are walked lowest
-    first, and node v is taken when v, with a largest independent set among
-    the higher free nodes that are not its neighbours, still reaches the
-    size needed.  Raises ValueError for a weight that is not restricted for
+    of the Dynkin diagram has the size of :func:`_independent_set_size`,
+    which also gives the sizes that the tie-break reads.  Ties are broken
+    by the lexicographically smallest node tuple: the nodes are walked
+    lowest first, and node v is taken when v, with a largest independent
+    set among the higher free nodes that are not its neighbours, still
+    reaches the size needed.  Raises ValueError for a weight that is not restricted for
     the group.
     """
     if not spec.is_split:
@@ -612,16 +627,16 @@ def independent_violating_set(spec: GroupSpec, weight: Weight) -> ParabolicSubse
     _check_weight(weight, coefficient_ranges(spec))
     q = spec.q
     datum = spec.datum
-    size = _independent_set_sizes(datum)
+    walk = _deepest_first(datum)
     free = sum(1 << (i - 1) for i in range(1, datum.rank + 1)
                if weight[i] not in (0, q - 1))
-    need = size[free]
+    need = _independent_set_size(walk, free)
     nodes = []
     while need:
         low = free & -free
         free ^= low
         rest = free & ~datum._neighbours[low.bit_length() - 1]
-        if 1 + size[rest] == need:
+        if 1 + _independent_set_size(walk, rest) == need:
             nodes.append(low.bit_length())
             need -= 1
             free = rest
