@@ -901,6 +901,21 @@ def test_certificate_digest_is_pinned():
         "c4a73352671aa01b32978421a29ae5f8739a6db70dda6065e9aef9e9739b2732")
 
 
+def test_bound_digest_is_pinned():
+    # The bounds alone, on the weights of the certificate digest: one JSON
+    # list [group, weight, bound] per line, hashed as UTF-8.  A change to a
+    # chain that moves no bound leaves it as it is.
+    digest = hashlib.sha256()
+    for spec in SWEEP + [rd.group("D", 4, q=8), rd.group("A", 4, q=8),
+                         rd.group("E6", 6, q=4)]:
+        for w in wt.enumerate_restricted_weights(spec):
+            line = json.dumps([spec.describe(), list(w.coeffs),
+                               bd.best_bound(spec, w).bound])
+            digest.update((line + "\n").encode("utf-8"))
+    assert digest.hexdigest() == (
+        "ab5ae4877ea285ebcb56a87bf55db3023a9032cba1c4598e1f05e294fa4490c1")
+
+
 def test_certificate_steinberg():
     spec = rd.special_linear(3, 5)
     cert = bd.best_bound(spec, wt.steinberg_weight(spec))
