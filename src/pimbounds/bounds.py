@@ -35,8 +35,8 @@ torus-orbit cache of :func:`charlattice.torus_orbits` with its modulus
 m = q-1, for split groups of rank >= 2 the leaf rule of
 :func:`weights._independent_set_size` on the datum's walk, which finds the
 size of a largest independent node set, cached per node set met, and for
-groups in the restriction bound's scope its two steps) is built once per
-group, on first use, and cached.
+groups in the restriction bound's scope its step) is built once per group,
+on first use, and cached.
 The pieces themselves depend on the datum only: :func:`weights.levi_pieces`
 reads them from :func:`weights._levi_piece`, which builds each once per
 datum and orbit mask.  The plan's entry for a piece holds the projection
@@ -59,7 +59,7 @@ coefficient tuples and builds no :class:`Weight`.  A weight then costs:
   of that reduced point (the alcove walk of :mod:`pimbounds.charlattice`
   only on the point's first use);
 * one bitmask of the nodes with a coefficient outside {0, q-1}, which
-  keys the cached independent-set size and, empty or not, picks the
+  keys the cached independent-set size and, when empty, admits the
   restriction step (the general Borel-socle criterion,
   ``socle_trivial_on_borel``, is a test oracle in ``tests/test_bounds.py``);
 * one projection and one read of the descendant's table per Levi piece,
@@ -304,9 +304,9 @@ class _GroupPlan:
     # Split groups: the shared orbit-length cache of their torus characters,
     # which holds m = q-1; its alcove data is built on its first miss.
     torus: TorusOrbits | None
-    # Groups in the scope of the restriction bound: its steps on a trivial
-    # and on a nontrivial Borel socle.
-    hc_steps: tuple[ChainStep, ChainStep] | None
+    # Groups in the scope of the restriction bound: its step, on a trivial
+    # Borel socle.
+    hc_step: ChainStep | None
     # The embedded table steps, for the zero weight and for the others.
     table_steps: tuple[ChainStep, ChainStep] | None
     # The Levi pieces of plain descent; None when the group does not descend.
@@ -375,7 +375,7 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
         ranges=coefficient_ranges(spec),
         sl2=_is_sl2(spec),
         torus=torus_orbits(spec) if split else None,
-        hc_steps=_hc_steps(spec),
+        hc_step=_hc_step(spec),
         table_steps=_table_steps(spec),
         pieces=(_piece_entries(levi_pieces(spec.datum), spec)
                 if _descends(spec) else None),
@@ -393,32 +393,18 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
 # ---------------------------------------------------------------------------
 
 
-_HC_LARGE = {"A": lambda rank: rank + 1, "D": lambda rank: 2 * rank,
-             "E6": lambda rank: 27, "E7": lambda rank: 28,
-             "E8": lambda rank: 120}
-
-
-def _hc_steps(spec: GroupSpec) -> tuple[ChainStep, ChainStep] | None:
-    """The two steps of the minimal-degree bound through Harish-Chandra
-    restriction, for the non-Steinberg weights of a group in the scope of
-    :func:`_hc_in_scope`, or None outside it.
-
-    When the Borel socle of the simple module is trivial the bound is the
-    minimum dimension of a nonlinear Weyl-group character; when it is
-    nontrivial it is the smallest faithful-permutation-like degree (rank+1,
-    2*rank, 27, 28, 120).  The groups in scope are split, so their diagram
-    symmetry is trivial and the socle is trivial exactly when every
-    coefficient lies in {0, q-1}.
+def _hc_step(spec: GroupSpec) -> ChainStep | None:
+    """The step of the minimal-degree bound through Harish-Chandra
+    restriction, for a group in the scope of :func:`_hc_in_scope`, or None
+    outside it.  :func:`best_bound` applies it to the non-Steinberg weights
+    with a trivial Borel socle: those whose coefficients all lie in
+    {0, q-1}, since the groups in scope are split.
     """
     if not _hc_in_scope(spec):
         return None
-    d = spec.datum
-    return (ChainStep("hc-restriction", d.min_nonlinear_degree,
-                      "trivial Borel socle: minimal nonlinear Weyl character "
-                      "degree"),
-            ChainStep("hc-restriction", _HC_LARGE[d.family](d.rank),
-                      "nontrivial Borel socle: minimal nontrivial permutation "
-                      "degree"))
+    return ChainStep("hc-restriction", spec.datum.min_nonlinear_degree,
+                     "trivial Borel socle: minimal nonlinear Weyl character "
+                     "degree")
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +581,8 @@ def best_bound(spec: GroupSpec, weight: Weight) -> BoundCertificate:
                 steps.append(_independent_step(size))
             # The restriction bound's scope lies in this branch; its Borel
             # socle is trivial exactly when the mask is empty.
-            if plan.hc_steps is not None:
-                steps.append(plan.hc_steps[mask != 0])
+            if plan.hc_step is not None and not mask:
+                steps.append(plan.hc_step)
     if plan.pieces is not None:
         steps.append(_descent_step(_descent_value(coeffs, plan)))
     bound = max((s.value for s in steps), default=1)

@@ -10,8 +10,11 @@ the bound cascades shared their scope predicates and table step.  The
 the Dynkin-diagram facts (components, independent sets, Weyl constants)
 were kept in one place in ``rootdata``.  The three invocations
 ``bound A 2 --q 2 --weight {0,0|1,0|0,1} --json`` were recorded again when
-the embedded table gained SL(3, 2).  Refactors must keep every output
-identical.
+the embedded table gained SL(3, 2), and the seven ``bound`` invocations
+whose weight has a nontrivial Borel socle (D4(8) at 1,2,3,4, 6,5,4,3 and
+1,1,1,1, A4(8) at 1,2,3,4 and 3,6,2,5, E6(8) at 1,2,3,4,5,6 and E7(8) at
+1,2,3,4,5,6,7) when the restriction step left those weights.  Refactors
+must keep every output identical.
 To record the file again, for a change that is meant to alter an output::
 
     PYTHONPATH=src python tests/test_golden_cli.py
