@@ -9,8 +9,9 @@ Rules available:
 
 * exact rank-1 values (type A over any prime power);
 * torus-character orbit sizes (split groups);
-* the minimal-character-degree bound through Harish-Chandra restriction
-  (large linear, even orthogonal and exceptional E groups);
+* the minimal-character-degree bound through Harish-Chandra restriction,
+  on the nonzero weights with a trivial Borel socle (large linear, even
+  orthogonal and exceptional E groups);
 * parabolic descent with the factor-2 strengthening for classical groups;
 * the 2^|J| bound from an independent set of Levi factors of type A1;
 * embedded known minima for a handful of small groups.
@@ -263,8 +264,6 @@ def known_minimum(spec: GroupSpec) -> KnownMinimum | None:
         return KnownMinimum(4, "small-group-table")
     if fam == "A" and rank == 4 and twist == 2 and q == 2:
         return KnownMinimum(5, "small-group-table")
-    if fam == "D" and rank == 4 and twist == 3 and q == 2:
-        return KnownMinimum(15, "small-group-table")
     return None
 
 
@@ -396,9 +395,44 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
 def _hc_step(spec: GroupSpec) -> ChainStep | None:
     """The step of the minimal-degree bound through Harish-Chandra
     restriction, for a group in the scope of :func:`_hc_in_scope`, or None
-    outside it.  :func:`best_bound` applies it to the non-Steinberg weights
-    with a trivial Borel socle: those whose coefficients all lie in
-    {0, q-1}, since the groups in scope are split.
+    outside it.  :func:`best_bound` applies it to the weights λ with every
+    coefficient in {0, q-1} (a trivial Borel socle, the groups in scope
+    being split) other than the zero weight and the Steinberg weight.  There
+    the multiplier c(λ) is at least the least degree of a nonlinear
+    character of the Weyl group W.
+
+    Proof.  Let U be the unipotent radical of a Borel subgroup B = U:T of
+    G = G^F, so |U| = |G|_p.  The projective cover Q of L(λ) restricts to a
+    free kU-module, so c(λ) = dim Q^U = dim Hom_kG(Ind_U^G k, Q).  As kG is
+    symmetric, Q is also the injective hull of L(λ), and that dimension is
+    the composition multiplicity [Ind_U^G k : L(λ)].  As p does not divide
+    |T|, Ind_U^G k is the sum of the Ind_B^G θ over the characters θ of T:
+
+        c(λ) = Σ_θ [Ind_B^G θ : L(λ)].
+
+    L(λ)^U is a line on which T acts through λ reduced mod q-1 (Curtis;
+    Humphreys, *Modular Representations of Finite Groups of Lie Type*,
+    2006), trivially here, so Hom_B(k, L(λ)) ≠ 0 and, by Frobenius
+    reciprocity, L(λ) is a quotient of k[G/B].  Keeping only θ = 1,
+
+        c(λ) >= [k[G/B] : L(λ)] = Σ_φ φ(1)·d(χ_φ, λ),
+
+    with φ over the irreducible characters of W, χ_φ the unipotent
+    principal-series character, whose multiplicity in the permutation
+    character 1_B^G is φ(1) (the Hecke algebra of (G, B) is a deformation
+    of the group algebra of W), and d(χ, λ) the decomposition number.  The
+    groups in scope are simply laced, so their reflections are conjugate
+    and the only linear characters of W are 1 and the sign.  They give 1_G
+    and the Steinberg character, which reduce to L(0) and to the Steinberg
+    module.  As λ is neither, some nonlinear φ has d(χ_φ, λ) >= 1, and
+    c(λ) >= φ(1).
+
+    The zero weight is left out: there 1_G gives the composition factor
+    and no nonlinear φ is forced.  SL(3, 2) shows that the degree can fail
+    at it, with c(0) = 1 below 2, the least nonlinear degree of S_3.  The
+    proof uses neither q even nor rank >= 4.  On a nontrivial Borel socle
+    the weight reduces to a nonzero torus character, whose Weyl orbit the
+    torus-orbit step gives.
     """
     if not _hc_in_scope(spec):
         return None
@@ -580,8 +614,9 @@ def best_bound(spec: GroupSpec, weight: Weight) -> BoundCertificate:
             if size:
                 steps.append(_independent_step(size))
             # The restriction bound's scope lies in this branch; its Borel
-            # socle is trivial exactly when the mask is empty.
-            if plan.hc_step is not None and not mask:
+            # socle is trivial exactly when the mask is empty, and its proof
+            # leaves out the zero weight.
+            if plan.hc_step is not None and not mask and any(coeffs):
                 steps.append(plan.hc_step)
     if plan.pieces is not None:
         steps.append(_descent_step(_descent_value(coeffs, plan)))
@@ -645,7 +680,9 @@ def classify_dim_equal_sylow(spec: GroupSpec) -> SylowDimensionVerdict:
     values over a proper extension field, an exhaustive case analysis
     (:func:`_case_analysis`), the embedded minimum of :func:`known_minimum`
     (the smaller of its two values is the reason) or the scope of the
-    restriction bound.  Otherwise the answer is "undecided".
+    restriction bound, when :func:`best_bound` is at least 2 at the zero
+    weight, which that bound leaves out.  Otherwise the answer is
+    "undecided".
     """
     d = spec.datum
 
@@ -674,7 +711,9 @@ def classify_dim_equal_sylow(spec: GroupSpec) -> SylowDimensionVerdict:
                            [(0,) * d.rank])
         least = min(table.value, table.zero_weight_value or table.value)
         return verdict("no", f"every non-Steinberg multiplier is >= {least}")
-    if _hc_in_scope(spec):
-        return verdict("no", "the restriction bound gives multiplier >= 2 for "
-                       "every non-Steinberg restricted weight")
+    zero = best_bound(spec, Weight((0,) * d.rank))
+    if _hc_in_scope(spec) and zero.bound >= 2:
+        return verdict("no", "every nonzero non-Steinberg weight has bound "
+                       ">= 2 in the restriction bound's scope, and the zero "
+                       f"weight has bound {zero.bound}")
     return verdict("undecided", "no evidence embedded")

@@ -197,7 +197,6 @@ def test_bounds_sound_against_known_group_minima():
     cases = [
         (rd.special_unitary(4, 2), 4),
         (rd.special_unitary(5, 2), 5),
-        (rd.group("D", 4, q=2, twist_order=3), 15),
         (rd.group("G2", 2, q=2), 5),
         (rd.group("C", 2, q=2), 3),
         (rd.group("C", 2, q=3), 2),

@@ -13,7 +13,10 @@ were kept in one place in ``rootdata``.  The three invocations
 the embedded table gained SL(3, 2), and the seven ``bound`` invocations
 whose weight has a nontrivial Borel socle (D4(8) at 1,2,3,4, 6,5,4,3 and
 1,1,1,1, A4(8) at 1,2,3,4 and 3,6,2,5, E6(8) at 1,2,3,4,5,6 and E7(8) at
-1,2,3,4,5,6,7) when the restriction step left those weights.  Refactors
+1,2,3,4,5,6,7) when the restriction step left those weights.  The zero
+weights of D4(8), A4(8) and E6(8) were recorded again when it left the zero
+weight too, and ``bound D 4 --q 2 --twist 3 --weight 0,0,0,0`` (15 to 7)
+when the 3D4(2) table entry, which had no source, was deleted.  Refactors
 must keep every output identical.
 To record the file again, for a change that is meant to alter an output::
 
