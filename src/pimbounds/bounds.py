@@ -24,8 +24,8 @@ Each rule's scope is one predicate and each small-group fact one entry of
 through :func:`best_bound`, the candidate sieve of :mod:`pimbounds.weights`
 read them.  So each "no" of the classification comes from the exact rank-1
 values, a case analysis of :mod:`pimbounds.caseanalysis`, the embedded minima
-or the scope of the restriction bound, and a "yes" for SL(3, 2), SU(3, 2)
-or Sz(2) from an embedded 1-PIM of multiplier 1.
+or the scope of the restriction bound, and each "yes" from an exact bound 1
+at the zero weight.
 
 Group plans: what the rules need to know about a group that does not depend
 on the weight (its name, its table of descent values, the Steinberg
@@ -200,7 +200,7 @@ class KnownMinimum:
 def known_minimum(spec: GroupSpec) -> KnownMinimum | None:
     """Embedded lower bound for non-Steinberg multipliers, if one exists.
 
-    Three entries record a 1-PIM of multiplier 1 (``zero_weight_value=1``),
+    Four entries record a 1-PIM of multiplier 1 (``zero_weight_value=1``),
     from one argument: if G has a subgroup H of order |G|_{p'}, then the
     permutation module k[G/H] = Ind_H^G k is projective (k is a projective
     kH-module, since p does not divide |H|), has dimension |G|_p and maps
@@ -214,6 +214,9 @@ def known_minimum(spec: GroupSpec) -> KnownMinimum | None:
     * SU(3, 2) = 3^(1+2):Q8, p = 2: the normal subgroup 3^(1+2) of order
       27.
     * Sz(2) = C5:C4, p = 2: the normal subgroup C5.
+    * ²G2(3), p = 3: it is isomorphic to PΓL(2, 8) = SL(2, 8):3, of order
+      1512 = 2^3·3^3·7, and the Borel subgroup 2^3:7 of SL(2, 8) has order
+      56 = |G|_{3'}.
 
     The other values follow from the counting identity
     |G|_{p'} = sum over the restricted weights of dim L(λ)·c(λ), which holds
@@ -224,7 +227,8 @@ def known_minimum(spec: GroupSpec) -> KnownMinimum | None:
     the Steinberg weight), so 21 = 1 + 3c + 3c + 8 gives c = 2 for SL(3, 2)
     and 27 = 1 + 3c + 3c + 8 gives c = 3 for SU(3, 2).  Sz(2) has only the
     zero weight and the Steinberg weight (5 = 1 + 4), so its minimum over
-    the non-Steinberg modules is the 1-PIM's.
+    the non-Steinberg modules is the 1-PIM's.  For ²G2(3) the minimum 1
+    is only the trivial bound.
     """
     d = spec.datum
     fam, rank, twist = d.family, d.rank, d.twist_order
@@ -232,6 +236,8 @@ def known_minimum(spec: GroupSpec) -> KnownMinimum | None:
         if fam == "B":
             if spec.field.q_squared > 2:
                 return KnownMinimum(4, "suzuki-minimum")
+            return KnownMinimum(1, "small-group-table", zero_weight_value=1)
+        if fam == "G2" and spec.field.e == 0:
             return KnownMinimum(1, "small-group-table", zero_weight_value=1)
         if fam == "F4" and spec.field.e == 0:
             return KnownMinimum(14, "small-group-table")
@@ -671,18 +677,19 @@ def _case_analysis(spec: GroupSpec) -> str | None:
 def classify_dim_equal_sylow(spec: GroupSpec) -> SylowDimensionVerdict:
     """Decide whether a non-Steinberg PIM of dimension |G|_p can exist.
 
-    "yes" is returned, with the zero weight as witness, for SL(2, p) (the
-    projective cover of the trivial module; PSL(2, 7) is isomorphic to
-    SL(3, 2), a "yes" in characteristic 2), for the smallest Ree group of
-    type G2 (the automorphism group of SL(2, 8)) and for each group whose
-    entry in :func:`known_minimum` gives the 1-PIM multiplier 1: SL(3, 2),
-    SU(3, 2) and Sz(2).  "no" comes, in this order, from the exact rank-1
-    values over a proper extension field, an exhaustive case analysis
-    (:func:`_case_analysis`), the embedded minimum of :func:`known_minimum`
-    (the smaller of its two values is the reason) or the scope of the
-    restriction bound, when :func:`best_bound` is at least 2 at the zero
-    weight, which that bound leaves out.  Otherwise the answer is
-    "undecided".
+    "yes" is returned, with the zero weight as witness, when the zero
+    weight's certificate from :func:`best_bound` is exact and equals 1: the
+    projective cover of the trivial module then has dimension |G|_p.  That
+    holds for SL(2, p), by the exact rank-1 values (PSL(2, 7) is SL(3, 2),
+    a "yes" in characteristic 2), and for each group whose entry in
+    :func:`known_minimum` gives the 1-PIM multiplier 1: SL(3, 2), SU(3, 2),
+    Sz(2) and the smallest Ree group of type G2.  "no" comes, in this order,
+    from the exact rank-1 values over a proper extension field, an
+    exhaustive case analysis (:func:`_case_analysis`), the embedded minimum
+    of :func:`known_minimum` (the smaller of its two values is the reason)
+    or the scope of the restriction bound, when the zero weight's bound is
+    at least 2, since that bound leaves the zero weight out.  Otherwise the
+    answer is "undecided".
     """
     d = spec.datum
 
@@ -690,13 +697,13 @@ def classify_dim_equal_sylow(spec: GroupSpec) -> SylowDimensionVerdict:
         return SylowDimensionVerdict(spec.describe(), answer, (reason,),
                                      tuple(witnesses))
 
-    if _is_sl2(spec) and factor_prime_power(spec.q)[1] == 1:
-        return verdict("yes", "for SL(2, p) the projective cover of the trivial "
-                       "module has multiplier 2^1 - 1 = 1", [(0,)])
-    if spec.is_suzuki_ree and d.family == "G2" and spec.field.e == 0:
-        return verdict("yes", "the smallest Ree group of type G2 is the "
-                       "automorphism group of SL(2, 8); its 1-PIM has "
-                       "dimension |G|_p", [(0, 0)])
+    zero = best_bound(spec, Weight((0,) * d.rank))
+    if zero.exact and zero.bound == 1:
+        # The exact step comes first in the chain: the rank-1 value or the
+        # table's.
+        return verdict("yes", "the projective cover of the trivial module "
+                       f"has multiplier 1 ({zero.steps[0].detail})",
+                       [zero.weight])
     if _is_sl2(spec):
         return verdict("no", "exact rank-1 values: every non-Steinberg "
                        "multiplier is >= 2 once the field is a proper extension")
@@ -705,13 +712,8 @@ def classify_dim_equal_sylow(spec: GroupSpec) -> SylowDimensionVerdict:
         return verdict("no", analysis)
     table = known_minimum(spec)
     if table is not None:
-        if table.zero_weight_value == 1:
-            return verdict("yes", "the projective cover of the trivial module "
-                           "has multiplier 1 (embedded exact value)",
-                           [(0,) * d.rank])
         least = min(table.value, table.zero_weight_value or table.value)
         return verdict("no", f"every non-Steinberg multiplier is >= {least}")
-    zero = best_bound(spec, Weight((0,) * d.rank))
     if _hc_in_scope(spec) and zero.bound >= 2:
         return verdict("no", "every nonzero non-Steinberg weight has bound "
                        ">= 2 in the restriction bound's scope, and the zero "

@@ -909,6 +909,8 @@ def test_certificate_digest_is_pinned():
     # that step, and no bound moved.  Re-recorded when it left the zero
     # weight too and the 3D4(2) entry went: 27 more chains changed, 25 of
     # them with a lower bound (the bound digest below names them).
+    # Re-recorded when the table gained 2G2(3): its zero weight became exact
+    # and its weight (1, 0) gained the table step.
     digest = hashlib.sha256()
     count = 0
     for spec in SWEEP + [rd.group("D", 4, q=8), rd.group("A", 4, q=8),
@@ -919,7 +921,7 @@ def test_certificate_digest_is_pinned():
             count += 1
     assert count == 15674
     assert digest.hexdigest() == (
-        "7bfe820e69b8855aa416a727e978a95b53c443d848129d03959e2a75a5f2f7c8")
+        "3a5205dbfe923094971ca986414b04a842dd499bd3b32f1fc150e050ce0e1736")
 
 
 def test_bound_digest_is_pinned():
@@ -1030,17 +1032,30 @@ def classify(spec):
 
 
 _ONE_PIM_REASON = ("the projective cover of the trivial module has "
-                   "multiplier 1 (embedded exact value)")
+                   "multiplier 1 (embedded exact value for the 1-PIM)")
+_RANK_ONE_REASON = ("the projective cover of the trivial module has "
+                    "multiplier 1 (exact rank-1 multiplier from base-p "
+                    "digits)")
 
 
 def test_classification_yes_cases():
-    assert classify(rd.special_linear(2, 7)).answer == "yes"
+    for p in (2, 3, 7):
+        v = classify(rd.special_linear(2, p))
+        assert (v.answer, v.reasons, v.witnesses) == (
+            "yes", (_RANK_ONE_REASON,), ((0,),))
     for spec in (rd.special_linear(3, 2), rd.special_unitary(3, 2),
-                 rd.group("B", 2, suzuki_ree_e=0)):
+                 rd.group("B", 2, suzuki_ree_e=0),
+                 rd.group("G2", 2, suzuki_ree_e=0)):
         v = classify(spec)
         assert (v.answer, v.reasons, v.witnesses) == (
             "yes", (_ONE_PIM_REASON,), ((0, 0),)), spec.describe()
-    assert classify(rd.group("G2", 2, suzuki_ree_e=0)).answer == "yes"
+
+
+def test_every_yes_is_an_exact_bound_one_at_zero():
+    for spec in SWEEP:
+        zero = bd.best_bound(spec, Weight((0,) * spec.datum.rank))
+        assert (classify(spec).answer == "yes") == (
+            zero.exact and zero.bound == 1), spec.describe()
 
 
 @pytest.mark.parametrize("spec, order, dims", [
@@ -1251,7 +1266,11 @@ _REASONS_CORRECTED = {"B2(q=2)", "B2(q=5)", "C2(q=2)", "C2(q=5)", "C2(q=7)"}
 # the reference left undecided, and for SL(3, 2), for which the reference
 # gave a reason of its own.
 _ANSWERS_SETTLED = {"2A2(q=2)", "2B2(q^2=2)"}
-_REASON_FROM_TABLE = "A2(q=2)"
+# The reference gave these "yes" answers reasons of their own; they now
+# come from the exact bound 1 at the zero weight.
+_REASONS_FROM_CERTIFICATE = {
+    "A2(q=2)": _ONE_PIM_REASON, "2G2(q^2=3)": _ONE_PIM_REASON,
+    **{f"A1(q={p})": _RANK_ONE_REASON for p in (2, 3, 5, 7)}}
 # The reference's "no" for these rested on the restriction step at the zero
 # weight, which has no proof there, and for 3D4(2) on a table entry with no
 # source; their zero weights now have bound 1 in the split groups and 7 in
@@ -1291,9 +1310,9 @@ def test_classification_matches_reference():
         if name in _REASONS_CORRECTED:
             assert ref.reasons == ("every non-Steinberg multiplier is >= 2",)
             assert got.reasons == ("every non-Steinberg multiplier is >= 3",)
-        elif name == _REASON_FROM_TABLE:
-            assert "F_7" in ref.reasons[0]
-            assert got.reasons == (_ONE_PIM_REASON,)
+        elif name in _REASONS_FROM_CERTIFICATE:
+            assert ref.reasons != got.reasons
+            assert got.reasons == (_REASONS_FROM_CERTIFICATE[name],)
         elif ref.reasons[0].startswith("the restriction bound"):
             zero = bd.best_bound(spec, Weight((0,) * spec.datum.rank))
             assert got.reasons == (_RESTRICTION_REASON.format(zero.bound),)

@@ -16,7 +16,9 @@ whose weight has a nontrivial Borel socle (D4(8) at 1,2,3,4, 6,5,4,3 and
 1,2,3,4,5,6,7) when the restriction step left those weights.  The zero
 weights of D4(8), A4(8) and E6(8) were recorded again when it left the zero
 weight too, and ``bound D 4 --q 2 --twist 3 --weight 0,0,0,0`` (15 to 7)
-when the 3D4(2) table entry, which had no source, was deleted.  Refactors
+when the 3D4(2) table entry, which had no source, was deleted.  The entry
+``bound G2 2 --suzuki-ree-e 0 --weight 0,0`` was added with the table's
+2G2(3) entry.  Refactors
 must keep every output identical.
 To record the file again, for a change that is meant to alter an output::
 
@@ -82,6 +84,7 @@ _EMBEDDED_BOUND_WEIGHTS = (
     (("A", "4", "--q", "2", "--twist", "2"), ("1,0,0,1",)),
     (("D", "4", "--q", "2", "--twist", "3"), ("0,0,0,0",)),
     (("F4", "4", "--suzuki-ree-e", "0"), ("0,0,0,0",)),
+    (("G2", "2", "--suzuki-ree-e", "0"), ("0,0",)),
 )
 
 _CANDIDATE_GROUPS = (
