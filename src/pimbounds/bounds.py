@@ -688,8 +688,10 @@ def classify_dim_equal_sylow(spec: GroupSpec) -> SylowDimensionVerdict:
     exhaustive case analysis (:func:`_case_analysis`), the embedded minimum
     of :func:`known_minimum` (the smaller of its two values is the reason)
     or the scope of the restriction bound, when the zero weight's bound is
-    at least 2, since that bound leaves the zero weight out.  Otherwise the
-    answer is "undecided".
+    at least 2, since that bound leaves the zero weight out.  (There a
+    nonzero non-Steinberg weight has bound at least 2: the restriction step
+    on a trivial Borel socle, the independent-set step otherwise.)
+    Otherwise the answer is "undecided".
     """
     d = spec.datum
 
