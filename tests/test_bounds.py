@@ -91,12 +91,13 @@ def test_hc_bound_scope_and_values():
     spec = rd.special_linear(6, 3)
     steps = _steps(spec, Weight((0, 2, 0, 2, 0)))
     assert steps["hc-restriction"].value == 5  # trivial Borel socle -> S_6
-    # Out of scope, a nontrivial Borel socle and the Steinberg weight: no
-    # restriction step.
+    # Out of scope, a nontrivial Borel socle, the zero weight and the
+    # Steinberg weight: no restriction step.
     for spec, weight in ((rd.special_linear(3, 3), Weight((1, 0))),
                          (rd.group("D", 5, q=3), Weight((1, 0, 0, 0, 0))),
                          (spec, Weight((1, 0, 0, 0, 0))),
                          (rd.group("E8", 8, q=3), Weight((1,) + (0,) * 7)),
+                         (spec, Weight((0,) * 5)),
                          (spec, Weight((2,) * 5))):
         assert "hc-restriction" not in _steps(spec, weight)
 
@@ -1051,13 +1052,6 @@ def test_classification_yes_cases():
             "yes", (_ONE_PIM_REASON,), ((0, 0),)), spec.describe()
 
 
-def test_every_yes_is_an_exact_bound_one_at_zero():
-    for spec in SWEEP:
-        zero = bd.best_bound(spec, Weight((0,) * spec.datum.rank))
-        assert (classify(spec).answer == "yes") == (
-            zero.exact and zero.bound == 1), spec.describe()
-
-
 @pytest.mark.parametrize("spec, order, dims", [
     (rd.special_linear(3, 2), 168,
      {(0, 0): 1, (1, 0): 3, (0, 1): 3, (1, 1): 8}),
@@ -1263,8 +1257,7 @@ def reference_classify(spec):
 # The reference restated these minima as 2; the table and ``bound`` say 3.
 _REASONS_CORRECTED = {"B2(q=2)", "B2(q=5)", "C2(q=2)", "C2(q=5)", "C2(q=7)"}
 # The table records a 1-PIM of multiplier 1 for SU(3, 2) and Sz(2), which
-# the reference left undecided, and for SL(3, 2), for which the reference
-# gave a reason of its own.
+# the reference left undecided.
 _ANSWERS_SETTLED = {"2A2(q=2)", "2B2(q^2=2)"}
 # The reference gave these "yes" answers reasons of their own; they now
 # come from the exact bound 1 at the zero weight.
