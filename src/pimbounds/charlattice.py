@@ -36,14 +36,15 @@ that need the orbit's elements; it runs on the orbit kernel
 :func:`rootdata.weyl_orbit`.
 
 Irreducibility of the reflection representation over F_l is decided in
-closed form, from the Cartan matrix mod l: for rank >= 2 it holds exactly
-when det(Cartan) is nonzero mod l and the digraph with an edge i -> j
-whenever the pairing of alpha_i with the coroot of alpha_j is nonzero mod l
-is strongly connected.  This is the argument for the irreducibility of the
-geometric representation of a Coxeter group (Bourbaki, *Lie Groups and Lie
-Algebras*, ch. V §4) run over F_l: every nonzero submodule contains a
-simple root, and the submodule that root generates is spanned by the simple
-roots reachable from it.
+closed form, from the Cartan matrix: for rank >= 2 it holds exactly when
+det(Cartan) is nonzero mod l and l divides no bond product.  This is the
+argument for the irreducibility of the geometric representation of a Coxeter
+group (Bourbaki, *Lie Groups and Lie Algebras*, ch. V §4) run over F_l:
+every nonzero submodule contains a simple root, and the submodule that root
+generates is spanned by the simple roots reachable from it along the bonds
+whose entries are nonzero mod l.  The Dynkin diagram is a tree, so every
+root is reachable from every other exactly when no bond loses an entry,
+that is when l divides no bond product.
 """
 
 from __future__ import annotations
@@ -280,7 +281,8 @@ def orbit_size(spec: GroupSpec, weight) -> int:
     return orbits.size(_weight_coords(orbits, weight))
 
 
-# The largest orbit that :func:`orbit` lists.
+# The point budget of this module: the largest orbit that :func:`orbit`
+# lists, and the most alcove points that :func:`orbit_scan` walks.
 ORBIT_BUDGET = 10 ** 6
 
 
@@ -340,23 +342,18 @@ def _alcove_points(theta_form, m: int):
     return extend((), m)
 
 
-def orbit_scan(spec: GroupSpec, budget: int = 10 ** 7) -> OrbitScanReport:
+def orbit_scan(spec: GroupSpec) -> OrbitScanReport:
     """Partition all torus characters into Weyl orbits.
 
     Reports the fixed characters, the smallest orbit of size larger than one,
     and a histogram of orbit sizes.  Each orbit is one Ω-orbit of alcove
     points, so only those are walked.  For q = 2 the torus is trivial and the
-    scan is flagged vacuous.  Raises :class:`BudgetExceededError` if the
-    character group has more than ``budget`` elements (a vacuous scan
-    never does).
+    scan is flagged vacuous.  Raises :class:`BudgetExceededError` when the
+    walk reaches more than :data:`ORBIT_BUDGET` alcove points.
     """
     _require_split(spec)
     datum = spec.datum
     m = spec.q - 1
-    if m > 1 and m ** datum.rank > budget:
-        raise BudgetExceededError(
-            f"{m ** datum.rank} torus characters exceed the budget "
-            f"of {budget}")
     if m <= 1:
         return OrbitScanReport(
             group=spec.describe(), modulus=max(m, 1), total_points=1,
@@ -367,7 +364,11 @@ def orbit_scan(spec: GroupSpec, budget: int = 10 ** 7) -> OrbitScanReport:
     fixed = []
     histogram: dict[int, int] = {}
     seen: set[tuple[int, ...]] = set()
-    for kac in _alcove_points(plan.theta_form, m):
+    for walked, kac in enumerate(_alcove_points(plan.theta_form, m), 1):
+        if walked > ORBIT_BUDGET:
+            raise BudgetExceededError(
+                f"the scan walks more alcove points than the budget "
+                f"of {ORBIT_BUDGET}")
         if kac in seen:
             continue
         images = {tuple(kac[p] for p in perm) for perm in plan.omega}
@@ -387,42 +388,8 @@ def orbit_scan(spec: GroupSpec, budget: int = 10 ** 7) -> OrbitScanReport:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra over F_l
+# Irreducibility mod l
 # ---------------------------------------------------------------------------
-
-
-def _kernel_mod(rows: list[list[int]], n: int, ell: int) -> list[tuple[int, ...]]:
-    """Basis of the right kernel of a matrix over F_ell (rows of length n)."""
-    mat = [[c % ell for c in row] for row in rows]
-    pivots = []  # (row index, column index)
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] % ell:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], -1, ell)
-        mat[r] = [(x * inv) % ell for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % ell for a, b in zip(mat[i], mat[r])]
-        pivots.append((r, c))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [0] * n
-        v[fc] = 1
-        for r_i, c_i in pivots:
-            v[c_i] = (-mat[r_i][fc]) % ell
-        basis.append(tuple(v))
-    return basis
 
 
 def _require_prime(ell: int) -> None:
@@ -440,39 +407,54 @@ def _require_prime(ell: int) -> None:
 _EXHAUSTIVE_POINT_LIMIT = 30_000
 
 
+def _cartan_determinant(cartan) -> int:
+    """det(Cartan) by fraction-free (Bareiss) elimination without pivoting.
+
+    After step k the pivot a[k][k] is the leading principal minor of order
+    k + 1, and every division is exact.  The leading principal minors of a
+    Cartan matrix of finite type are positive (its principal submatrices are
+    Cartan matrices of finite type), so no pivot is zero.
+    """
+    a = [list(row) for row in cartan]
+    n = len(a)
+    previous = 1
+    for k in range(n - 1):
+        pivot, top = a[k][k], a[k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // previous
+        previous = pivot
+    return a[-1][-1]
+
+
 def is_irreducible_mod_ell(datum: RootDatum, ell: int) -> bool:
     """Is the natural reflection representation irreducible over F_ell?
 
-    Rank 1 is one-dimensional.  For rank >= 2 the answer is yes exactly when
-    det(Cartan) is nonzero mod ell and the digraph with an edge i -> j
-    whenever ``cartan[j][i]`` is nonzero mod ell is strongly connected.
+    Rank 1 is one-dimensional, so irreducible.  For rank >= 2 the answer is
+    yes exactly when det(Cartan) is nonzero mod ell and ell divides no bond
+    product.
 
     Proof: a nonzero submodule U holds some v with v_i != 0, so it holds
     ``v - s_i v = v_i * alpha_i``; and with alpha_k it holds
     ``alpha_k - s_j alpha_k = cartan[j][k] * alpha_j``, so it holds every
-    alpha_j reachable from i.  If the simple roots are a basis (det != 0)
-    and every node reaches every other, U is everything.  Conversely the
-    root span, when det = 0, or the span of the roots reachable from one
-    node, when that is not every node, is a proper nonzero W-stable subspace.
+    alpha_j reachable from i in the digraph with an arc k -> j whenever
+    ``cartan[j][k]`` is nonzero mod ell.  If the simple roots are a basis
+    (det != 0) and every node reaches every other, U is everything.
+    Conversely the root span, when det = 0, or the span of the roots
+    reachable from one node, when that is not every node, is a proper
+    nonzero W-stable subspace.  The digraph has arcs only along bonds, and
+    the Dynkin diagram is a tree: the one path between the two ends of a
+    bond is the bond itself.  So the digraph is strongly connected exactly
+    when every bond keeps its arcs both ways.  A bond's two entries are -1
+    and -b, with b in {1, 2, 3} its bond product, so it keeps both arcs
+    exactly when ell does not divide b.
     """
     _require_prime(ell)
-    n = datum.rank
-    if n == 1:
+    if datum.rank == 1:
         return True
-    if _kernel_mod(datum.cartan, n, ell):
-        return False
-    arcs = [[j for j in range(n) if datum.cartan[j][i] % ell] for i in range(n)]
-    for i in range(n):
-        reached = {i}
-        todo = [i]
-        while todo:
-            for j in arcs[todo.pop()]:
-                if j not in reached:
-                    reached.add(j)
-                    todo.append(j)
-        if len(reached) < n:
-            return False
-    return True
+    return (_cartan_determinant(datum.cartan) % ell != 0
+            and all(b % ell for row in datum._bonds for b in row if b))
 
 
 def natural_rep_irreducibility_table(datum: RootDatum, ell: int) -> bool:

@@ -140,7 +140,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_orbit_scan(args) -> int:
     spec = _build_spec(args)
-    payload = charlattice.orbit_scan(spec, budget=args.budget).to_json()
+    payload = charlattice.orbit_scan(spec).to_json()
     _emit(payload, args.json)
     return EXIT_OK
 
@@ -391,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("orbit-scan", help="scan all torus characters")
     _add_group_arguments(p_scan)
-    p_scan.add_argument("--budget", type=int, default=10 ** 7)
     p_scan.add_argument("--json", action="store_true")
 
     p_bound = sub.add_parser("bound", help="certified lower bound for a weight")

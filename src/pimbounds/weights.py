@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, ge, itemgetter, mul
+from operator import add, ge, index, itemgetter, mul
 
 from .rootdata import (
     GroupSpec,
@@ -66,7 +66,13 @@ class Weight:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(map(int, self.coeffs))
+        # ``operator.index``, not ``int``: a float or a string is refused,
+        # not truncated or parsed into a weight nobody asked about.
+        try:
+            coeffs = tuple(map(index, self.coeffs))
+        except TypeError as exc:
+            raise ValueError(f"weight coefficients must be integers: {exc}"
+                             ) from None
         object.__setattr__(self, "coeffs", coeffs)
         if coeffs and min(coeffs) < 0:
             raise ValueError("weights handled here are dominant")

@@ -1,7 +1,9 @@
 """Tests for torus-character orbits and mod-l reflection representations."""
 
 import itertools
+import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,9 +72,26 @@ def test_orbit_scan_vacuous_for_q2():
     assert scan.min_nontrivial_orbit is None
 
 
-def test_orbit_scan_budget():
+def test_orbit_scan_budget(monkeypatch):
+    # The budget counts walked alcove points, not the 100^8 characters.
+    monkeypatch.setattr(cl, "ORBIT_BUDGET", 100)
+    with pytest.raises(cl.BudgetExceededError, match="alcove points"):
+        cl.orbit_scan(rd.group("E8", 8, q=101))
+    # C2(4) walks the 6 points of its alcove of level 3.
+    monkeypatch.setattr(cl, "ORBIT_BUDGET", 6)
+    assert cl.orbit_scan(rd.group("C", 2, q=4)).min_nontrivial_orbit == 4
+    monkeypatch.setattr(cl, "ORBIT_BUDGET", 5)
     with pytest.raises(cl.BudgetExceededError):
-        cl.orbit_scan(rd.group("E8", 8, q=101), budget=100)
+        cl.orbit_scan(rd.group("C", 2, q=4))
+
+
+def test_orbit_scan_beyond_the_character_count_finishes(capsys):
+    # 15^7 = 170,859,375 characters, but only 170,544 alcove points.
+    assert cli.main(["orbit-scan", "A", "7", "--q", "16", "--json"]) == 0
+    scan = json.loads(capsys.readouterr().out)
+    assert scan["total_points"] == 15 ** 7
+    assert sum(int(size) * count for size, count
+               in scan["orbit_size_histogram"].items()) == 15 ** 7
 
 
 def test_orbit_requires_split_group():
@@ -426,7 +445,7 @@ SCAN_GROUPS = (
 def test_orbit_scan_sizes_add_up_beyond_enumeration(family, rank, q):
     # Too large to enumerate: the orbit sizes must still partition all
     # (q-1)^rank characters, which checks every wall stabilizer that occurs.
-    scan = cl.orbit_scan(rd.group(family, rank, q=q), budget=10 ** 30)
+    scan = cl.orbit_scan(rd.group(family, rank, q=q))
     total = sum(size * count for size, count in scan.orbit_size_histogram)
     assert total == scan.total_points == (q - 1) ** rank
     assert scan.fixed_points == ((0,) * rank,)
@@ -447,6 +466,41 @@ def test_orbit_scan_equals_bfs_partition(spec):
 # ---------------------------------------------------------------------------
 
 
+def kernel_mod(rows: list[list[int]], n: int, ell: int) -> list[tuple[int, ...]]:
+    """Basis of the right kernel of a matrix over F_ell (rows of length n),
+    by Gauss-Jordan elimination."""
+    mat = [[c % ell for c in row] for row in rows]
+    pivots = []  # (row index, column index)
+    r = 0
+    for c in range(n):
+        pivot = None
+        for i in range(r, len(mat)):
+            if mat[i][c] % ell:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][c], -1, ell)
+        mat[r] = [(x * inv) % ell for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(a - f * b) % ell for a, b in zip(mat[i], mat[r])]
+        pivots.append((r, c))
+        r += 1
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [c for c in range(n) if c not in pivot_cols]
+    basis = []
+    for fc in free_cols:
+        v = [0] * n
+        v[fc] = 1
+        for r_i, c_i in pivots:
+            v[c_i] = (-mat[r_i][fc]) % ell
+        basis.append(tuple(v))
+    return basis
+
+
 def fixed_subspace_mod_ell(datum, ell):
     """Basis of the common fixed space of all simple reflections over F_ell.
 
@@ -462,7 +516,7 @@ def fixed_subspace_mod_ell(datum, ell):
                 rows.append(row)
     if not rows:
         return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    return cl._kernel_mod(rows, n, ell)
+    return kernel_mod(rows, n, ell)
 
 
 def test_fixed_space_c2_mod2_nonzero():
@@ -505,6 +559,80 @@ def test_small_irreducibility_cells():
     assert cl.is_irreducible_mod_ell(rd.build_root_datum("E6", 6), 3) is False
     assert cl.is_irreducible_mod_ell(rd.build_root_datum("G2", 2), 3) is False
     assert cl.is_irreducible_mod_ell(rd.build_root_datum("G2", 2), 5) is True
+
+
+def search_irreducible_mod_ell(datum, ell):
+    """The search that ``cl.is_irreducible_mod_ell`` replaced: for rank >= 2,
+    irreducible exactly when the Cartan matrix has no kernel mod ell and the
+    digraph with an arc i -> j whenever ``cartan[j][i]`` is nonzero mod ell
+    is strongly connected, by one graph search from each node."""
+    n = datum.rank
+    if n == 1:
+        return True
+    if kernel_mod(datum.cartan, n, ell):
+        return False
+    arcs = [[j for j in range(n) if datum.cartan[j][i] % ell] for i in range(n)]
+    for i in range(n):
+        reached = {i}
+        todo = [i]
+        while todo:
+            for j in arcs[todo.pop()]:
+                if j not in reached:
+                    reached.add(j)
+                    todo.append(j)
+        if len(reached) < n:
+            return False
+    return True
+
+
+PRIMES_BELOW_200 = [p for p in range(2, 200)
+                    if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def test_closed_form_equals_kernel_and_digraph_search():
+    data = [rd.build_root_datum(family, rank)
+            for family, ranks in (("A", range(1, 30)), ("B", range(2, 30)),
+                                  ("C", range(2, 30)), ("D", range(3, 30)),
+                                  ("E6", (6,)), ("E7", (7,)), ("E8", (8,)),
+                                  ("F4", (4,)), ("G2", (2,)))
+            for rank in ranks]
+    cells = [(datum, ell) for datum in data for ell in PRIMES_BELOW_200]
+    assert len(cells) == 5382
+    for datum, ell in cells:
+        expected = search_irreducible_mod_ell(datum, ell)
+        assert cl.is_irreducible_mod_ell(datum, ell) is expected, (
+            datum.family, datum.rank, ell)
+        assert cl.natural_rep_irreducibility_table(datum, ell) is expected, (
+            datum.family, datum.rank, ell)
+
+
+def rational_determinant(matrix):
+    """det by Gaussian elimination over the rationals, with row swaps."""
+    a = [[Fraction(c) for c in row] for row in matrix]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+@pytest.mark.parametrize("datum", list(cli._iter_small_data()),
+                         ids=lambda d: f"{d.family}{d.rank}")
+def test_omega_has_det_cartan_elements(datum):
+    # |Ω| = |P/Q| = det(Cartan): an independent check of the Ω that
+    # ``cl._alcove_plan`` reads off its probe point.
+    det = rational_determinant(datum.cartan)
+    assert len(cl._alcove_plan(datum).omega) == det
+    assert cl._cartan_determinant(datum.cartan) == det
 
 
 def _spin_dimension(vectors, gens, ell, n) -> int:

@@ -237,7 +237,7 @@ def test_export_tables(capsys):
                for row in blob["natural_representation_irreducibility"])
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, monkeypatch):
     assert cli.main(["info", "Z", "2"]) == 2
     capsys.readouterr()
     assert cli.main(["info", "A"]) == 2
@@ -251,9 +251,9 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert cli.main(["orbit", "A", "2", "--q", "5", "--beta=-1,0,2"]) == 2
     assert "expected 2 coefficients, got 3" in capsys.readouterr().err
-    assert cli.main(["orbit-scan", "E8", "8", "--q", "7",
-                     "--budget", "10"]) == 2
-    capsys.readouterr()
+    monkeypatch.setattr(cli.charlattice, "ORBIT_BUDGET", 10)
+    assert cli.main(["orbit-scan", "E8", "8", "--q", "7"]) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_weight_parsing_variants(capsys):

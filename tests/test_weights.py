@@ -69,11 +69,19 @@ def test_steinberg_dimension():
 
 
 def test_weight_coefficients_are_nonnegative_integers():
-    assert Weight([True, 2.0, 3]).coeffs == (1, 2, 3)
-    assert type(Weight([2.0]).coeffs[0]) is int
+    assert Weight([True, 2, 3]).coeffs == (1, 2, 3)
+    assert type(Weight([True]).coeffs[0]) is int
     assert Weight(()).coeffs == ()
     with pytest.raises(ValueError, match="dominant"):
         Weight((1, -1))
+
+
+@pytest.mark.parametrize("coeffs", [(2.9, 0), ("3", True), (2.0,), (None,)])
+def test_weight_refuses_coefficients_that_are_not_integers(coeffs):
+    # Coercing with int would turn (2.9, 0) into (2, 0) and certify a bound
+    # for a weight nobody asked about.
+    with pytest.raises(ValueError, match="must be integers"):
+        Weight(coeffs)
 
 
 def test_weight_iterates_over_its_coefficients():
