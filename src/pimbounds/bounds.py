@@ -534,17 +534,24 @@ def _descent_value(coeffs: tuple[int, ...], plan: _GroupPlan) -> int:
         return rank_one_multiplier(plan.q, coeffs[0])
     table = plan.table_step(coeffs)
     best = 1 if table is None else table.value
-    pieces = plan.pieces
-    if pieces is None:
+    if plan.pieces is None:
         return best  # every split group of rank >= 2 descends
     if plan.independent is not None:
         m = plan.torus.m
         mask = plan.node_mask(tuple([c % m for c in coeffs]))
         best = max(best, 2 ** plan.independent(mask))
+    return _descend(coeffs, plan, best)
+
+
+def _descend(coeffs: tuple[int, ...], plan: _GroupPlan, best: int) -> int:
+    """The tail of :func:`_descent_value` for a group that descends: the
+    largest of ``best``, which is the weight's floor (its table value or 1,
+    raised to 2^size by the independent-set step), the values of the Levi
+    pieces and the doubling step."""
     memo = _DESCENT_MEMO
-    memo.lookups += len(pieces)
+    memo.lookups += len(plan.pieces)
     values = []
-    for project, dtable, dplan in pieces:
+    for project, dtable, dplan in plan.pieces:
         dcoeffs = project(coeffs)
         value = dtable.get(dcoeffs)
         if value is None:
@@ -606,9 +613,11 @@ def best_bound(spec: GroupSpec, weight: Weight) -> BoundCertificate:
                                rank_one_multiplier(plan.q, coeffs[0]),
                                "exact rank-1 multiplier from base-p digits"))
     table = plan.table_step(coeffs)
+    floor = 1  # the floor that _descent_value would derive for the weight
     if table is not None:
         steps.append(table)
         exact = exact or table.detail == _ONE_PIM_DETAIL
+        floor = table.value
     torus = plan.torus
     if torus is not None:
         m = torus.m
@@ -619,13 +628,14 @@ def best_bound(spec: GroupSpec, weight: Weight) -> BoundCertificate:
             size = plan.independent(mask)
             if size:
                 steps.append(_independent_step(size))
+                floor = max(floor, 2 ** size)
             # The restriction bound's scope lies in this branch; its Borel
             # socle is trivial exactly when the mask is empty, and its proof
             # leaves out the zero weight.
             if plan.hc_step is not None and not mask and any(coeffs):
                 steps.append(plan.hc_step)
     if plan.pieces is not None:
-        steps.append(_descent_step(_descent_value(coeffs, plan)))
+        steps.append(_descent_step(_descend(coeffs, plan, floor)))
     bound = max((s.value for s in steps), default=1)
     return BoundCertificate(plan.group, coeffs, bound, exact, tuple(steps))
 

@@ -116,24 +116,18 @@ class _AlcovePlan:
 
 def _highest_coroot(datum: RootDatum, simple):
     """The root theta whose coroot is the highest coroot, and that coroot,
-    by the dominant walk described in :func:`_alcove_plan`."""
-    n = datum.rank
-    cartan = datum.cartan
-    best = None
-    for i in range(n):
-        root = simple[i]
-        coroot = tuple(int(k == i) for k in range(n))
-        while True:
-            j = next((k for k, c in enumerate(root) if c < 0), None)
-            if j is None:
-                break
-            c = root[j]
-            d = sum(coroot[k] * cartan[k][j] for k in range(n))
-            root = tuple(r - c * s for r, s in zip(root, simple[j]))
-            coroot = tuple(v - d * (k == j) for k, v in enumerate(coroot))
-        if best is None or sum(coroot) > sum(best[1]):
-            best = (root, coroot)
-    return best
+    by the one dominant walk described in :func:`_alcove_plan`.  Reflecting
+    in s_j subtracts root[j] times alpha_j from the root, and
+    <alpha_j, coroot> times alpha_j^vee from the coroot."""
+    i = next((k for k, long in enumerate(datum.long_nodes) if not long), 0)
+    root, coroot = simple[i], [int(k == i) for k in range(datum.rank)]
+    while True:
+        j = next((k for k, c in enumerate(root) if c < 0), None)
+        if j is None:
+            return root, tuple(coroot)
+        c = root[j]
+        coroot[j] -= sum(map(mul, coroot, simple[j]))
+        root = tuple(r - c * s for r, s in zip(root, simple[j]))
 
 
 def _alcove_kac(plan: _AlcovePlan, x, m: int) -> tuple[int, ...]:
@@ -170,15 +164,15 @@ def _alcove_plan(datum: RootDatum) -> _AlcovePlan:
     """The alcove data of a datum, built once per datum.
 
     The affine wall needs theta^vee, the highest coroot, and the root theta
-    it belongs to.  A root is dominant exactly when its coroot is, each
-    W-orbit of roots holds one dominant root, and every root is conjugate
-    to a simple root; so theta is the dominant root reached from some
-    simple root, the highest short root (the highest root when all roots
+    it belongs to, the highest short root (the highest root when all roots
     have one length; Bourbaki, *Lie Groups and Lie Algebras*, ch. VI §1.8).
-    The walk from alpha_i reflects its (root, coroot) pair in s_j while
-    coordinate j of the root is negative.  Every step raises the height, so
-    a walk takes fewer than h steps, h the Coxeter number, and of the
-    dominant pairs reached the one with the highest coroot wins.
+    A root is dominant exactly when its coroot is, and in an irreducible
+    root system the short roots form one W-orbit, which holds exactly one
+    dominant root.  So theta is the dominant root reached from the first
+    short simple root, or from alpha_1 when the datum is simply laced: the
+    walk reflects the (root, coroot) pair in s_j while coordinate j of the
+    root is negative.  Every step raises the height, so the walk takes
+    fewer than h steps, h the Coxeter number.
     """
     n = datum.rank
     cartan = datum.cartan
@@ -342,14 +336,34 @@ def _alcove_points(theta_form, m: int):
     return extend((), m)
 
 
+def _alcove_point_count(theta_form, m: int) -> int:
+    """The number of points of the closed alcove of level m: the solutions
+    of d_1 c_1 + ... + d_n c_n <= m in nonnegative integers, d the highest
+    coroot on simple coroots.  Sums over c_1, ..., c_{n-1} and counts the
+    c_n in closed form; stops once the count passes :data:`ORBIT_BUDGET`,
+    so a count over the budget is only a lower bound."""
+    *head, last = theta_form
+
+    def count(i, room, total):
+        if i == len(head):
+            return total + room // last + 1
+        for rest in range(room, -1, -head[i]):
+            total = count(i + 1, rest, total)
+            if total > ORBIT_BUDGET:
+                break
+        return total
+
+    return count(0, m, 0)
+
+
 def orbit_scan(spec: GroupSpec) -> OrbitScanReport:
     """Partition all torus characters into Weyl orbits.
 
     Reports the fixed characters, the smallest orbit of size larger than one,
     and a histogram of orbit sizes.  Each orbit is one Ω-orbit of alcove
     points, so only those are walked.  For q = 2 the torus is trivial and the
-    scan is flagged vacuous.  Raises :class:`BudgetExceededError` when the
-    walk reaches more than :data:`ORBIT_BUDGET` alcove points.
+    scan is flagged vacuous.  Raises :class:`BudgetExceededError`, before
+    walking any, when the alcove has more than :data:`ORBIT_BUDGET` points.
     """
     _require_split(spec)
     datum = spec.datum
@@ -361,14 +375,14 @@ def orbit_scan(spec: GroupSpec) -> OrbitScanReport:
             min_nontrivial_orbit=None, orbit_size_histogram=((1, 1),))
     total = m ** datum.rank
     plan = _alcove_plan(datum)
+    if _alcove_point_count(plan.theta_form, m) > ORBIT_BUDGET:
+        raise BudgetExceededError(
+            f"the scan walks more alcove points than the budget "
+            f"of {ORBIT_BUDGET}")
     fixed = []
     histogram: dict[int, int] = {}
     seen: set[tuple[int, ...]] = set()
-    for walked, kac in enumerate(_alcove_points(plan.theta_form, m), 1):
-        if walked > ORBIT_BUDGET:
-            raise BudgetExceededError(
-                f"the scan walks more alcove points than the budget "
-                f"of {ORBIT_BUDGET}")
+    for kac in _alcove_points(plan.theta_form, m):
         if kac in seen:
             continue
         images = {tuple(kac[p] for p in perm) for perm in plan.omega}

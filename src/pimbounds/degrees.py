@@ -26,7 +26,6 @@ read all three from here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -169,34 +168,32 @@ class DegreePolynomial:
     def divmod(self, divisor: "DegreePolynomial"):
         """Polynomial division; the result must have integer coefficients.
 
-        Division is carried out over the rationals and an
-        :class:`InexactDivisionError` is raised if either the quotient or the
-        remainder fails to be integral (this cannot happen for a monic
-        divisor).
+        Integer long division: each quotient coefficient is the leading
+        remainder coefficient divided by the divisor's leading coefficient.
+        While every earlier quotient coefficient is an integer the remainder
+        stays integral, so an :class:`InexactDivisionError` is raised at the
+        first step that leaves a nonzero residue -- exactly where division
+        over the rationals would produce its first non-integral coefficient.
+        An integral quotient forces an integral remainder, and a monic
+        divisor never raises.
         """
         divisor = _coerce(divisor)
         if divisor is None or divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
+        rem = list(self.coeffs)
         dcs = divisor.coeffs
         dn = len(dcs) - 1
-        lead = Fraction(dcs[-1])
-        quot = [Fraction(0)] * max(len(rem) - dn, 0)
+        quot = [0] * max(len(rem) - dn, 0)
         for k in range(len(rem) - dn - 1, -1, -1):
-            factor = rem[k + dn] / lead
+            factor, r = divmod(rem[k + dn], dcs[-1])
+            if r:
+                raise InexactDivisionError(
+                    f"inexact division of {self!r} by {divisor!r}")
             quot[k] = factor
             if factor:
                 for j, dc in enumerate(dcs):
                     rem[k + j] -= factor * dc
-        rem = rem[:dn]
-        if any(f.denominator != 1 for f in quot) or any(f.denominator != 1 for f in rem):
-            raise InexactDivisionError(
-                f"inexact division of {self!r} by {divisor!r}"
-            )
-        return (
-            DegreePolynomial(int(f) for f in quot),
-            DegreePolynomial(int(f) for f in rem),
-        )
+        return DegreePolynomial(quot), DegreePolynomial(rem[:dn])
 
     def divexact(self, divisor) -> "DegreePolynomial":
         """Exact division; raises if a nonzero remainder appears."""

@@ -645,6 +645,19 @@ def _linked_plans(plans):
     return seen
 
 
+def test_best_bound_descent_step_equals_descent_bound():
+    # best_bound hands its floor (table value or 1, raised by the
+    # independent-set step) to the descent over pieces; the Steinberg
+    # weight has no descent step, and its descent bound is 1.
+    for spec in SWEEP:
+        if bd._group_plan(spec).pieces is None:
+            continue
+        for w in wt.enumerate_restricted_weights(spec):
+            steps = {s.rule: s.value for s in bd.best_bound(spec, w).steps}
+            assert (steps.get("parabolic-descent", 1)
+                    == bd.descent_bound(spec, w)), (spec.describe(), w)
+
+
 def test_descent_memo_counts_a_fresh_sweep():
     # The set of descent values computed for the D4(8)-then-A4(8) sweep is
     # the one computed when descent ran through every proper parabolic.

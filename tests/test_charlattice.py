@@ -85,6 +85,25 @@ def test_orbit_scan_budget(monkeypatch):
         cl.orbit_scan(rd.group("C", 2, q=4))
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 8])
+def test_alcove_point_count_equals_the_walk(q):
+    for datum in cli._iter_small_data():
+        form = cl._alcove_plan(datum).theta_form
+        assert (cl._alcove_point_count(form, q - 1)
+                == sum(1 for _ in cl._alcove_points(form, q - 1))), datum
+
+
+def test_orbit_scan_refuses_before_walking(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a refused scan must not walk")
+
+    monkeypatch.setattr(cl, "_alcove_points", refuse)
+    for family, rank, q in (("A", 1, 1000003), ("A", 2, 1427),
+                            ("A", 3, 181), ("E8", 8, 101)):
+        with pytest.raises(cl.BudgetExceededError, match="alcove points"):
+            cl.orbit_scan(rd.group(family, rank, q=q))
+
+
 def test_orbit_scan_beyond_the_character_count_finishes(capsys):
     # 15^7 = 170,859,375 characters, but only 170,544 alcove points.
     assert cli.main(["orbit-scan", "A", "7", "--q", "16", "--json"]) == 0

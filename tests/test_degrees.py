@@ -1,5 +1,8 @@
 """Tests for exact polynomial arithmetic and embedded degree datasets."""
 
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +65,45 @@ def test_divmod_roundtrip(a, b):
         return
     assert q * g + r == f
     assert r.degree < g.degree
+
+
+def rational_divmod(f, g):
+    """Oracle for divmod: long division over the rationals, raising
+    InexactDivisionError unless quotient and remainder are integral."""
+    rem = [Fraction(c) for c in f.coeffs]
+    dn = g.degree
+    lead = Fraction(g.coeffs[-1])
+    quot = [Fraction(0)] * max(len(rem) - dn, 0)
+    for k in range(len(rem) - dn - 1, -1, -1):
+        quot[k] = factor = rem[k + dn] / lead
+        for j, dc in enumerate(g.coeffs):
+            rem[k + j] -= factor * dc
+    rem = rem[:dn]
+    if any(c.denominator != 1 for c in quot + rem):
+        raise dg.InexactDivisionError("not integral")
+    return (DegreePolynomial(int(c) for c in quot),
+            DegreePolynomial(int(c) for c in rem))
+
+
+divisors = st.builds(
+    lambda low, lead: DegreePolynomial([*low, lead]),
+    st.lists(st.integers(-50, 50), max_size=4),
+    st.one_of(st.sampled_from([1, -1]),
+              st.integers(-6, 6).filter(lambda c: c not in (-1, 0, 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=9), divisors)
+def test_divmod_equals_rational_division(a, g):
+    f = DegreePolynomial(a)
+    try:
+        expected = rational_divmod(f, g)
+    except dg.InexactDivisionError:
+        message = re.escape(f"inexact division of {f!r} by {g!r}")
+        with pytest.raises(dg.InexactDivisionError, match=message):
+            f.divmod(g)
+        return
+    assert f.divmod(g) == expected
 
 
 def test_divexact_and_failures():
