@@ -30,25 +30,29 @@ at the zero weight.
 Group plans: what the rules need to know about a group that does not depend
 on the weight (its name, its table of descent values, the Steinberg
 coefficients and the coefficient ranges, the scopes of the rules, the
-embedded minimum, the Levi pieces of plain descent, the escape pairs of the
-doubling step with the index of its parabolic's piece, for split groups the
-torus-orbit cache of :func:`charlattice.torus_orbits` with its modulus
-m = q-1, for split groups of rank >= 2 the leaf rule of
+embedded minimum, the Levi pieces that plain descent reads, the escape
+pairs of the doubling step with the index of its parabolic's piece, for
+split groups the torus-orbit cache of :func:`charlattice.torus_orbits` with
+its modulus m = q-1, for split groups of rank >= 2 the leaf rule of
 :func:`weights._independent_set_size` on the datum's walk, which finds the
 size of a largest independent node set, cached per node set met, and for
 groups in the restriction bound's scope its step) is built once per group,
 on first use, and cached.
 The pieces themselves depend on the datum only: :func:`weights.levi_pieces`
 reads them from :func:`weights._levi_piece`, which builds each once per
-datum and orbit mask.  The plan's entry for a piece holds the projection
-of :func:`weights._piece_descent`, the one map from a group's coefficients
-to a piece's, which :func:`weights.descend_weight` applies too, linked to
-the plan of its descendant and that plan's table; the descendants' plans
-are built with the group's.  The recursion :func:`_descent_value` is the
-one descent function: it reads each piece's value from the descendant's
-table, computing it there on a miss, and the doubling step reuses the value
-of its parabolic's piece.  So values live only in the tables of groups
-reached as descendants, and the value asked for at the top is not stored.
+datum and orbit mask, and a plan holds those of
+:func:`weights.descent_pieces`, which drops every piece lying strictly
+inside a piece of split type A, since such a piece never sets the maximum
+(3 of 10 pieces are kept on D4, 10 of 43 on E8).  The plan's entry for a
+piece holds the projection of :func:`weights._piece_descent`, the one map
+from a group's coefficients to a piece's, which
+:func:`weights.descend_weight` applies too, linked to the plan of its
+descendant and that plan's table; the descendants' plans are built with the
+group's.  The recursion :func:`_descent_value` is the one descent function:
+it reads each piece's value from the descendant's table, computing it there
+on a miss, and the doubling step reuses the value of its parabolic's piece.
+So values live only in the tables of groups reached as descendants, and the
+value asked for at the top is not stored.
 Chain steps are frozen, so each step that does not depend on the weight, or
 only on its value, is built once and shared.  The weight is checked once,
 at the public entries :func:`best_bound` and :func:`descent_bound`: a
@@ -63,8 +67,8 @@ coefficient tuples and builds no :class:`Weight`.  A weight then costs:
   keys the cached independent-set size and, when empty, admits the
   restriction step (the general Borel-socle criterion,
   ``socle_trivial_on_borel``, is a test oracle in ``tests/test_bounds.py``);
-* one projection and one read of the descendant's table per Levi piece,
-  with no plan lookup and no hash of a group;
+* one projection and one read of the descendant's table per piece of the
+  plan, with no plan lookup and no hash of a group;
 * and the rules that really depend on it.
 """
 
@@ -86,7 +90,7 @@ from .weights import (
     _independent_set_size,
     _piece_descent,
     coefficient_ranges,
-    levi_pieces,
+    descent_pieces,
     steinberg_weight,
     twisted_bn_rank,
 )
@@ -314,7 +318,8 @@ class _GroupPlan:
     hc_step: ChainStep | None
     # The embedded table steps, for the zero weight and for the others.
     table_steps: tuple[ChainStep, ChainStep] | None
-    # The Levi pieces of plain descent; None when the group does not descend.
+    # The Levi pieces of plain descent, those of ``weights.descent_pieces``;
+    # None when the group does not descend.
     pieces: tuple[_PieceEntry, ...] | None
     # The doubling step, when a designated parabolic exists: the 0-based
     # index pairs whose equality is the escape pattern, and the index in
@@ -356,15 +361,15 @@ def _table_steps(spec: GroupSpec) -> tuple[ChainStep, ChainStep] | None:
 
 def _doubling_step(spec: GroupSpec):
     """The escape pairs of the designated doubling parabolic and the index
-    of its piece in :func:`weights.levi_pieces`, or ``(None, None)`` when
+    of its piece in :func:`weights.descent_pieces`, or ``(None, None)`` when
     the group has none.  That parabolic is proper, of type A and one
-    Frobenius orbit, so it is a supported piece."""
+    Frobenius orbit, so it is a supported piece, and descent keeps it."""
     try:
         parabolic, pairs = _doubling_parabolic(spec)
     except UnsupportedGroupError:
         return None, None
     (piece,) = _descent_plan(parabolic)
-    return pairs, levi_pieces(spec.datum).index(piece)
+    return pairs, descent_pieces(spec.datum).index(piece)
 
 
 @lru_cache(maxsize=None)
@@ -382,7 +387,7 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
         torus=torus_orbits(spec) if split else None,
         hc_step=_hc_step(spec),
         table_steps=_table_steps(spec),
-        pieces=(_piece_entries(levi_pieces(spec.datum), spec)
+        pieces=(_piece_entries(descent_pieces(spec.datum), spec)
                 if _descends(spec) else None),
         escape_pairs=escape_pairs,
         doubling=doubling,
@@ -520,9 +525,11 @@ def _descent_value(coeffs: tuple[int, ...], plan: _GroupPlan) -> int:
     """The body of :func:`descent_bound`, on the coefficients of a
     restricted weight.
 
-    Plain descent takes the best value over the Levi pieces of the group
-    (see :func:`weights.levi_pieces`), which equals the best value over every
-    descendant of every supported proper parabolic.  Each piece reads its
+    Plain descent takes the best value over the Levi pieces of
+    :func:`weights.descent_pieces`, the pieces of :func:`weights.levi_pieces`
+    that do not lie strictly inside a piece of split type A; that equals the
+    best value over all of them, and so over every descendant of every
+    supported proper parabolic.  Each piece reads its
     descendant's table and computes the value there on a miss; a projection
     of a restricted weight is restricted, so it is not checked again.  The
     doubling step takes twice the value of the designated parabolic's piece,

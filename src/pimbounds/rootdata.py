@@ -539,8 +539,16 @@ class GroupSpec:
                 f"the twisted groups of type {_type_name(fam, rank)} are "
                 f"Suzuki or Ree groups and need a Suzuki-Ree field parameter")
         # Every plan cache is keyed by a spec, so hash it once; ``replace``
-        # and unpickling run ``__init__`` again and hash afresh.
+        # and unpickling run ``__init__`` again and hash afresh.  Callers
+        # read the name per weight, so it is built once too.
         object.__setattr__(self, "_hash", hash((self.datum, self.field)))
+        base = _type_name(fam, rank)
+        if isinstance(self.field, SuzukiReeField):
+            name = f"2{base}(q^2={self.field.q_squared})"
+        else:
+            twist = self.datum.twist_order
+            name = f"{'' if twist == 1 else twist}{base}(q={self.field.q})"
+        object.__setattr__(self, "_name", name)
 
     def __hash__(self) -> int:
         return self._hash
@@ -570,12 +578,8 @@ class GroupSpec:
         return self.field.p
 
     def describe(self) -> str:
-        d = self.datum
-        base = _type_name(d.family, d.rank)
-        if self.is_suzuki_ree:
-            return f"2{base}(q^2={self.field.q_squared})"
-        prefix = "" if d.twist_order == 1 else str(d.twist_order)
-        return f"{prefix}{base}(q={self.field.q})"
+        """The group's name, as certificates print it, built with the spec."""
+        return self._name
 
 
 def group(family: str, rank: int, *, q: int | None = None,

@@ -21,9 +21,10 @@ subdiagrams, which :mod:`pimbounds.charlattice` reads for its wall sets
 too.  A piece is also the single piece of its own node set, and
 :func:`levi_pieces` lists each supported piece of a datum once, found from
 the connected node sets.  The recursive bound in
-:mod:`pimbounds.bounds` runs over these pieces instead of over every proper
-parabolic.  A piece over a given field has one descendant group and one
-projection of coefficients (:func:`_piece_descent`);
+:mod:`pimbounds.bounds` runs over the pieces of :func:`descent_pieces`,
+those not strictly inside a piece of split type A, instead of over every
+proper parabolic.  A piece over a given field has one descendant group and
+one projection of coefficients (:func:`_piece_descent`);
 :func:`descend_weight`, the group plans of :mod:`pimbounds.bounds` and the
 candidate sieve all read that one map.
 
@@ -420,6 +421,57 @@ def levi_pieces(datum: RootDatum) -> tuple[_LeviPiece, ...]:
         except UnsupportedGroupError:
             pass
     return tuple(pieces)
+
+
+@lru_cache(maxsize=None)
+def descent_pieces(datum: RootDatum) -> tuple[_LeviPiece, ...]:
+    """The pieces of :func:`levi_pieces` that descent reads: each piece whose
+    node set does not lie strictly inside the node set of a piece whose
+    descendant is split of type A.  Built once per datum, on first use.
+    D4 keeps 3 of its 10 pieces, A4 2 of 9, E7 8 of 33 and E8 10 of 43.
+
+    The value of descent (see :func:`bounds.descent_bound`) does not change.
+    Let P' be a dropped piece, strictly inside a piece P whose descendant H
+    is split A_k over q^a.  A piece strictly inside P is one Frobenius orbit
+    of connected sets inside P's components, so it has a components too and
+    its descendant lives over q^a as well.  Some piece holding P' is not
+    strictly inside another such P, and is kept; take P to be that one.
+
+    * P' projects to an interval of H's diagram, possibly reversed: the
+      coefficients of P' are those of H at consecutive nodes, in order or
+      reversed (H's components are chains, and P' is one orbit of a
+      connected set inside them).
+    * H descends, because k >= 2 (P holds P' strictly).
+    * Every rule that H's value reads is symmetric under reversing the
+      diagram of A_k: the Steinberg weight, the embedded table (its entries
+      for type A depend only on whether the weight is zero), the
+      independent set, and descent into the sub-intervals, which reversal
+      permutes (by induction on k).  Split type A has no doubling step.
+    * If the projection of λ to P is the Steinberg weight of H, its
+      projection to P' is the Steinberg weight of P''s descendant, and both
+      values are 1.
+    * Otherwise H descends into the interval of P', or into an interval
+      holding it, so value_H(proj_P λ) >= value(proj_P' λ) by induction on
+      k, and the maximum over the pieces is unchanged.
+
+    The designated doubling piece is never dropped: no twist-stable proper
+    node set holds strictly A_{n-1} in B/C/D, A_{n-2} in ²D or the
+    two-component orbit of ²A, which its middle nodes would join into the
+    whole diagram.  A piece strictly
+    inside a piece of another type may set the maximum, because descent
+    reads the node labels: E6(2) at (0,0,1,1,1,0) reads 4 through its
+    pieces and 2 through its maximal pieces D5, A5 and D5 alone.  So only
+    split type A containers prune.  The candidate sieve of
+    :func:`minimal_pim_candidates` reads every piece of :func:`levi_pieces`.
+    """
+    pieces = levi_pieces(datum)
+    # The node set of each piece as a mask: the union of its indices.
+    masks = [sum(1 << i for row in piece.indices for i in row)
+             for piece in pieces]
+    containers = [mask for piece, mask in zip(pieces, masks)
+                  if (piece.datum.family, piece.datum.twist_order) == ("A", 1)]
+    return tuple(piece for piece, mask in zip(pieces, masks)
+                 if not any(mask != c and mask & ~c == 0 for c in containers))
 
 
 def _connected_sets(neighbours: tuple[int, ...]) -> set[int]:

@@ -555,9 +555,10 @@ def _projected(entries, coeffs):
 
 
 def test_piece_projections_equal_descend_weight():
-    # Each piece of a group plan against ``reference_descend_weight`` through
-    # the node set of its piece (all the nodes of its Frobenius orbit).  A
-    # group that does not descend plans no pieces.
+    # Each piece of a group plan (those of ``descent_pieces``) against
+    # ``reference_descend_weight`` through the node set of its piece (all
+    # the nodes of its Frobenius orbit).  A group that does not descend
+    # plans no pieces.
     rng = random.Random(20261018)
     kinds = set()
     for datum, suzuki_ree in _structure_cases():
@@ -571,7 +572,7 @@ def test_piece_projections_equal_descend_weight():
             if not bd._descends(spec):
                 assert table is None
                 continue
-            pieces = wt.levi_pieces(datum)
+            pieces = wt.descent_pieces(datum)
             assert len(table) == len(pieces)
             ranges = wt.coefficient_ranges(spec)
             for piece, entry in zip(pieces, table):
@@ -613,7 +614,8 @@ def test_doubling_step_equals_reference_doubling():
 
 def test_doubling_index_names_the_piece_of_the_doubling_parabolic():
     # The doubling step reuses the value of one piece of plain descent: the
-    # piece of its designated parabolic, which is a single Frobenius orbit.
+    # piece of its designated parabolic, which is a single Frobenius orbit
+    # and one of ``descent_pieces``.
     doubling = 0
     for datum, suzuki_ree in _structure_cases():
         if suzuki_ree:
@@ -628,8 +630,101 @@ def test_doubling_index_names_the_piece_of_the_doubling_parabolic():
                 continue
             doubling += 1
             (piece,) = wt._descent_plan(parabolic)
-            assert wt.levi_pieces(datum)[plan.doubling] == piece, spec
+            assert wt.descent_pieces(datum)[plan.doubling] == piece, spec
     assert doubling == 87
+
+
+def _mask(piece):
+    return sum(1 << i for row in piece.indices for i in row)
+
+
+def _inside(inner, outer):
+    """Whether the node set of ``inner`` lies strictly inside ``outer``'s."""
+    return _mask(inner) != _mask(outer) and _mask(inner) & _mask(outer) == _mask(inner)
+
+
+def _interval_of(inner, outer, spec, rng):
+    """Whether the projection of ``inner`` reads the projection of
+    ``outer`` at consecutive nodes, in order or reversed, on random
+    restricted weights."""
+    _, project_inner = wt._piece_descent(inner, spec)
+    _, project_outer = wt._piece_descent(outer, spec)
+    ranges = wt.coefficient_ranges(spec)
+    n = len(inner.original_nodes)
+    places = None
+    for _ in range(10):
+        coeffs = tuple(rng.randrange(r) for r in ranges)
+        got, whole = project_inner(coeffs), project_outer(coeffs)
+        found = {(i, step) for i in range(len(whole) - n + 1)
+                 for step in (1, -1) if whole[i:i + n][::step] == got}
+        places = found if places is None else places & found
+    return bool(places)
+
+
+def test_descent_pieces_drop_only_pieces_inside_split_type_a():
+    # Each dropped piece lies strictly inside a piece of split type A and
+    # projects to an interval of its diagram; no kept piece does; the kept
+    # pieces keep their order; the doubling parabolic's piece is kept.
+    rng = random.Random(20261020)
+    counts = {}
+    for datum, suzuki_ree in _structure_cases():
+        pieces = wt.levi_pieces(datum)
+        kept = wt.descent_pieces(datum)
+        containers = [p for p in pieces if p.datum.family == "A"
+                      and p.datum.twist_order == 1]
+        assert kept == tuple(p for p in pieces if p in kept)
+        for piece in pieces:
+            above = [c for c in containers if _inside(piece, c)]
+            assert (piece in kept) is not above, (datum, piece)
+            if above and not suzuki_ree:
+                spec = GroupSpec(datum, IntegerField(3))
+                assert all(_interval_of(piece, c, spec, rng) for c in above)
+        if not suzuki_ree:
+            try:
+                parabolic, _ = wt._doubling_parabolic(
+                    GroupSpec(datum, IntegerField(2)))
+            except rd.UnsupportedGroupError:
+                pass
+            else:
+                assert wt._descent_plan(parabolic)[0] in kept, datum
+        counts[datum.family, datum.rank, datum.twist_order] = len(kept)
+    assert counts["D", 4, 1] == 3
+    assert counts["A", 4, 1] == 2
+    assert counts["E7", 7, 1] == 8
+    assert counts["E8", 8, 1] == 10
+
+
+def test_descent_pieces_give_the_values_of_every_levi_piece(monkeypatch):
+    # Descent over ``descent_pieces`` against the same recursion over every
+    # piece of ``levi_pieces``, on all weights of the small groups and on
+    # random weights of the larger ones.  E6(3) holds the weights whose
+    # values drop when the pieces inside a D5 or A5 are dropped too.
+    specs = [(rd.group("E7", 7, q=3), 300), (rd.group("E8", 8, q=2), None),
+             (rd.group("E6", 6, q=3), None),
+             (rd.group("E6", 6, q=2, twist_order=2), None),
+             (rd.group("D", 4, q=3, twist_order=3), None),
+             (rd.group("D", 5, q=2, twist_order=2), None),
+             (rd.special_unitary(6, 2), None), (rd.group("B", 5, q=4), 300)]
+    rng = random.Random(20261021)
+    weights = []
+    for spec, count in specs:
+        if count is None:
+            weights += [(spec, w) for w in wt.enumerate_restricted_weights(spec)]
+        else:
+            ranges = wt.coefficient_ranges(spec)
+            weights += [(spec, Weight(tuple(rng.randrange(r) for r in ranges)))
+                        for _ in range(count)]
+    bd._reset_descent_memo()
+    pruned = [bd.descent_bound(spec, w) for spec, w in weights]
+    monkeypatch.setattr(bd, "descent_pieces", wt.levi_pieces)
+    try:
+        bd._reset_descent_memo()
+        every = [bd.descent_bound(spec, w) for spec, w in weights]
+    finally:
+        monkeypatch.undo()
+        bd._reset_descent_memo()
+    assert pruned == every
+    assert len(pruned) == 300 + 256 + 729 + 64 + 81 + 32 + 32 + 300
 
 
 def _linked_plans(plans):
@@ -671,12 +766,14 @@ def test_descent_memo_counts_a_fresh_sweep():
     # weight of A3(8), A2(8) and A1(8), 512 + 64 + 8 = 584.  The two queried
     # groups store none.
     assert memo.misses == sum(len(plan.descent) for plan in plans) == 584
-    # One read per Levi piece for each non-Steinberg weight of a group with
-    # pieces: 4,095 weights of D4(8) with 10 pieces, 4,095 of A4(8) with 9,
-    # 511 of A3(8) with 5 and 63 of A2(8) with 2, so 40,950 + 36,855 + 2,555
-    # + 126 = 80,486.  The doubling step reads no table: it reuses the value
-    # of its parabolic's piece.
-    assert memo.lookups == 80486
+    # One read per piece of ``descent_pieces`` for each non-Steinberg weight
+    # of a group with pieces: 4,095 weights of D4(8) with 3 pieces (its
+    # three A3), 4,095 of A4(8) with 2 (its two A3), 511 of A3(8) with 2
+    # (its two A2) and 63 of A2(8) with 2 (its two A1), so 12,285 + 8,190 +
+    # 1,022 + 126 = 21,623.  Every piece of the full ``levi_pieces`` read
+    # 80,486.  The doubling step reads no table: it reuses the value of its
+    # parabolic's piece.
+    assert memo.lookups == 21623
 
 
 def test_pieces_of_one_descendant_group_share_its_table():

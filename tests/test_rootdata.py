@@ -238,6 +238,23 @@ def test_equal_data_hash_equal_and_survive_pickling_as_keys():
     assert dataclasses.replace(datum, weyl_order=1) not in table
 
 
+def test_a_spec_names_itself_once():
+    # The name is built with the spec; ``replace`` and unpickling build it
+    # afresh, for the new field in the first case.
+    cases = [(rd.group("D", 4, q=8), "D4(q=8)"),
+             (rd.group("E6", 6, q=4, twist_order=2), "2E6(q=4)"),
+             (rd.group("D", 4, q=3, twist_order=3), "3D4(q=3)"),
+             (rd.special_unitary(6, 2), "2A5(q=2)"),
+             (rd.group("B", 2, suzuki_ree_e=1), "2B2(q^2=8)"),
+             (rd.group("G2", 2, suzuki_ree_e=0), "2G2(q^2=3)")]
+    for spec, name in cases:
+        assert spec.describe() == name
+        assert spec.describe() is spec.describe()
+        assert pickle.loads(pickle.dumps(spec)).describe() == name
+    other = dataclasses.replace(cases[0][0], field=rd.IntegerField(4))
+    assert other.describe() == "D4(q=4)"
+
+
 def test_a_pickled_spec_hashes_afresh_in_another_process():
     # A spec caches its hash, which depends on the string-hash seed; a spec
     # pickled under one seed is still found as a key under another.
