@@ -457,11 +457,12 @@ def descent_pieces(datum: RootDatum) -> tuple[_LeviPiece, ...]:
     The designated doubling piece is never dropped: no twist-stable proper
     node set holds strictly A_{n-1} in B/C/D, A_{n-2} in ²D or the
     two-component orbit of ²A, which its middle nodes would join into the
-    whole diagram.  A piece strictly
-    inside a piece of another type may set the maximum, because descent
-    reads the node labels: E6(2) at (0,0,1,1,1,0) reads 4 through its
-    pieces and 2 through its maximal pieces D5, A5 and D5 alone.  So only
-    split type A containers prune.  The candidate sieve of
+    whole diagram.
+
+    A piece strictly inside a piece of another type may set the maximum,
+    because descent reads the node labels: E6(2) at (0,0,1,1,1,0) reads 4
+    through its pieces and 2 through its maximal pieces D5, A5 and D5
+    alone.  So only split type A containers prune.  The candidate sieve of
     :func:`minimal_pim_candidates` reads every piece of :func:`levi_pieces`.
     """
     pieces = levi_pieces(datum)

@@ -640,7 +640,8 @@ def _mask(piece):
 
 def _inside(inner, outer):
     """Whether the node set of ``inner`` lies strictly inside ``outer``'s."""
-    return _mask(inner) != _mask(outer) and _mask(inner) & _mask(outer) == _mask(inner)
+    small, large = _mask(inner), _mask(outer)
+    return small != large and small & large == small
 
 
 def _interval_of(inner, outer, spec, rng):
@@ -709,7 +710,8 @@ def test_descent_pieces_give_the_values_of_every_levi_piece(monkeypatch):
     weights = []
     for spec, count in specs:
         if count is None:
-            weights += [(spec, w) for w in wt.enumerate_restricted_weights(spec)]
+            weights += [(spec, w)
+                        for w in wt.enumerate_restricted_weights(spec)]
         else:
             ranges = wt.coefficient_ranges(spec)
             weights += [(spec, Weight(tuple(rng.randrange(r) for r in ranges)))
