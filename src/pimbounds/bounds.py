@@ -20,12 +20,13 @@ Every bound comes wrapped in a :class:`BoundCertificate` recording the chain
 of rules that produced it.
 
 Each rule's scope is one predicate and each small-group fact one entry of
-:func:`known_minimum`.  Both bound cascades, the Sylow classification and,
-through :func:`best_bound`, the candidate sieve of :mod:`pimbounds.weights`
-read them.  So each "no" of the classification comes from the exact rank-1
-values, a case analysis of :mod:`pimbounds.caseanalysis`, the embedded minima
-or the scope of the restriction bound, and each "yes" from an exact bound 1
-at the zero weight.
+:func:`known_minimum`.  Both bound cascades and, through :func:`best_bound`,
+the candidate sieve of :mod:`pimbounds.weights` read them.  The Sylow
+classification states neither: each of its "no" answers comes from a case
+analysis of :mod:`pimbounds.caseanalysis` or from certified bounds of at
+least 2 at the zero weight and at every other non-Steinberg weight (all at
+once by :func:`one_only_at_ends`, or weight by weight on the candidates of
+the sieve), and each "yes" from an exact bound 1 at the zero weight.
 
 Group plans: what the rules need to know about a group that does not depend
 on the weight (its name, its table of descent values, the Steinberg
@@ -91,6 +92,7 @@ from .weights import (
     _piece_descent,
     coefficient_ranges,
     descent_pieces,
+    minimal_pim_candidates,
     steinberg_weight,
     twisted_bn_rank,
 )
@@ -145,12 +147,10 @@ def rank_one_multiplier(q: int, m: int) -> int:
         return 1
     if m == 0:
         return 2 ** k - 1
-    digits = []
-    mm = m
+    r = 0
     for _ in range(k):
-        digits.append(mm % p)
-        mm //= p
-    r = sum(1 for d in digits if d != p - 1)
+        m, digit = divmod(m, p)
+        r += digit != p - 1
     return 2 ** r
 
 
@@ -165,16 +165,11 @@ def _is_sl2(spec: GroupSpec) -> bool:
     return d.family == "A" and d.rank == 1 and d.twist_order == 1
 
 
-def _is_split(spec: GroupSpec) -> bool:
-    """Scope of the torus-orbit and independent-set bounds."""
-    return spec.is_split
-
-
 def _hc_in_scope(spec: GroupSpec) -> bool:
     """Scope of the restriction bound: split groups of type A with rank >= 4,
     of type D with rank >= 4 and q even, and of types E6, E7 and E8."""
     d = spec.datum
-    return _is_split(spec) and (
+    return spec.is_split and (
         (d.family == "A" and d.rank >= 4)
         or (d.family == "D" and d.rank >= 4 and spec.q % 2 == 0)
         or d.family in ("E6", "E7", "E8"))
@@ -375,7 +370,6 @@ def _doubling_step(spec: GroupSpec):
 @lru_cache(maxsize=None)
 def _group_plan(spec: GroupSpec) -> _GroupPlan:
     """The plan of a group, built on first use."""
-    split = _is_split(spec)
     escape_pairs, doubling = _doubling_step(spec)
     return _GroupPlan(
         group=spec.describe(),
@@ -384,7 +378,7 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
         steinberg=steinberg_weight(spec).coeffs,
         ranges=coefficient_ranges(spec),
         sl2=_is_sl2(spec),
-        torus=torus_orbits(spec) if split else None,
+        torus=torus_orbits(spec) if spec.is_split else None,
         hc_step=_hc_step(spec),
         table_steps=_table_steps(spec),
         pieces=(_piece_entries(descent_pieces(spec.datum), spec)
@@ -393,7 +387,7 @@ def _group_plan(spec: GroupSpec) -> _GroupPlan:
         doubling=doubling,
         independent=(cache(partial(_independent_set_size,
                                    _deepest_first(spec.datum)))
-                     if split and spec.datum.rank >= 2 else None),
+                     if spec.is_split and spec.datum.rank >= 2 else None),
         node_bits=tuple(1 << i for i in range(spec.datum.rank)),
     )
 
@@ -700,41 +694,66 @@ def classify_dim_equal_sylow(spec: GroupSpec) -> SylowDimensionVerdict:
     holds for SL(2, p), by the exact rank-1 values (PSL(2, 7) is SL(3, 2),
     a "yes" in characteristic 2), and for each group whose entry in
     :func:`known_minimum` gives the 1-PIM multiplier 1: SL(3, 2), SU(3, 2),
-    Sz(2) and the smallest Ree group of type G2.  "no" comes, in this order,
-    from the exact rank-1 values over a proper extension field, an
-    exhaustive case analysis (:func:`_case_analysis`), the embedded minimum
-    of :func:`known_minimum` (the smaller of its two values is the reason)
-    or the scope of the restriction bound, when the zero weight's bound is
-    at least 2, since that bound leaves the zero weight out.  (There a
-    nonzero non-Steinberg weight has bound at least 2: the restriction step
-    on a trivial Borel socle, the independent-set step otherwise.)
-    Otherwise the answer is "undecided".
+    Sz(2) and the smallest Ree group of type G2.
+
+    "no" has two routes.  The first is an exhaustive case analysis
+    (:func:`_case_analysis`), whose outcome is the reason.  The second reads
+    certified bounds only: the zero weight has bound at least 2, and every
+    other non-Steinberg weight is shown to have bound at least 2 by
+    :func:`_others_route`, either at once by :func:`one_only_at_ends` or by
+    the bound of each weight that :func:`weights.minimal_pim_candidates`
+    keeps.  Its reason names the route and the zero weight's bound.
+    Otherwise, and when the sieve does not support the group, the answer is
+    "undecided".
+
+    Proof of the second route.  Every bound is at most the multiplier, so
+    the zero weight has multiplier at least 2, and so, when
+    :func:`one_only_at_ends` holds, has every other non-Steinberg weight.
+    Otherwise let λ be a non-Steinberg weight of multiplier 1.  It is not
+    zero.  Parabolic descent bounds the multiplier of λ below by that of
+    each Levi piece at the projected weight, so each projection has
+    multiplier 1 and bound 1, and the sieve, which leaves out only the zero
+    and the Steinberg weights and lets every weight through a piece it does
+    not support, keeps λ.  So λ is a candidate, whose bound is at least 2,
+    against its multiplier 1.
     """
-    d = spec.datum
 
     def verdict(answer, reason, witnesses=()):
         return SylowDimensionVerdict(spec.describe(), answer, (reason,),
                                      tuple(witnesses))
 
-    zero = best_bound(spec, Weight((0,) * d.rank))
+    zero = best_bound(spec, Weight((0,) * spec.datum.rank))
     if zero.exact and zero.bound == 1:
         # The exact step comes first in the chain: the rank-1 value or the
         # table's.
         return verdict("yes", "the projective cover of the trivial module "
                        f"has multiplier 1 ({zero.steps[0].detail})",
                        [zero.weight])
-    if _is_sl2(spec):
-        return verdict("no", "exact rank-1 values: every non-Steinberg "
-                       "multiplier is >= 2 once the field is a proper extension")
     analysis = _case_analysis(spec)
     if analysis is not None:
         return verdict("no", analysis)
-    table = known_minimum(spec)
-    if table is not None:
-        least = min(table.value, table.zero_weight_value or table.value)
-        return verdict("no", f"every non-Steinberg multiplier is >= {least}")
-    if _hc_in_scope(spec) and zero.bound >= 2:
-        return verdict("no", "every nonzero non-Steinberg weight has bound "
-                       ">= 2 in the restriction bound's scope, and the zero "
-                       f"weight has bound {zero.bound}")
-    return verdict("undecided", "no evidence embedded")
+    route = _others_route(spec) if zero.bound >= 2 else None
+    if route is None:
+        return verdict("undecided", "no evidence embedded")
+    return verdict("no", f"{route}: every other non-Steinberg weight has "
+                   f"bound >= 2, and the zero weight has bound {zero.bound}")
+
+
+def _others_route(spec: GroupSpec) -> str | None:
+    """The route by which :func:`best_bound` is at least 2 at every
+    restricted weight other than the zero and the Steinberg weights, or
+    None: the rule behind :func:`one_only_at_ends` (``rank1-exact`` or the
+    rule of the embedded minimum), read from the group plan as it reads it,
+    or else the candidate sieve with its number of weights, when each of
+    them has bound at least 2.  A sieve that does not support the group
+    (relative rank 1, or an unsupported Levi piece) gives None."""
+    if one_only_at_ends(spec):
+        plan = _group_plan(spec)
+        return "rank1-exact" if plan.sl2 else plan.table_steps[1].rule
+    try:
+        candidates = minimal_pim_candidates(spec)
+    except UnsupportedGroupError:
+        return None
+    if any(best_bound(spec, w).bound < 2 for w in candidates):
+        return None
+    return f"candidate sieve over {len(candidates)} candidates"

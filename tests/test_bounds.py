@@ -371,7 +371,7 @@ def _reference_descent_value(spec, weight, memo):
         return bd.rank_one_multiplier(spec.q, weight[1])
     table = _reference_table_step(spec, weight)
     best = 1 if table is None else table.value
-    if bd._is_split(spec) and spec.datum.rank >= 2:
+    if spec.is_split and spec.datum.rank >= 2:
         best = max(best, 2 ** _searched_independent_set_size(spec, weight))
     if not bd._descends(spec):
         return best
@@ -955,7 +955,7 @@ def reference_best_bound(spec, weight, memo):
     if table is not None:
         steps.append(table)
         exact = exact or table.detail == "embedded exact value for the 1-PIM"
-    if bd._is_split(spec):
+    if spec.is_split:
         steps.append(bd.ChainStep(
             "torus-orbit", reference_orbit_length(spec, weight, memo),
             "Weyl orbit length of the weight reduced modulo q-1"))
@@ -1186,6 +1186,7 @@ def test_table_entries_meet_the_counting_identity(spec, order, dims):
 def test_classification_no_cases():
     assert classify(rd.special_linear(2, 4)).answer == "no"
     assert classify(rd.special_linear(3, 5)).answer == "no"
+    assert classify(rd.special_linear(3, 9)).answer == "no"
     assert classify(rd.special_unitary(3, 5)).answer == "no"
     assert classify(rd.special_unitary(4, 2)).answer == "no"
     assert classify(rd.special_unitary(4, 3)).answer == "no"
@@ -1193,20 +1194,59 @@ def test_classification_no_cases():
     assert classify(rd.group("D", 4, q=5, twist_order=3)).answer == "no"
     assert classify(rd.group("C", 2, q=2)).answer == "no"
     assert classify(rd.group("C", 2, q=3)).answer == "no"
+    assert classify(rd.group("C", 2, q=9)).answer == "no"
+    assert classify(rd.group("B", 3, q=3)).answer == "no"
+    assert classify(rd.group("F4", 4, q=3)).answer == "no"
     assert classify(rd.group("G2", 2, q=7)).answer == "no"
     assert classify(rd.group("G2", 2, suzuki_ree_e=1)).answer == "no"
     assert classify(rd.group("B", 2, suzuki_ree_e=1)).answer == "no"
     assert classify(rd.group("F4", 4, suzuki_ree_e=0)).answer == "no"
     assert classify(rd.special_linear(6, 3)).answer == "no"
-    assert classify(rd.group("E8", 8, q=3)).answer == "no"
+
+
+@pytest.mark.parametrize("spec", [
+    # Outside the sweep, each undecided before the sieve was read.
+    rd.special_linear(4, 7), rd.group("B", 3, q=5), rd.group("B", 6, q=3),
+    rd.group("D", 6, q=5), rd.group("F4", 4, q=25), rd.group("G2", 2, q=49),
+    rd.group("B", 8, q=9), rd.group("C", 5, q=2),
+    # Outside the sweep, each "no" before through the restriction scope.
+    rd.group("E8", 8, q=3), rd.group("E8", 8, q=16),
+    rd.special_linear(21, 4), rd.group("E7", 7, q=8),
+], ids=lambda spec: spec.describe())
+def test_classification_no_by_the_sieve(spec):
+    zero = bd.best_bound(spec, Weight((0,) * spec.datum.rank))
+    assert zero.bound >= 2
+    assert classify(spec).reasons == (_route_reason(
+        f"candidate sieve over {len(wt.minimal_pim_candidates(spec))} "
+        "candidates", spec),)
+
+
+def test_classification_no_by_the_table_before_the_sieve(monkeypatch):
+    # The embedded minimum 14 of 2F4(2) bounds every other weight, so the
+    # sieve, which raises on this group, is never run.
+    spec = rd.group("F4", 4, suzuki_ree_e=0)
+    with pytest.raises(UnsupportedSubdiagramError):
+        wt.minimal_pim_candidates(spec)
+
+    def unreachable(spec):
+        raise AssertionError("the sieve ran")
+
+    monkeypatch.setattr(bd, "minimal_pim_candidates", unreachable)
+    v = classify(spec)
+    assert (v.answer, v.reasons) == ("no", (
+        "small-group-table: every other non-Steinberg weight has bound >= 2, "
+        "and the zero weight has bound 14",))
 
 
 def test_classification_undecided_cases():
-    assert classify(rd.special_linear(3, 9)).answer == "undecided"
-    assert classify(rd.special_unitary(3, 4)).answer == "undecided"
-    assert classify(rd.group("C", 2, q=9)).answer == "undecided"
-    assert classify(rd.group("B", 3, q=3)).answer == "undecided"
-    assert classify(rd.group("F4", 4, q=3)).answer == "undecided"
+    # The sieve is unsupported: relative rank 1 with no embedded minimum,
+    # and a Levi piece the toolkit does not support.
+    for spec, error in ((rd.special_unitary(3, 4), rd.UnsupportedGroupError),
+                        (rd.group("F4", 4, suzuki_ree_e=1),
+                         UnsupportedSubdiagramError)):
+        with pytest.raises(error):
+            wt.minimal_pim_candidates(spec)
+        assert classify(spec).answer == "undecided"
     # No proved bound of at least 2 at the zero weight.
     assert classify(rd.group("D", 4, q=2, twist_order=3)).answer == "undecided"
     assert classify(rd.special_linear(5, 2)).answer == "undecided"
@@ -1382,9 +1422,35 @@ _REASONS_FROM_CERTIFICATE = {
 # 3D4(2).
 _ANSWERS_UNSETTLED = {"A4(q=2)", "A5(q=2)", "D4(q=2)", "D5(q=2)", "E6(q=2)",
                       "E7(q=2)", "3D4(q=2)"}
-_RESTRICTION_REASON = ("every nonzero non-Steinberg weight has bound >= 2 in "
-                       "the restriction bound's scope, and the zero weight "
-                       "has bound {}")
+# The reference left these undecided; the candidate sieve keeps no weight
+# of bound 1 and the zero weight has bound >= 2.
+_ANSWERS_FROM_SIEVE = {
+    "A2(q=4)", "A2(q=9)", "A3(q=3)", "A3(q=4)", "A3(q=5)", "C2(q=4)",
+    "C2(q=9)", "B3(q=2)", "B3(q=3)", "B3(q=4)", "C3(q=2)", "C3(q=3)",
+    "C3(q=4)", "C4(q=2)", "C4(q=3)", "B4(q=2)", "D4(q=3)", "F4(q=2)",
+    "F4(q=3)", "G2(q=4)", "2A3(q=4)", "2A4(q=3)", "2A5(q=2)", "2A6(q=2)",
+    "2D4(q=2)", "2D4(q=3)", "2D5(q=2)", "2E6(q=2)", "3D4(q=4)"}
+_UNDECIDED = {"A3(q=2)", "A4(q=2)", "A5(q=2)", "D4(q=2)", "D5(q=2)",
+              "E6(q=2)", "E7(q=2)", "2A2(q=4)", "3D4(q=2)", "2F4(q^2=8)"}
+
+
+def _route_reason(route, spec):
+    """The reason of a "no" read off the certified bounds."""
+    zero = bd.best_bound(spec, Weight((0,) * spec.datum.rank))
+    return (f"{route}: every other non-Steinberg weight has bound >= 2, and "
+            f"the zero weight has bound {zero.bound}")
+
+
+def _route(verdict):
+    """The route of a "no": a case analysis, the rule that bounds every
+    other weight at once, or the candidate sieve."""
+    reason = verdict.reasons[0]
+    if reason.startswith(("exhaustive decomposition analysis:",
+                          "cyclotomic divisibility analysis:")):
+        return "case analysis"
+    if reason.startswith("candidate sieve over "):
+        return "sieve"
+    return "rank-1 or embedded minimum"
 
 
 def test_sweep_size():
@@ -1393,8 +1459,13 @@ def test_sweep_size():
 
 
 def test_sweep_answers():
-    answers = collections.Counter(classify(spec).answer for spec in SWEEP)
-    assert answers == {"no": 34, "undecided": 39, "yes": 8}
+    verdicts = [classify(spec) for spec in SWEEP]
+    answers = collections.Counter(v.answer for v in verdicts)
+    assert answers == {"no": 63, "undecided": 10, "yes": 8}
+    assert {v.group for v in verdicts if v.answer == "undecided"} == _UNDECIDED
+    routes = collections.Counter(_route(v) for v in verdicts if v.answer == "no")
+    assert routes == {"case analysis": 4, "rank-1 or embedded minimum": 27,
+                      "sieve": 32}
 
 
 def test_classification_matches_reference():
@@ -1411,16 +1482,32 @@ def test_classification_matches_reference():
             assert (got.answer, got.reasons) == (
                 "undecided", ("no evidence embedded",)), name
             continue
+        if name in _ANSWERS_FROM_SIEVE:
+            assert (ref.answer, ref.witnesses) == ("undecided", ())
+            assert (got.answer, got.witnesses) == ("no", ()), name
+            assert _route(got) == "sieve", name
+            continue
         assert (got.answer, got.witnesses) == (ref.answer, ref.witnesses), name
-        if name in _REASONS_CORRECTED:
-            assert ref.reasons == ("every non-Steinberg multiplier is >= 2",)
-            assert got.reasons == ("every non-Steinberg multiplier is >= 3",)
-        elif name in _REASONS_FROM_CERTIFICATE:
+        minimum = ref.reasons[0].removeprefix(
+            "every non-Steinberg multiplier is >= ")
+        if name in _REASONS_FROM_CERTIFICATE:
             assert ref.reasons != got.reasons
             assert got.reasons == (_REASONS_FROM_CERTIFICATE[name],)
         elif ref.reasons[0].startswith("the restriction bound"):
-            zero = bd.best_bound(spec, Weight((0,) * spec.datum.rank))
-            assert got.reasons == (_RESTRICTION_REASON.format(zero.bound),)
+            assert got.reasons == (
+                _route_reason("candidate sieve over 0 candidates", spec),)
+        elif ref.reasons[0].startswith("exact rank-1 values"):
+            assert got.reasons == (_route_reason("rank1-exact", spec),)
+        elif minimum != ref.reasons[0]:
+            # The reference restated the table's least value; the reason
+            # names the table's rule and the zero weight's bound.
+            table = bd.known_minimum(spec)
+            least = min(table.value, table.zero_weight_value or table.value)
+            if name in _REASONS_CORRECTED:
+                assert (minimum, least) == ("2", 3), name
+            else:
+                assert least == int(minimum), name
+            assert got.reasons == (_route_reason(table.rule, spec),)
         else:
             assert got.reasons == ref.reasons, name
 
