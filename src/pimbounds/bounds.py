@@ -39,17 +39,16 @@ its modulus m = q-1, for split groups of rank >= 2 the leaf rule of
 size of a largest independent node set, cached per node set met, and for
 groups in the restriction bound's scope its step) is built once per group,
 on first use, and cached.
-The pieces themselves depend on the datum only: :func:`weights.levi_pieces`
-reads them from :func:`weights._levi_piece`, which builds each once per
-datum and orbit mask, and a plan holds those of
+The pieces themselves depend on the datum only: :func:`weights._levi_piece`
+builds each once per datum and orbit mask, and a plan holds those of
 :func:`weights.descent_pieces`, which drops every piece lying strictly
-inside a piece of split type A, since such a piece never sets the maximum
-(3 of 10 pieces are kept on D4, 10 of 43 on E8).  The plan's entry for a
-piece holds the projection of :func:`weights._piece_descent`, the one map
-from a group's coefficients to a piece's, which
-:func:`weights.descend_weight` applies too, linked to the plan of its
-descendant and that plan's table; the descendants' plans are built with the
-group's.  The recursion :func:`_descent_value` is the one descent function:
+inside a piece of split type A, since such a piece never sets the maximum,
+and never builds the dropped ones (3 of 10 pieces are built on D4, 10 of
+43 on E8).  The plan's entry for a piece holds the projection of
+:func:`weights._piece_descent`, the one map from a group's coefficients
+to a piece's, which :func:`weights.descend_weight` applies too, linked to
+the plan of its descendant and that plan's table; the descendants' plans
+are built with the group's.  The recursion :func:`_descent_value` is the one descent function:
 it reads each piece's value from the descendant's table, computing it there
 on a miss, and the doubling step reuses the value of its parabolic's piece.
 So values live only in the tables of groups reached as descendants, and the

@@ -386,24 +386,18 @@ def descend_weight(spec: GroupSpec, parabolic: ParabolicSubset,
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def levi_pieces(datum: RootDatum) -> tuple[_LeviPiece, ...]:
-    """The supported pieces of a datum, one per twist-stable proper node set
-    that is a single Frobenius orbit of connected components, ordered by the
-    bitmask with bit k set when the node set holds the k-th orbit of
+def _one_orbit_sets(datum: RootDatum) -> list[int]:
+    """The twist-stable proper node sets of a datum that are a single
+    Frobenius orbit of connected components, as masks, ordered by the
+    bitmask with bit k set when the set holds the k-th orbit of
     :func:`_node_orbits`.
 
-    A piece depends only on its orbit of components, so every piece of a
-    proper parabolic's plan is the piece of its own node set, and a plan is
-    unsupported exactly when one of its pieces is.  A maximum over the
-    pieces of every supported proper parabolic is therefore a maximum over
-    these pieces.  The node sets with one orbit are the closures under the
-    diagram symmetry of the connected node sets: each component of a
-    closure holds an image of the connected set, so the closure of any
-    component is the whole closure.  So they are found from the connected
-    node sets (:func:`_connected_sets`), without listing the 2^(relative
-    rank) - 2 proper parabolics: 43 of the 254 of E8, 33 of 126 on E7, 10
-    of 14 on D4 and 209 of 2^20 - 2 on A20.  Built once per datum.
+    They are the closures under the diagram symmetry of the connected node
+    sets: each component of a closure holds an image of the connected set,
+    so the closure of any component is the whole closure.  So they are
+    found from the connected node sets (:func:`_connected_sets`), without
+    listing the 2^(relative rank) - 2 proper parabolics: 43 of the 254 of
+    E8, 33 of 126 on E7, 10 of 14 on D4 and 209 of 2^20 - 2 on A20.
     """
     orbits = _node_orbits(datum)
 
@@ -414,8 +408,22 @@ def levi_pieces(datum: RootDatum) -> tuple[_LeviPiece, ...]:
 
     sets = {_closure(datum, c) for c in _connected_sets(datum._neighbours)}
     sets.discard((1 << datum.rank) - 1)
+    return sorted(sets, key=position)
+
+
+@lru_cache(maxsize=None)
+def levi_pieces(datum: RootDatum) -> tuple[_LeviPiece, ...]:
+    """The supported pieces of a datum, one per node set of
+    :func:`_one_orbit_sets`, in its order.  Built once per datum.
+
+    A piece depends only on its orbit of components, so every piece of a
+    proper parabolic's plan is the piece of its own node set, and a plan is
+    unsupported exactly when one of its pieces is.  A maximum over the
+    pieces of every supported proper parabolic is therefore a maximum over
+    these pieces.
+    """
     pieces = []
-    for mask in sorted(sets, key=position):
+    for mask in _one_orbit_sets(datum):
         try:
             pieces.append(_levi_piece(datum, mask))
         except UnsupportedGroupError:
@@ -429,6 +437,15 @@ def descent_pieces(datum: RootDatum) -> tuple[_LeviPiece, ...]:
     node set does not lie strictly inside the node set of a piece whose
     descendant is split of type A.  Built once per datum, on first use.
     D4 keeps 3 of its 10 pieces, A4 2 of 9, E7 8 of 33 and E8 10 of 43.
+
+    Only the kept pieces are built.  The node sets of
+    :func:`_one_orbit_sets` are visited largest first, and a set is built
+    only when it lies inside no split type-A piece already kept.  That
+    drops exactly the sets that the rule drops: the largest split type-A
+    piece holding a dropped set lies strictly inside no other such piece
+    (a larger one would hold the set too), so it is kept, and it is
+    visited before the smaller set.  The kept pieces come in the order of
+    :func:`levi_pieces`.
 
     The value of descent (see :func:`bounds.descent_bound`) does not change.
     Let P' be a dropped piece, strictly inside a piece P whose descendant H
@@ -465,14 +482,20 @@ def descent_pieces(datum: RootDatum) -> tuple[_LeviPiece, ...]:
     alone.  So only split type A containers prune.  The candidate sieve of
     :func:`minimal_pim_candidates` reads every piece of :func:`levi_pieces`.
     """
-    pieces = levi_pieces(datum)
-    # The node set of each piece as a mask: the union of its indices.
-    masks = [sum(1 << i for row in piece.indices for i in row)
-             for piece in pieces]
-    containers = [mask for piece, mask in zip(pieces, masks)
-                  if (piece.datum.family, piece.datum.twist_order) == ("A", 1)]
-    return tuple(piece for piece, mask in zip(pieces, masks)
-                 if not any(mask != c and mask & ~c == 0 for c in containers))
+    sets = _one_orbit_sets(datum)
+    kept, containers = {}, []
+    for mask in sorted(sets, key=int.bit_count, reverse=True):
+        # A container seen before is no smaller, so holding the set means
+        # holding it strictly.
+        if any(mask & ~c == 0 for c in containers):
+            continue
+        try:
+            piece = kept[mask] = _levi_piece(datum, mask)
+        except UnsupportedGroupError:
+            continue
+        if (piece.datum.family, piece.datum.twist_order) == ("A", 1):
+            containers.append(mask)
+    return tuple(kept[mask] for mask in sets if mask in kept)
 
 
 def _connected_sets(neighbours: tuple[int, ...]) -> set[int]:

@@ -695,6 +695,19 @@ def test_descent_pieces_drop_only_pieces_inside_split_type_a():
     assert counts["E8", 8, 1] == 10
 
 
+@pytest.mark.parametrize("family, rank, built", [
+    ("E8", 8, 10), ("E7", 7, 8), ("D", 4, 3), ("A", 4, 2)])
+def test_descent_pieces_build_only_the_kept_pieces(family, rank, built):
+    # From an empty piece cache, descent builds only the pieces it keeps.
+    datum = build_root_datum(family, rank)
+    wt._levi_piece.cache_clear()
+    try:
+        assert len(wt.descent_pieces.__wrapped__(datum)) == built
+        assert wt._levi_piece.cache_info().currsize == built
+    finally:
+        wt._levi_piece.cache_clear()
+
+
 def test_descent_pieces_give_the_values_of_every_levi_piece(monkeypatch):
     # Descent over ``descent_pieces`` against the same recursion over every
     # piece of ``levi_pieces``, on all weights of the small groups and on

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -313,22 +314,30 @@ def dense_theta(plan):
     return tuple(entries.get(j, 0) for j in range(len(plan.theta_form)))
 
 
-def dense_alcove_kac(datum, x, m):
-    """The walk of ``cl._alcove_kac`` on dense coordinates: each step builds
-    a new x from a whole simple root, or from theta."""
+def counted_alcove_walk(datum, x, m):
+    """The walk of ``cl._alcove_kac`` on dense coordinates, and the number
+    of reflections it takes: each step builds a new x from a whole simple
+    root, or from theta."""
     n = datum.rank
     simple = tuple(tuple(datum.cartan[j][i] for j in range(n)) for i in range(n))
     plan = cl._alcove_plan(datum)
     x = list(x)
+    steps = 0
     while True:
         low = min(x)
         if low < 0:
             x = [a - low * r for a, r in zip(x, simple[x.index(low)])]
+            steps += 1
             continue
         h = sum(d * a for d, a in zip(plan.theta_form, x))
         if h <= m:
-            return (m - h, *x)
+            return (m - h, *x), steps
         x = [a - (h - m) * t for a, t in zip(x, dense_theta(plan))]
+        steps += 1
+
+
+def dense_alcove_kac(datum, x, m):
+    return counted_alcove_walk(datum, x, m)[0]
 
 
 @pytest.mark.parametrize("family, rank, q", [
@@ -364,6 +373,95 @@ def test_orbit_size_on_every_character(family, rank, q):
         lift = cl.orbit_size(spec, lifted)
         assert len(points) == 1
         assert cold == warm == lift == len(cl.orbit(spec, beta)), beta
+
+
+def alcove_length(datum, kac):
+    """|W| / (|W_J| * |Ω_x|) at an alcove point."""
+    plan = cl._alcove_plan(datum)
+    return datum.weyl_order // (cl._wall_stabilizer_order(plan, kac)
+                                * cl._omega_fixing(plan, kac))
+
+
+def lift_walks(datum, points, m):
+    """For each reduced point: the alcove points and reflection counts of
+    the walks from the point itself and from its short lift."""
+    plan = cl._alcove_plan(datum)
+    for x in points:
+        yield (x, counted_alcove_walk(datum, x, m),
+               counted_alcove_walk(datum, cl._short_lift(plan, x, m), m))
+
+
+def seeded_points(rank, m, count, seed):
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(m) for _ in range(rank)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("family, rank, q", [
+    ("A", 2, 5), ("C", 2, 5), ("B", 3, 4), ("G2", 2, 8), ("A", 3, 4),
+    ("D", 4, 4), ("F4", 4, 3)])
+def test_short_lift_keeps_every_orbit_length(family, rank, q):
+    # The lift and the point lie in one W ⋉ mP orbit, so their alcove points
+    # differ by an element of Ω, and give the same length, which is the
+    # length of the listed orbit.
+    spec = rd.group(family, rank, q=q)
+    plan = cl._alcove_plan(spec.datum)
+    m = q - 1
+    points = itertools.product(range(m), repeat=rank)
+    for x, (kac, _), (lifted, _) in lift_walks(spec.datum, points, m):
+        assert lifted in {tuple(kac[p] for p in perm) for perm in plan.omega}
+        assert (alcove_length(spec.datum, kac)
+                == alcove_length(spec.datum, lifted)
+                == cl.orbit_size(spec, x) == len(cl.orbit(spec, x))), x
+
+
+@pytest.mark.parametrize("family, rank, q, fewer", [
+    ("E8", 8, 5, 3), ("E7", 7, 8, 3), ("A", 7, 8, 2)])
+def test_short_lift_walks_fewer_reflections(family, rank, q, fewer):
+    # 300 seeded characters: equal lengths from both starts, and at least
+    # ``fewer`` times fewer reflections in all from the lift.
+    spec = rd.group(family, rank, q=q)
+    datum, m = spec.datum, q - 1
+    points = seeded_points(rank, m, 300, 20261021)
+    reduced = lifted = 0
+    for x, (kac, steps), (lift_kac, lift_steps) in lift_walks(datum, points, m):
+        assert (alcove_length(datum, kac) == alcove_length(datum, lift_kac)
+                == cl.orbit_size(spec, x)), x
+        reduced += steps
+        lifted += lift_steps
+    assert lifted * fewer <= reduced, (reduced, lifted)
+
+
+@pytest.mark.parametrize("family, rank", [("D", 4), ("A", 4)])
+def test_short_lift_walks_no_more_reflections_in_all(family, rank):
+    # Every character of D4(8) and A4(8), the benchmark's sweep.  The lift
+    # walks further from some points, so only the totals are compared.
+    datum = rd.build_root_datum(family, rank)
+    points = itertools.product(range(7), repeat=rank)
+    walks = list(lift_walks(datum, points, 7))
+    reduced = sum(steps for _, (_, steps), _ in walks)
+    lifted = sum(steps for _, _, (_, steps) in walks)
+    assert lifted <= reduced, (reduced, lifted)
+    assert any(lift > steps for _, (_, steps), (_, lift) in walks)
+
+
+def test_plan_bonds_equal_the_pairings_of_the_extended_diagram():
+    # The bonds of the plan against <a, b^vee> * <b, a^vee> over every pair
+    # of nodes of the extended diagram, node 0 being (theta, theta^vee).
+    for datum in cli._iter_small_data():
+        n = datum.rank
+        simple = tuple(tuple(datum.cartan[j][i] for j in range(n))
+                       for i in range(n))
+        plan = cl._alcove_plan(datum)
+        nodes = [(dense_theta(plan), plan.theta_form)] + [
+            (simple[i], tuple(int(k == i) for k in range(n)))
+            for i in range(n)]
+
+        def pairing(a, b):
+            return sum(r * c for r, c in zip(nodes[a][0], nodes[b][1]))
+
+        assert plan.bonds == tuple(
+            tuple(pairing(a, b) * pairing(b, a) if a != b else 0
+                  for b in range(n + 1)) for a in range(n + 1)), datum
 
 
 def test_orbit_lengths_are_cached_per_modulus():
