@@ -52,7 +52,8 @@ are built with the group's.  The recursion :func:`_descent_value` is the one des
 it reads each piece's value from the descendant's table, computing it there
 on a miss, and the doubling step reuses the value of its parabolic's piece.
 So values live only in the tables of groups reached as descendants, and the
-value asked for at the top is not stored.
+value asked for at the top is not stored.  The tables are the only memo of
+descent: ``_group_plan.cache_clear()`` drops every value with its plan.
 Chain steps are frozen, so each step that does not depend on the weight, or
 only on its value, is built once and shared.  The weight is checked once,
 at the public entries :func:`best_bound` and :func:`descent_bound`: a
@@ -85,9 +86,9 @@ from .weights import (
     Weight,
     _check_weight,
     _deepest_first,
-    _descent_plan,
     _doubling_parabolic,
     _independent_set_size,
+    _levi_piece,
     _piece_descent,
     coefficient_ranges,
     descent_pieces,
@@ -357,12 +358,13 @@ def _doubling_step(spec: GroupSpec):
     """The escape pairs of the designated doubling parabolic and the index
     of its piece in :func:`weights.descent_pieces`, or ``(None, None)`` when
     the group has none.  That parabolic is proper, of type A and one
-    Frobenius orbit, so it is a supported piece, and descent keeps it."""
+    Frobenius orbit, so its node set is a supported piece, and descent keeps
+    it."""
     try:
         parabolic, pairs = _doubling_parabolic(spec)
     except UnsupportedGroupError:
         return None, None
-    (piece,) = _descent_plan(parabolic)
+    piece = _levi_piece(spec.datum, parabolic.mask)
     return pairs, descent_pieces(spec.datum).index(piece)
 
 
@@ -449,30 +451,6 @@ def _hc_step(spec: GroupSpec) -> ChainStep | None:
 # Recursive descent bound
 # ---------------------------------------------------------------------------
 
-class DescentMemo:
-    """Counts of the reads of a descendant's descent table (``lookups``) and
-    of the values computed into one (``misses``).  The values live in the
-    ``descent`` table of each group plan, and only a group reached as a
-    descendant, through a Levi piece, has values in its table."""
-
-    __slots__ = ("lookups", "misses")
-
-    def __init__(self):
-        self.lookups = 0
-        self.misses = 0
-
-
-_DESCENT_MEMO = DescentMemo()
-
-
-def _reset_descent_memo() -> DescentMemo:
-    """Drop every descent value, with the group plans that hold them, and
-    start new counts, which are returned."""
-    global _DESCENT_MEMO
-    _group_plan.cache_clear()
-    _DESCENT_MEMO = DescentMemo()
-    return _DESCENT_MEMO
-
 
 def descent_bound(spec: GroupSpec, weight: Weight) -> int:
     """Best multiplier bound obtainable by recursion through parabolics.
@@ -548,14 +526,11 @@ def _descend(coeffs: tuple[int, ...], plan: _GroupPlan, best: int) -> int:
     largest of ``best``, which is the weight's floor (its table value or 1,
     raised to 2^size by the independent-set step), the values of the Levi
     pieces and the doubling step."""
-    memo = _DESCENT_MEMO
-    memo.lookups += len(plan.pieces)
     values = []
     for project, dtable, dplan in plan.pieces:
         dcoeffs = project(coeffs)
         value = dtable.get(dcoeffs)
         if value is None:
-            memo.misses += 1
             value = dtable[dcoeffs] = _descent_value(dcoeffs, dplan)
         values.append(value)
     best = max([best, *values])

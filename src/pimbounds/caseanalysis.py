@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .degrees import DegreePolynomial, X, cyclotomic_residue_report, dataset
-from .rootdata import factor_prime_power
+from .rootdata import UnsupportedGroupError, factor_prime_power
 
 
 class CaseAnalysisError(AssertionError):
@@ -217,6 +217,8 @@ def _eliminate_candidates(candidates, x, probes, label,
 def _require_odd_prime(p: int) -> None:
     try:
         odd_prime = p > 2 and factor_prime_power(p) == (p, 1)
+    except UnsupportedGroupError:
+        raise  # beyond the factoring budget, which its message names
     except ValueError:  # not a prime power
         odd_prime = False
     if not odd_prime:

@@ -446,6 +446,8 @@ def orbit_scan(spec: GroupSpec) -> OrbitScanReport:
 def _require_prime(ell: int) -> None:
     try:
         prime = factor_prime_power(ell) == (ell, 1)
+    except UnsupportedGroupError:
+        raise  # beyond the factoring budget, which its message names
     except ValueError:
         prime = False
     if not prime:

@@ -14,6 +14,12 @@ Exit codes: 0 on success / verified, 1 when a verification finds a violation
 (a JSON counterexample is printed), 2 for usage errors, unsupported input and
 exceeded budgets, 3 for an unexpected internal error (a one-line message on
 stderr).
+
+Budgets: ``--q`` is factored by trial division up to min(√q, 10^6), once
+per q, so a q of (10^6 + 1)^2 or more with no prime factor up to 10^6 is
+refused with exit 2.  The orbit commands stop at ``charlattice.ORBIT_BUDGET``
+points.  Integers are printed in full, however many digits they have; the
+inputs are parsed under the interpreter's digit limit.
 """
 
 from __future__ import annotations
@@ -77,11 +83,19 @@ def _parse_weight(text: str, rank: int) -> weights.Weight:
 
 
 def _emit(payload: dict, as_json: bool, lines=None) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in lines or _default_lines(payload):
-            print(line)
+    # Exact integers print in full: the interpreter's limit on the digits of
+    # an int turned into text is lifted for the output only, and input
+    # parsing keeps it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if as_json:
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            for line in lines or _default_lines(payload):
+                print(line)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _default_lines(payload: dict):
@@ -115,6 +129,7 @@ def _cmd_info(args) -> int:
         p_part, pprime = rootdata.group_order_poly(spec)
         payload["order_p_part_coefficients"] = list(p_part.coeffs)
         payload["order_p_prime_part_coefficients"] = list(pprime.coeffs)
+        # group_order evaluates the polynomials just built, from their cache.
         payload["group_order"] = rootdata.group_order(spec)
     except rootdata.OrderFormulaError:
         payload["group_order"] = None

@@ -138,9 +138,11 @@ class DegreePolynomial:
         if not a or not b:
             return DegreePolynomial()
         out = [0] * (len(a) + len(b) - 1)
+        # Only the nonzero terms of either side: a factor X^d - 1 has two.
+        terms = [(j, cb) for j, cb in enumerate(b) if cb]
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
+                for j, cb in terms:
                     out[i + j] += ca * cb
         return DegreePolynomial(out)
 

@@ -447,13 +447,23 @@ def weyl_order_by_bfs(datum: RootDatum) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Trial division in :func:`factor_prime_power` stops at this divisor.
+_FACTOR_BUDGET = 10 ** 6
+
+
+@lru_cache(maxsize=256)
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Write q = p^k with p prime, or raise ``ValueError``."""
+    """Write q = p^k with p prime, or raise ``ValueError``.
+
+    Trial division runs up to min(√q, 10^6), so one call costs at most 10^6
+    divisions, and the answer is cached per q.  Every q below (10^6 + 1)^2,
+    and every q with a prime factor up to 10^6, is decided.  A larger q
+    with no prime factor up to 10^6 is beyond that budget and raises
+    :class:`UnsupportedGroupError`, prime or not.
+    """
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if p * p > q:
-            break
+    for p in range(2, min(math.isqrt(q), _FACTOR_BUDGET) + 1):
         if q % p == 0:
             k = 0
             m = q
@@ -463,6 +473,10 @@ def factor_prime_power(q: int) -> tuple[int, int]:
             if m != 1:
                 raise ValueError(f"{q} is not a prime power")
             return p, k
+    if math.isqrt(q) > _FACTOR_BUDGET:
+        raise UnsupportedGroupError(
+            f"q = {q} has no prime factor up to {_FACTOR_BUDGET}, the trial-"
+            "division budget, so it is not known to be a prime power")
     return q, 1  # q itself is prime
 
 
@@ -616,6 +630,7 @@ def special_unitary(n: int, q: int) -> GroupSpec:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def group_order_poly(spec: GroupSpec) -> tuple[DegreePolynomial, DegreePolynomial]:
     """Exact (p-part, p'-part) of the group order as polynomials.
 
@@ -646,8 +661,6 @@ def group_order_poly(spec: GroupSpec) -> tuple[DegreePolynomial, DegreePolynomia
 def group_order(spec: GroupSpec) -> int:
     """Integer group order where an order polynomial is embedded."""
     p_part, pprime = group_order_poly(spec)
-    if spec.is_suzuki_ree:
-        x = spec.field.q1  # t = 3^e for the Ree groups of type G2
-    else:
-        x = spec.q
+    # t = 3^e for the Ree groups of type G2.
+    x = spec.field.q1 if spec.is_suzuki_ree else spec.q
     return p_part.evaluate(x) * pprime.evaluate(x)

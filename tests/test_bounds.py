@@ -729,15 +729,15 @@ def test_descent_pieces_give_the_values_of_every_levi_piece(monkeypatch):
             ranges = wt.coefficient_ranges(spec)
             weights += [(spec, Weight(tuple(rng.randrange(r) for r in ranges)))
                         for _ in range(count)]
-    bd._reset_descent_memo()
+    bd._group_plan.cache_clear()
     pruned = [bd.descent_bound(spec, w) for spec, w in weights]
     monkeypatch.setattr(bd, "descent_pieces", wt.levi_pieces)
     try:
-        bd._reset_descent_memo()
+        bd._group_plan.cache_clear()
         every = [bd.descent_bound(spec, w) for spec, w in weights]
     finally:
         monkeypatch.undo()
-        bd._reset_descent_memo()
+        bd._group_plan.cache_clear()
     assert pruned == every
     assert len(pruned) == 300 + 256 + 729 + 64 + 81 + 32 + 32 + 300
 
@@ -768,19 +768,35 @@ def test_best_bound_descent_step_equals_descent_bound():
                     == bd.descent_bound(spec, w)), (spec.describe(), w)
 
 
-def test_descent_memo_counts_a_fresh_sweep():
+def test_descent_memo_counts_a_fresh_sweep(monkeypatch):
     # The set of descent values computed for the D4(8)-then-A4(8) sweep is
-    # the one computed when descent ran through every proper parabolic.
-    memo = bd._reset_descent_memo()
+    # the one computed when descent ran through every proper parabolic.  The
+    # plans' tables are the memo; the counts come from wrapping the
+    # recursion, as ``tools/op_counts.py`` does.
+    bd._group_plan.cache_clear()
+    descend, value = bd._descend, bd._descent_value
+    lookups, misses = [], []
+
+    def counted_descend(coeffs, plan, best):
+        lookups.append(len(plan.pieces))
+        return descend(coeffs, plan, best)
+
+    def counted_value(coeffs, plan):
+        misses.append(coeffs)
+        return value(coeffs, plan)
+
+    monkeypatch.setattr(bd, "_descend", counted_descend)
+    monkeypatch.setattr(bd, "_descent_value", counted_value)
     specs = (rd.group("D", 4, q=8), rd.group("A", 4, q=8))
     for spec in specs:
         for w in wt.enumerate_restricted_weights(spec):
             bd.best_bound(spec, w)
     plans = _linked_plans([bd._group_plan(spec) for spec in specs])
-    # Only the descendants' tables hold values, each computed once: every
+    # Only the descendants' tables hold values, each computed once (only
+    # ``_descend`` calls ``_descent_value`` under ``best_bound``): every
     # weight of A3(8), A2(8) and A1(8), 512 + 64 + 8 = 584.  The two queried
     # groups store none.
-    assert memo.misses == sum(len(plan.descent) for plan in plans) == 584
+    assert len(misses) == sum(len(plan.descent) for plan in plans) == 584
     # One read per piece of ``descent_pieces`` for each non-Steinberg weight
     # of a group with pieces: 4,095 weights of D4(8) with 3 pieces (its
     # three A3), 4,095 of A4(8) with 2 (its two A3), 511 of A3(8) with 2
@@ -788,7 +804,7 @@ def test_descent_memo_counts_a_fresh_sweep():
     # 1,022 + 126 = 21,623.  Every piece of the full ``levi_pieces`` read
     # 80,486.  The doubling step reads no table: it reuses the value of its
     # parabolic's piece.
-    assert memo.lookups == 21623
+    assert sum(lookups) == 21623
 
 
 def test_pieces_of_one_descendant_group_share_its_table():
@@ -806,12 +822,13 @@ def test_reset_drops_every_descent_value():
     spec = rd.group("C", 3, q=4)
     weight = Weight((1, 0, 2))
     bd.best_bound(spec, weight)
-    memo = bd._reset_descent_memo()
+    old = bd._group_plan(spec)
+    assert any(p.descent for p in _linked_plans([old]))
+    bd._group_plan.cache_clear()
     plan = bd._group_plan(spec)
-    assert memo.lookups == memo.misses == 0
+    assert plan is not old
     assert all(not p.descent for p in _linked_plans([plan]))
     bd.descent_bound(spec, weight)
-    assert memo.lookups >= memo.misses > 0
     # The value asked for is not stored; the descendants' values are.
     assert not plan.descent
     assert any(p.descent for p in _linked_plans([plan]))
@@ -1017,7 +1034,7 @@ def test_best_bound_equals_reference():
         [json.dumps(reference_best_bound(spec, w, memo).to_json())
          for w in wt.enumerate_restricted_weights(spec)]
         for spec in specs]
-    bd._reset_descent_memo()
+    bd._group_plan.cache_clear()
     for memo_state in ("fresh", "warm"):
         for spec, want in zip(specs, expected):
             got = [json.dumps(bd.best_bound(spec, w).to_json())

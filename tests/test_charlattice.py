@@ -871,6 +871,14 @@ def test_modulus_must_be_prime(ell):
         fixed_subspace_mod_ell(datum, ell)
 
 
+def test_modulus_beyond_the_factoring_budget_names_it():
+    # 2^61 - 1 is prime, but proving it is beyond the budget of
+    # ``rootdata.factor_prime_power``, which the refusal names.
+    datum = rd.build_root_datum("A", 2)
+    with pytest.raises(rd.UnsupportedGroupError, match="budget"):
+        cl.is_irreducible_mod_ell(datum, 2 ** 61 - 1)
+
+
 def test_rank_one_always_irreducible():
     datum = rd.build_root_datum("A", 1)
     for ell in (2, 3, 5, 7):

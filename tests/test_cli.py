@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import math
+import sys
+import time
 
 import pytest
 
@@ -36,6 +39,40 @@ def test_info_suzuki_ree(capsys):
                           "--json")
     assert code == 0
     assert blob["restricted_weight_count"] == 3 * 9  # ranges (3, 9)
+
+
+def test_info_prints_any_order_exactly(capsys):
+    # |SL(201, 2)| has over 12,000 digits, beyond the interpreter's default
+    # limit for turning an int into text; the limit is lifted for the output
+    # only, and parsing the input keeps it.
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "info", "A", "200", "--q", "2", "--json")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        blob = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert blob["group_order"] == (
+        2 ** (201 * 200 // 2) * math.prod(2 ** d - 1 for d in range(2, 202)))
+    code, _, err = run(capsys, "info", "A", "1", "--q", "9" * (limit + 1))
+    assert code == 2 and "invalid int value" in err
+
+
+def test_field_size_factoring_has_a_budget(capsys):
+    # 2^61 - 1 is prime, and proving it so by trial division would take
+    # about 1.5·10^9 divisions; the budget stops at 10^6 and refuses it.
+    start = time.perf_counter()
+    code, _, err = run(capsys, "info", "A", "1", "--q", str(2 ** 61 - 1))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "trial-division budget" in err
+    # A case analysis names the budget too, not a wrong reason.
+    code, _, err = run(capsys, "verify", "u4", "--primes", str(2 ** 61 - 1))
+    assert code == 2 and "trial-division budget" in err
+    for q in (2 ** 60, 999983, 999983 ** 2, 3 ** 30):
+        code, blob = run_json(capsys, "info", "A", "1", "--q", str(q), "--json")
+        assert code == 0 and blob["group"] == f"A1(q={q})", q
 
 
 def test_orbit_command(capsys):

@@ -416,6 +416,14 @@ def test_prime_power_factoring():
         rd.factor_prime_power(12)
     with pytest.raises(ValueError):
         rd.factor_prime_power(1)
+    # Trial division stops at 10^6: a q with no prime factor up to there is
+    # accepted as prime only while that proves it, up to (10^6 + 1)^2 - 1.
+    assert rd.factor_prime_power(999983 ** 2) == (999983, 2)
+    assert rd.factor_prime_power(10 ** 12 + 39) == (10 ** 12 + 39, 1)
+    assert rd.factor_prime_power(2 ** 60) == (2, 60)
+    for q in (1000003 ** 2, 2 ** 61 - 1):
+        with pytest.raises(rd.UnsupportedGroupError, match="budget"):
+            rd.factor_prime_power(q)
 
 
 def test_suzuki_ree_specs():

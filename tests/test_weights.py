@@ -630,6 +630,27 @@ def test_candidates_and_bound_on_rank_40():
     assert not out[end:].lstrip()[end2:].strip()
 
 
+@pytest.mark.parametrize("rank", [8, 12, 16])
+def test_sieve_prunes_with_the_small_pieces(rank, monkeypatch):
+    # The small Levi pieces are the sieve's pruning.  On A_n(2) the interval
+    # pieces that end at a node leave only the zero and the all-ones partial
+    # weights, so the sieve asks two verdicts of each A_k(2), k < n, and two
+    # more of A2(2) at (1, 0) and (0, 1): 2·rank.  With ``descent_pieces``
+    # alone (the two A_{n-1}) it would keep all 2^(n-1) partial weights
+    # until the last two nodes and ask 130, 2,050 and 32,770 verdicts on A8,
+    # A12 and A16, and ``candidates A 40 --q 2`` would run out of memory.
+    best_bound = bd.best_bound
+    calls = []
+
+    def counted(spec, weight):
+        calls.append(weight)
+        return best_bound(spec, weight)
+
+    monkeypatch.setattr(bd, "best_bound", counted)
+    assert wt.minimal_pim_candidates(rd.group("A", rank, q=2)) == []
+    assert len(calls) == 2 * rank
+
+
 def test_candidates_need_relative_rank_two():
     with pytest.raises(rd.UnsupportedGroupError):
         wt.minimal_pim_candidates(rd.special_linear(2, 5))

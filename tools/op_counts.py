@@ -4,8 +4,9 @@ machine.
 Builds the items of ``bench/workloads.py`` (imported, never changed), calls
 each once in this process, in run order, and prints one JSON line:
 
-* ``descent_memo``: the reads of descendants' descent tables and the values
-  computed into them (``bounds.DescentMemo``);
+* ``descent_memo``: the reads of descendants' descent tables, one per piece
+  each time ``bounds._descend`` runs, and the values computed into them,
+  the calls of ``bounds._descent_value`` made inside it;
 * ``torus_orbit_misses``: the characters whose orbit length was computed,
   the sum of ``len(TorusOrbits.sizes)`` over every orbit cache;
 * ``reflections``: the steps of the alcove walks, for those characters
@@ -60,6 +61,30 @@ def _count_walks(reflections: dict) -> None:
     charlattice._alcove_kac = counted
 
 
+def _count_descent(memo: dict) -> None:
+    """Count the table reads and the computed values of descent into
+    ``memo``.  The top call of ``descent_bound`` runs outside every
+    ``_descend``, so it computes no table value."""
+    descend, value = bounds._descend, bounds._descent_value
+    depth = 0
+
+    def counted_descend(coeffs, plan, best):
+        nonlocal depth
+        memo["lookups"] += len(plan.pieces)
+        depth += 1
+        try:
+            return descend(coeffs, plan, best)
+        finally:
+            depth -= 1
+
+    def counted_value(coeffs, plan):
+        if depth:
+            memo["misses"] += 1
+        return value(coeffs, plan)
+
+    bounds._descend, bounds._descent_value = counted_descend, counted_value
+
+
 def _track_orbit_caches() -> list:
     """Every :class:`charlattice.TorusOrbits` made from now on."""
     made = []
@@ -78,14 +103,15 @@ def op_counts(workload: str, seed: int) -> dict:
     reflections = {"orbit_size": 0, "omega_probes": 0}
     _count_walks(reflections)
     orbit_caches = _track_orbit_caches()
-    memo = bounds._reset_descent_memo()
+    memo = {"lookups": 0, "misses": 0}
+    _count_descent(memo)
     for item in items:
         item.call()
     return {
         "workload": workload,
         "seed": seed,
         "items": len(items),
-        "descent_memo": {"lookups": memo.lookups, "misses": memo.misses},
+        "descent_memo": memo,
         "torus_orbit_misses": sum(len(o.sizes) for o in orbit_caches),
         "reflections": reflections,
         "alcove_plans": charlattice._alcove_plan.cache_info().currsize,
